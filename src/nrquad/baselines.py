@@ -9,8 +9,8 @@ packages absolute and relative error against such a reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._frozen import Frozen, set_field
 from .expressions import Expression, evaluate
 from .quadrature import Interval
 
@@ -28,14 +28,16 @@ class DepthLimitError(RuntimeError):
     """Adaptive bisection hit its depth cap; the input looks pathological."""
 
 
-@dataclass(frozen=True)
-class ErrorStats:
+class ErrorStats(Frozen):
     """Absolute and percentage error of an approximation vs a reference."""
 
-    approx: float
-    reference: float
-    abs_error: float
-    rel_error_pct: float
+    __slots__ = ("approx", "reference", "abs_error", "rel_error_pct")
+
+    def __init__(self, approx: float, reference: float, abs_error: float, rel_error_pct: float) -> None:
+        set_field(self, "approx", approx)
+        set_field(self, "reference", reference)
+        set_field(self, "abs_error", abs_error)
+        set_field(self, "rel_error_pct", rel_error_pct)
 
 
 def _sample(f: Expression, x: float) -> float:

@@ -10,17 +10,17 @@ Exit status contract:
 Reports go to stdout; every error path prints one diagnostic line to
 stderr.  Table output truncates percentages to 4 decimal places and
 prints values with 6 decimals; CSV and JSON carry full shortest
-round-trip precision.
+round-trip precision.  JSON is strict (RFC 8259): a NaN or infinite
+value is written as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
-from dataclasses import dataclass
 
+from ._frozen import Frozen, set_field
 from .baselines import (
     DepthLimitError,
     error_stats,
@@ -53,32 +53,53 @@ _BASELINES = {
 REFERENCE_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class MethodRow:
+class MethodRow(Frozen):
     """One comparison line; ``error`` is set instead of numbers on failure."""
 
-    method: str
-    value: float | None
-    abs_error: float | None
-    rel_error_pct: float | None
-    settings: str
-    error: str | None = None
+    __slots__ = ("method", "value", "abs_error", "rel_error_pct", "settings", "error")
+
+    def __init__(
+        self,
+        method: str,
+        value: float | None,
+        abs_error: float | None,
+        rel_error_pct: float | None,
+        settings: str,
+        error: str | None = None,
+    ) -> None:
+        set_field(self, "method", method)
+        set_field(self, "value", value)
+        set_field(self, "abs_error", abs_error)
+        set_field(self, "rel_error_pct", rel_error_pct)
+        set_field(self, "settings", settings)
+        set_field(self, "error", error)
 
 
-@dataclass(frozen=True)
-class NrDetails:
-    panel_count: int
-    residual_gap: float
-    termination: str
+class NrDetails(Frozen):
+    __slots__ = ("panel_count", "residual_gap", "termination")
+
+    def __init__(self, panel_count: int, residual_gap: float, termination: str) -> None:
+        set_field(self, "panel_count", panel_count)
+        set_field(self, "residual_gap", residual_gap)
+        set_field(self, "termination", termination)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    expression: str
-    interval: tuple[float, float]
-    reference: float
-    rows: tuple[MethodRow, ...]
-    nr_details: NrDetails | None
+class ComparisonReport(Frozen):
+    __slots__ = ("expression", "interval", "reference", "rows", "nr_details")
+
+    def __init__(
+        self,
+        expression: str,
+        interval: tuple[float, float],
+        reference: float,
+        rows: tuple[MethodRow, ...],
+        nr_details: NrDetails | None,
+    ) -> None:
+        set_field(self, "expression", expression)
+        set_field(self, "interval", interval)
+        set_field(self, "reference", reference)
+        set_field(self, "rows", rows)
+        set_field(self, "nr_details", nr_details)
 
 
 class _ArgumentError(Exception):
@@ -143,6 +164,23 @@ def _interval_text(interval: tuple[float, float]) -> str:
     return f"[{interval[0]!r}, {interval[1]!r}]"
 
 
+def _json_text(doc: dict[str, object]) -> str:
+    """Strict JSON (RFC 8259): NaN and infinities are written as ``null``."""
+    import json  # only the json format pays for this import
+
+    return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
+
+
+def _finite_or_null(value: object) -> object:
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
 def render_report(report: ComparisonReport, format: str) -> str:
     """Render a comparison report as table, csv, or json text."""
     if format == "csv":
@@ -184,7 +222,7 @@ def render_report(report: ComparisonReport, format: str) -> str:
             "rows": rows,
             "nr_details": details,
         }
-        return json.dumps(doc, indent=2)
+        return _json_text(doc)
 
     # table
     lines = [
@@ -241,7 +279,7 @@ def _render_integrate(expr_text: str, interval: Interval, result: QuadResult, fo
                 "final_x": result.trace.final_x,
             },
         }
-        return json.dumps(doc, indent=2)
+        return _json_text(doc)
 
     lines = [
         f"expression:   {expr_text}",
@@ -286,7 +324,7 @@ def _render_trace(expr_text: str, interval: Interval, result: QuadResult, format
             ],
             "termination": result.trace.termination.value,
         }
-        return json.dumps(doc, indent=2)
+        return _json_text(doc)
 
     lines = [
         f"expression:  {expr_text}",

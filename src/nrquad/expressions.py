@@ -25,56 +25,63 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
+
+from ._frozen import Frozen, set_field
 
 
-class Expression:
+class Expression(Frozen):
     """Base class for expression nodes. Nodes are immutable value objects."""
 
     __slots__ = ()
 
 
-@dataclass(frozen=True)
 class Const(Expression):
     """A finite numeric constant."""
 
-    value: float
+    __slots__ = ("value",)
 
-    def __post_init__(self) -> None:
-        value = float(self.value)
+    def __init__(self, value: float) -> None:
+        value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"constants must be finite, got {value!r}")
-        object.__setattr__(self, "value", value)
+        set_field(self, "value", value)
 
 
-@dataclass(frozen=True)
 class Var(Expression):
     """The single free variable ``x``."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
+
 class Neg(Expression):
     """Unary negation."""
 
-    child: Expression
+    __slots__ = ("child",)
+
+    def __init__(self, child: Expression) -> None:
+        set_field(self, "child", child)
 
 
-@dataclass(frozen=True)
 class BinOp(Expression):
     """Binary operation; ``op`` is one of ``+ - * / ^``."""
 
-    op: str
-    left: Expression
-    right: Expression
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: Expression, right: Expression) -> None:
+        set_field(self, "op", op)
+        set_field(self, "left", left)
+        set_field(self, "right", right)
 
 
-@dataclass(frozen=True)
 class Call(Expression):
     """Application of a named function to exactly one argument."""
 
-    name: str
-    arg: Expression
+    __slots__ = ("name", "arg")
+
+    def __init__(self, name: str, arg: Expression) -> None:
+        set_field(self, "name", name)
+        set_field(self, "arg", arg)
 
 
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
@@ -90,6 +97,21 @@ _FUNCTIONS: dict[str, Callable[[float], float]] = {
 FUNCTION_NAMES = frozenset(_FUNCTIONS)
 
 VARIABLE_NAME = "x"
+
+MAX_DEPTH = 50
+"""Deepest tree :func:`parse` accepts, in nodes along a root-to-leaf path.
+
+Evaluation, differentiation, simplification and printing recurse once per
+level, and a derivative can be four times deeper than its expression, so
+the bound keeps every walk well under Python's default recursion limit."""
+
+# The parser recurses once per nested operand: parenthesised, a function
+# argument, negated or an exponent.  to_text prints a tree MAX_DEPTH deep
+# with at most twice that nesting, since a negation or a right-nested power
+# costs two levels, so printed trees always parse again.
+_MAX_NESTING = 2 * MAX_DEPTH + 2
+
+_TOO_DEEP = f"expression nests deeper than {MAX_DEPTH} levels"
 
 
 class ParseError(ValueError):
@@ -112,11 +134,13 @@ _TOKEN_RE = re.compile(
 _END = "end of input"
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "num" | "name" | "op" | "end"
-    text: str
-    offset: int
+class _Token(Frozen):
+    __slots__ = ("kind", "text", "offset")
+
+    def __init__(self, kind: str, text: str, offset: int) -> None:
+        set_field(self, "kind", kind)  # "num" | "name" | "op" | "end"
+        set_field(self, "text", text)
+        set_field(self, "offset", offset)
 
 
 def _tokenize(source: str) -> list[_Token]:
@@ -138,6 +162,7 @@ class _Parser:
     def __init__(self, tokens: list[_Token]) -> None:
         self._tokens = tokens
         self._index = 0
+        self._nesting = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._index]
@@ -176,11 +201,18 @@ class _Parser:
         return left
 
     def _unary(self) -> Expression:
+        # every nested operand passes here: parenthesised, argument, negated or exponent
         token = self._peek()
+        self._nesting += 1
+        if self._nesting > _MAX_NESTING:
+            raise ParseError(_TOO_DEEP, token.offset)
         if token.kind == "op" and token.text == "-":
             self._advance()
-            return Neg(self._unary())
-        return self._power()
+            expr: Expression = Neg(self._unary())
+        else:
+            expr = self._power()
+        self._nesting -= 1
+        return expr
 
     def _power(self) -> Expression:
         base = self._atom()
@@ -227,13 +259,34 @@ def parse(source: str) -> Expression:
         The parsed :class:`Expression`.
 
     Raises:
-        ParseError: on malformed syntax, an unknown identifier, or a
-            function applied to the wrong number of arguments.  The error
-            carries the character ``offset`` of the problem.
+        ParseError: on malformed syntax, an unknown identifier, a
+            function applied to the wrong number of arguments, or a tree
+            deeper than :data:`MAX_DEPTH`.  The error carries the
+            character ``offset`` of the problem.
     """
     if not source or source.isspace():
         raise ParseError("empty expression", 0)
-    return _Parser(_tokenize(source)).parse()
+    tokens = _tokenize(source)
+    expr = _Parser(tokens).parse()
+    # every node takes at least one token, so only a long source can be too deep
+    if len(tokens) > MAX_DEPTH and _depth(expr) > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, 0)
+    return expr
+
+
+def _depth(e: Expression) -> int:
+    deepest = 0
+    pending = [(e, 1)]
+    while pending:
+        node, depth = pending.pop()
+        deepest = max(deepest, depth)
+        match node:
+            case Neg(child) | Call(_, child):
+                pending.append((child, depth + 1))
+            case BinOp(_, left, right):
+                pending.append((left, depth + 1))
+                pending.append((right, depth + 1))
+    return deepest
 
 
 def evaluate(e: Expression, x: float) -> float:

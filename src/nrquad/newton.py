@@ -12,9 +12,9 @@ values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._frozen import Frozen, set_field
 from .expressions import Expression, evaluate
 
 DERIVATIVE_EPSILON = 1e-12
@@ -55,32 +55,35 @@ class NonfiniteValueError(NewtonError):
         self.df = df
 
 
-@dataclass(frozen=True)
-class NewtonStep:
+class NewtonStep(Frozen):
     """One tangent step: ``step = f_k/df_k`` and ``x_next = x_k - step`` exactly."""
 
-    x_k: float
-    f_k: float
-    df_k: float
-    step: float
-    x_next: float
+    __slots__ = ("x_k", "f_k", "df_k", "step", "x_next")
+
+    def __init__(self, x_k: float, f_k: float, df_k: float, step: float, x_next: float) -> None:
+        set_field(self, "x_k", x_k)
+        set_field(self, "f_k", f_k)
+        set_field(self, "df_k", df_k)
+        set_field(self, "step", step)
+        set_field(self, "x_next", x_next)
 
 
-@dataclass(frozen=True)
-class NewtonTrace:
+class NewtonTrace(Frozen):
     """Ordered record of the steps taken, why it stopped, and where it ended.
 
     ``final_x`` is the last accepted iterate; after an overshoot clamp it
     is the target itself.
     """
 
-    steps: tuple[NewtonStep, ...]
-    termination: Termination
-    final_x: float
+    __slots__ = ("steps", "termination", "final_x")
+
+    def __init__(self, steps: tuple[NewtonStep, ...], termination: Termination, final_x: float) -> None:
+        set_field(self, "steps", steps)
+        set_field(self, "termination", termination)
+        set_field(self, "final_x", final_x)
 
 
-@dataclass(frozen=True)
-class StoppingCriteria:
+class StoppingCriteria(Frozen):
     """Stopping configuration for :func:`newton_iterate`.
 
     ``tol_f = None`` resolves at iteration start to ``1e-9 * max(1, |f(x0)|)``
@@ -88,26 +91,35 @@ class StoppingCriteria:
     point the iterates are expected to approach from above.
     """
 
-    target: float | None = None
-    tol_x: float = 1e-6
-    tol_f: float | None = None
-    tol_step: float = 1e-12
-    max_iter: int = 100
-    derivative_epsilon: float = DERIVATIVE_EPSILON
+    __slots__ = ("target", "tol_x", "tol_f", "tol_step", "max_iter", "derivative_epsilon")
 
-    def __post_init__(self) -> None:
-        if self.target is not None and not math.isfinite(self.target):
-            raise ValueError(f"target must be finite, got {self.target!r}")
-        if not self.tol_x > 0:
-            raise ValueError(f"tol_x must be positive, got {self.tol_x!r}")
-        if self.tol_f is not None and not self.tol_f > 0:
-            raise ValueError(f"tol_f must be positive, got {self.tol_f!r}")
-        if not self.tol_step > 0:
-            raise ValueError(f"tol_step must be positive, got {self.tol_step!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
-        if not self.derivative_epsilon > 0:
-            raise ValueError(f"derivative_epsilon must be positive, got {self.derivative_epsilon!r}")
+    def __init__(
+        self,
+        target: float | None = None,
+        tol_x: float = 1e-6,
+        tol_f: float | None = None,
+        tol_step: float = 1e-12,
+        max_iter: int = 100,
+        derivative_epsilon: float = DERIVATIVE_EPSILON,
+    ) -> None:
+        if target is not None and not math.isfinite(target):
+            raise ValueError(f"target must be finite, got {target!r}")
+        if not tol_x > 0:
+            raise ValueError(f"tol_x must be positive, got {tol_x!r}")
+        if tol_f is not None and not tol_f > 0:
+            raise ValueError(f"tol_f must be positive, got {tol_f!r}")
+        if not tol_step > 0:
+            raise ValueError(f"tol_step must be positive, got {tol_step!r}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+        if not derivative_epsilon > 0:
+            raise ValueError(f"derivative_epsilon must be positive, got {derivative_epsilon!r}")
+        set_field(self, "target", target)
+        set_field(self, "tol_x", tol_x)
+        set_field(self, "tol_f", tol_f)
+        set_field(self, "tol_step", tol_step)
+        set_field(self, "max_iter", max_iter)
+        set_field(self, "derivative_epsilon", derivative_epsilon)
 
 
 def newton_step(
@@ -115,17 +127,21 @@ def newton_step(
     df: Expression,
     x: float,
     derivative_epsilon: float = DERIVATIVE_EPSILON,
+    *,
+    f_x: float | None = None,
 ) -> NewtonStep:
     """Take one Newton step from ``x``.
 
     The returned ``x_next`` is the x-intercept of the tangent drawn at
     ``(x, f(x))``, i.e. the solution of ``0 - f(x) = f'(x) * (x1 - x)``.
+    A caller that already holds ``f(x)`` passes it as ``f_x``, and only
+    ``f'(x)`` is evaluated.
 
     Raises:
         DerivativeVanishedError: if ``|f'(x)| <= derivative_epsilon``.
         NonfiniteValueError: if ``f(x)`` or ``f'(x)`` is NaN or infinite.
     """
-    f_k = evaluate(f, x)
+    f_k = evaluate(f, x) if f_x is None else f_x
     df_k = evaluate(df, x)
     if not (math.isfinite(f_k) and math.isfinite(df_k)):
         raise NonfiniteValueError(x, f_k, df_k)
@@ -140,6 +156,8 @@ def newton_iterate(
     df: Expression,
     x0: float,
     stop: StoppingCriteria | None = None,
+    *,
+    first: NewtonStep | None = None,
 ) -> NewtonTrace:
     """Iterate Newton steps from ``x0`` until a stopping criterion holds.
 
@@ -150,35 +168,46 @@ def newton_iterate(
     descending towards it from above, and a step lands below it; the
     trace then ends with ``final_x`` clamped to the target.
 
+    Each point costs one evaluation of f and one of f': the value
+    ``f(x_next)`` that the residual test needs is carried into the next
+    step.  A caller that has already taken the step from ``x0`` with
+    :func:`newton_step` passes it as ``first``, and it is used as is.
+
     All failure modes are reported as terminations on the returned trace;
     this function does not raise.
     """
     stop = stop if stop is not None else StoppingCriteria()
+    step = first
+    f_x = None if first is None else first.f_k
     tol_f = stop.tol_f
     if tol_f is None:
-        tol_f = 1e-9 * max(1.0, abs(evaluate(f, x0)))
+        if f_x is None:
+            f_x = evaluate(f, x0)
+        tol_f = 1e-9 * max(1.0, abs(f_x))
     descending = stop.target is not None and x0 > stop.target
 
     steps: list[NewtonStep] = []
     x = x0
     for _ in range(stop.max_iter):
-        try:
-            step = newton_step(f, df, x, stop.derivative_epsilon)
-        except NonfiniteValueError:
-            return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x)
-        except DerivativeVanishedError:
-            return NewtonTrace(tuple(steps), Termination.DERIVATIVE_VANISHED, x)
+        if step is None:
+            try:
+                step = newton_step(f, df, x, stop.derivative_epsilon, f_x=f_x)
+            except NonfiniteValueError:
+                return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x)
+            except DerivativeVanishedError:
+                return NewtonTrace(tuple(steps), Termination.DERIVATIVE_VANISHED, x)
         steps.append(step)
         if not math.isfinite(step.x_next):
             return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x)
         if stop.target is not None and abs(step.x_next - stop.target) <= stop.tol_x:
             return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, step.x_next)
-        f_next = evaluate(f, step.x_next)
-        if math.isfinite(f_next) and abs(f_next) <= tol_f:
+        f_x = evaluate(f, step.x_next)
+        if math.isfinite(f_x) and abs(f_x) <= tol_f:
             return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next)
         if abs(step.step) <= stop.tol_step:
             return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next)
         if descending and step.x_next < stop.target:
             return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, stop.target)
         x = step.x_next
+        step = None
     return NewtonTrace(tuple(steps), Termination.MAX_ITERATIONS, x)

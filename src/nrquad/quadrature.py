@@ -22,9 +22,9 @@ for measured figures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._frozen import Frozen, set_field
 from .expressions import Expression, differentiate, evaluate, simplify
 from .newton import (
     DERIVATIVE_EPSILON,
@@ -34,6 +34,7 @@ from .newton import (
     StoppingCriteria,
     Termination,
     newton_iterate,
+    newton_step,
 )
 
 VALIDATION_SAMPLES = 64
@@ -45,22 +46,21 @@ class QuadStatus(str, Enum):
     BUDGET_EXHAUSTED = "budget-exhausted"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Frozen):
     """Integration bounds with ``a < b``; ``a`` is where the root lives."""
 
-    a: float
-    b: float
+    __slots__ = ("a", "b")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
-            raise ValueError(f"interval bounds must be finite, got [{self.a!r}, {self.b!r}]")
-        if not self.a < self.b:
-            raise ValueError(f"interval requires a < b, got [{self.a!r}, {self.b!r}]")
+    def __init__(self, a: float, b: float) -> None:
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise ValueError(f"interval bounds must be finite, got [{a!r}, {b!r}]")
+        if not a < b:
+            raise ValueError(f"interval requires a < b, got [{a!r}, {b!r}]")
+        set_field(self, "a", a)
+        set_field(self, "b", b)
 
 
-@dataclass(frozen=True)
-class NrQuadSettings:
+class NrQuadSettings(Frozen):
     """Knobs for :func:`nr_integrate`.
 
     Stopping follows proximity to ``a`` (``tol_x``) or a small residual
@@ -69,32 +69,41 @@ class NrQuadSettings:
     leftover sliver.  ``validate`` runs :func:`validate_problem` first.
     """
 
-    tol_x: float = 1e-6
-    tol_f: float | None = None
-    max_iter: int = 100
-    closing_triangle: bool = False
-    validate: bool = True
+    __slots__ = ("tol_x", "tol_f", "max_iter", "closing_triangle", "validate")
 
-    def __post_init__(self) -> None:
-        if not self.tol_x > 0:
-            raise ValueError(f"tol_x must be positive, got {self.tol_x!r}")
-        if self.tol_f is not None and not self.tol_f > 0:
-            raise ValueError(f"tol_f must be positive, got {self.tol_f!r}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {self.max_iter!r}")
+    def __init__(
+        self,
+        tol_x: float = 1e-6,
+        tol_f: float | None = None,
+        max_iter: int = 100,
+        closing_triangle: bool = False,
+        validate: bool = True,
+    ) -> None:
+        if not tol_x > 0:
+            raise ValueError(f"tol_x must be positive, got {tol_x!r}")
+        if tol_f is not None and not tol_f > 0:
+            raise ValueError(f"tol_f must be positive, got {tol_f!r}")
+        if max_iter < 1:
+            raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+        set_field(self, "tol_x", tol_x)
+        set_field(self, "tol_f", tol_f)
+        set_field(self, "max_iter", max_iter)
+        set_field(self, "closing_triangle", closing_triangle)
+        set_field(self, "validate", validate)
 
 
-@dataclass(frozen=True)
-class Panel:
+class Panel(Frozen):
     """One trapezoid panel anchored at the iterate ``x_k``."""
 
-    x_k: float
-    width: float
-    area: float
+    __slots__ = ("x_k", "width", "area")
+
+    def __init__(self, x_k: float, width: float, area: float) -> None:
+        set_field(self, "x_k", x_k)
+        set_field(self, "width", width)
+        set_field(self, "area", area)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(Frozen):
     """Outcome of :func:`nr_integrate`.
 
     ``value`` is the panel areas plus ``closing_area``, summed in
@@ -102,23 +111,43 @@ class QuadResult:
     of the uncovered sliver (zero after a clamp).
     """
 
-    value: float
-    panels: tuple[Panel, ...]
-    closing_area: float
-    residual_gap: float
-    trace: NewtonTrace
-    status: QuadStatus
+    __slots__ = ("value", "panels", "closing_area", "residual_gap", "trace", "status")
+
+    def __init__(
+        self,
+        value: float,
+        panels: tuple[Panel, ...],
+        closing_area: float,
+        residual_gap: float,
+        trace: NewtonTrace,
+        status: QuadStatus,
+    ) -> None:
+        set_field(self, "value", value)
+        set_field(self, "panels", panels)
+        set_field(self, "closing_area", closing_area)
+        set_field(self, "residual_gap", residual_gap)
+        set_field(self, "trace", trace)
+        set_field(self, "status", status)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(Frozen):
     """Sampled precondition checks; heuristic, not a proof."""
 
-    monotone_increasing: bool
-    root_at_a: bool
-    derivative_positive_at_b: bool
-    samples: int
-    messages: tuple[str, ...]
+    __slots__ = ("monotone_increasing", "root_at_a", "derivative_positive_at_b", "samples", "messages")
+
+    def __init__(
+        self,
+        monotone_increasing: bool,
+        root_at_a: bool,
+        derivative_positive_at_b: bool,
+        samples: int,
+        messages: tuple[str, ...],
+    ) -> None:
+        set_field(self, "monotone_increasing", monotone_increasing)
+        set_field(self, "root_at_a", root_at_a)
+        set_field(self, "derivative_positive_at_b", derivative_positive_at_b)
+        set_field(self, "samples", samples)
+        set_field(self, "messages", messages)
 
     @property
     def passed(self) -> bool:
@@ -141,12 +170,14 @@ def panel_area(f_k: float, df_k: float, f_next: float) -> float:
     return 0.5 * (f_k / df_k) * (f_k + f_next)
 
 
-def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
+def validate_problem(f: Expression, interval: Interval, *, df: Expression | None = None) -> ValidationReport:
     """Check, by sampling, that the problem fits the rule's hypotheses.
 
     Samples f at 64 equally spaced points and reports whether the values
     are nondecreasing, whether |f(a)| is small relative to |f(b)|, and
-    whether f'(b) > 0.  Findings are returned, never raised.
+    whether f'(b) > 0.  Findings are returned, never raised.  A caller
+    that has already built ``simplify(differentiate(f))`` passes it as
+    ``df``.
     """
     a, b = interval.a, interval.b
     h = (b - a) / (VALIDATION_SAMPLES - 1)
@@ -174,7 +205,9 @@ def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     if not root_at_a:
         messages.append(f"f(a) = {f_a!r} is not negligible; the rule needs the root at a")
 
-    df_b = evaluate(simplify(differentiate(f)), b)
+    if df is None:
+        df = simplify(differentiate(f))
+    df_b = evaluate(df, b)
     derivative_positive = math.isfinite(df_b) and df_b > 0.0
     if not derivative_positive:
         messages.append(f"f'(b) = {df_b!r} is not positive")
@@ -214,16 +247,11 @@ def nr_integrate(
     settings = settings if settings is not None else NrQuadSettings()
     a, b = interval.a, interval.b
     df = simplify(differentiate(f))
-
-    f_b = evaluate(f, b)
-    df_b = evaluate(df, b)
-    if not (math.isfinite(f_b) and math.isfinite(df_b)):
-        raise NonfiniteValueError(b, f_b, df_b)
-    if abs(df_b) <= DERIVATIVE_EPSILON:
-        raise DerivativeVanishedError(b, df_b, DERIVATIVE_EPSILON)
+    # the first step checks f(b) and f'(b) before validation, and the iteration reuses it
+    first = newton_step(f, df, b)
 
     if settings.validate:
-        report = validate_problem(f, interval)
+        report = validate_problem(f, interval, df=df)
         if not report.passed:
             raise ValidationError(report)
 
@@ -233,7 +261,7 @@ def nr_integrate(
         tol_f=settings.tol_f,
         max_iter=settings.max_iter,
     )
-    trace = newton_iterate(f, df, b, stop)
+    trace = newton_iterate(f, df, b, stop, first=first)
     if trace.termination is Termination.DERIVATIVE_VANISHED:
         raise DerivativeVanishedError(trace.final_x, evaluate(df, trace.final_x), DERIVATIVE_EPSILON)
     if trace.termination is Termination.NONFINITE_VALUE:

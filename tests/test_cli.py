@@ -2,20 +2,31 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import nrquad
 from nrquad.baselines import error_stats, left_riemann, midpoint, reference_integral, right_riemann, trapezoid
-from nrquad.cli import ComparisonReport, MethodRow, main, render_report
+from nrquad.cli import ComparisonReport, MethodRow, NrDetails, main, render_report
 from nrquad.expressions import parse
 from nrquad.quadrature import Interval, NrQuadSettings, nr_integrate
 
 GOLDEN = Path(__file__).parent / "golden" / "compare_worked_example.txt"
 
 EXAMPLE = ["--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1"]
+
+
+def strict_json(text):
+    """Parse as RFC 8259 does: NaN and Infinity tokens are errors."""
+
+    def reject(token):
+        raise ValueError(f"{token} is not a JSON value")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def run(argv, capsys):
@@ -128,6 +139,16 @@ class TestExitStatuses:
             assert code == 1, argv
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "expr", ["(" * 2000 + "x" + ")" * 2000, "+".join(["x"] * 3000)], ids=["2000-parentheses", "3000-terms"]
+    )
+    def test_deep_or_huge_expression_exits_1_with_one_diagnostic(self, expr, capsys):
+        code, out, err = run(["integrate", "--expr", expr, "--lower", "0", "--upper", "1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "nests deeper than" in err
 
     def test_duplicate_methods_are_reported_once(self, capsys):
         code, out, _ = run(
@@ -255,6 +276,17 @@ class TestCompare:
                 100.0 * row["abs_error"] / abs(doc["reference"]), rel=1e-12
             )
 
+    def test_json_writes_nan_as_null(self, capsys):
+        # the reference is 0, so every relative error is undefined
+        argv = ["compare", "--expr", "x", "--lower", "-1", "--upper", "1", "--no-validate", "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["reference"] == 0.0
+        rows = [row for row in doc["rows"] if "error" not in row]
+        assert rows and all(row["rel_error_pct"] is None for row in rows)
+        assert '"rel_error_pct": null' in out
+
     def test_method_subset_and_order(self, capsys):
         code, out, _ = run(
             ["compare", *EXAMPLE, "--methods", "trapezoid", "nr", "--tol-x", "0.01", "--format", "csv"],
@@ -310,6 +342,15 @@ class TestRenderReport:
         assert json.loads(json.dumps(doc)) == doc
 
 
+    def test_json_is_strict_for_every_nonfinite_value(self):
+        row = MethodRow("midpoint", math.inf, math.inf, math.nan, "n=3")
+        report = ComparisonReport("x", (0.0, 1.0), -math.inf, (row,), NrDetails(1, math.nan, "ok"))
+        doc = strict_json(render_report(report, "json"))
+        assert doc["reference"] is None
+        assert [doc["rows"][0][key] for key in ("value", "abs_error", "rel_error_pct")] == [None] * 3
+        assert doc["nr_details"]["residual_gap"] is None
+
+
 class TestEntryPoints:
     def test_module_invocation_matches_main(self, capsys):
         proc = subprocess.run(
@@ -327,3 +368,16 @@ class TestEntryPoints:
             capture_output=True,
         )
         assert proc.returncode == 3
+
+    def test_import_loads_neither_dataclasses_nor_json(self):
+        # -S: a bare interpreter, so nothing but nrquad.cli can load them
+        src = str(Path(nrquad.__file__).resolve().parent.parent)
+        code = "import sys, nrquad.cli; print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            check=True,
+        )
+        assert proc.stdout == "[]\n"

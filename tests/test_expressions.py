@@ -6,6 +6,7 @@ import random
 import pytest
 
 from nrquad.expressions import (
+    MAX_DEPTH,
     BinOp,
     Call,
     Const,
@@ -86,6 +87,60 @@ class TestParse:
     def test_function_arity(self):
         with pytest.raises(ParseError, match="exactly one argument"):
             parse("sin(x, 1)")
+
+
+def _nest(template, times):
+    text = "x"
+    for _ in range(times):
+        text = template.format(text)
+    return text
+
+
+class TestDepthBound:
+    # the deepest accepted shapes, including those whose derivatives grow fastest
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "+".join(["x"] * MAX_DEPTH),
+            "-" * (MAX_DEPTH - 1) + "x",
+            _nest("({})^x", MAX_DEPTH - 1),
+            _nest("x^({})", MAX_DEPTH - 1),
+            _nest("x/({})", MAX_DEPTH - 1),
+            _nest("sqrt({})", MAX_DEPTH - 1),
+            "(" * 2 * MAX_DEPTH + "x" + ")" * 2 * MAX_DEPTH,
+        ],
+        ids=["sum", "negations", "left-powers", "right-powers", "quotients", "calls", "parentheses"],
+    )
+    def test_deepest_accepted_trees_survive_every_walk(self, source):
+        f = parse(source)
+        df = simplify(differentiate(f))
+        assert evaluate(parse(to_text(f)), 0.75) == evaluate(f, 0.75)
+        evaluate(df, 0.75)
+        to_text(df)
+
+    def test_printed_trees_of_accepted_depth_parse_again(self):
+        # negations and right-nested powers print with the most nesting
+        deepest = Const(2.0)
+        for level in range(MAX_DEPTH - 1):
+            deepest = BinOp("^", Var(), deepest) if level % 2 else Neg(deepest)
+        text = to_text(deepest)
+        assert to_text(parse(text)) == text
+
+    @pytest.mark.parametrize(
+        "source, offset",
+        [
+            ("(" * 2000 + "x" + ")" * 2000, 2 * MAX_DEPTH + 2),
+            ("+".join(["x"] * 3000), 0),
+            ("+".join(["x"] * (MAX_DEPTH + 1)), 0),
+            ("-" * MAX_DEPTH + "x", 0),
+            (_nest("sin({})", MAX_DEPTH), 0),
+        ],
+        ids=["2000-parentheses", "3000-terms", "one-term-too-many", "negations", "calls"],
+    )
+    def test_deeper_input_is_a_parse_error(self, source, offset):
+        with pytest.raises(ParseError, match=f"nests deeper than {MAX_DEPTH} levels") as err:
+            parse(source)
+        assert err.value.offset == offset
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import nrquad.newton
 from nrquad.expressions import differentiate, evaluate, parse, simplify
 from nrquad.newton import (
     DerivativeVanishedError,
@@ -179,6 +180,44 @@ class TestNewtonIterate:
         f, df = _fdf("x")
         trace = newton_iterate(f, df, 5.0, StoppingCriteria(target=0.0, tol_x=0.5, tol_f=100.0))
         assert trace.termination is Termination.REACHED_TARGET
+
+
+class TestCarriedValues:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(e, x):
+            count[0] += 1
+            return evaluate(e, x)
+
+        monkeypatch.setattr(nrquad.newton, "evaluate", counted)
+        return count
+
+    def test_step_uses_a_given_f_value(self, calls):
+        f, df = _fdf(QUAD)
+        assert newton_step(f, df, 1.0, f_x=6.0) == newton_step(f, df, 1.0)
+        assert calls[0] == 3
+        step = newton_step(f, df, 1.0, f_x=3.5)
+        assert (step.f_k, step.step) == (3.5, 0.5)
+        with pytest.raises(NonfiniteValueError):
+            newton_step(f, df, 1.0, f_x=math.nan)
+
+    def test_iteration_evaluates_f_and_df_once_per_point(self, calls):
+        f, df = _fdf(QUAD)
+        trace = newton_iterate(f, df, 1.0, StoppingCriteria(target=-0.5, tol_x=0.01))
+        assert trace.termination is Termination.REACHED_TARGET
+        assert calls[0] == 2 * len(trace.steps) == 8
+
+    def test_a_given_first_step_is_reused(self, calls):
+        f, df = _fdf(QUAD)
+        stop = StoppingCriteria(target=-0.5, tol_x=0.01)
+        first = newton_step(f, df, 1.0)
+        calls[0] = 0
+        trace = newton_iterate(f, df, 1.0, stop, first=first)
+        assert calls[0] == 2 * (len(trace.steps) - 1)
+        assert trace.steps[0] is first
+        assert trace == newton_iterate(f, df, 1.0, stop)
 
 
 class TestStoppingCriteria:

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import nrquad.newton
+import nrquad.quadrature
 from nrquad.baselines import reference_integral
 from nrquad.expressions import evaluate, parse
 from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, Termination
@@ -218,6 +220,30 @@ class TestNrIntegrate:
             NrQuadSettings(max_iter=0)
         with pytest.raises(ValueError):
             NrQuadSettings(tol_f=-1.0)
+
+
+class TestEvaluationCounts:
+    """Integrand evaluations on the worked example, pinned; a change may lower them."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(e, x):
+            count[0] += 1
+            return evaluate(e, x)
+
+        for module in (nrquad.quadrature, nrquad.newton):
+            monkeypatch.setattr(module, "evaluate", counted)
+        return count
+
+    # f and f' once at each of the 6 iterates, f at the last one, and with
+    # validation 64 samples of f and f'(b)
+    @pytest.mark.parametrize("validate, expected", [(True, 78), (False, 13)])
+    def test_worked_example(self, calls, validate, expected):
+        result = nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(validate=validate))
+        assert len(result.panels) == 6
+        assert calls[0] == expected
 
 
 class TestInterval:
