@@ -1,17 +1,20 @@
 """Classical quadrature rules on uniform partitions, plus a reference oracle.
 
 left_riemann / right_riemann / midpoint / trapezoid / simpson are the
-textbook composite rules.  reference_integral is an adaptive Simpson
-integrator accurate far beyond the rules it referees, and error_stats
-packages absolute and relative error against such a reference.
+textbook composite rules; they evaluate their nodes a CHUNK at a time.
+reference_integral is an adaptive Simpson integrator accurate far beyond
+the rules it referees, and error_stats packages absolute and relative
+error against such a reference.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from itertools import islice
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, evaluate
+from .expressions import Expression, evaluate, evaluate_many
 from .quadrature import Interval
 
 
@@ -40,11 +43,38 @@ class ErrorStats(Frozen):
         set_field(self, "rel_error_pct", rel_error_pct)
 
 
-def _sample(f: Expression, x: float) -> float:
-    value = evaluate(f, x)
-    if not math.isfinite(value):
-        raise NonfiniteSampleError(x, value)
-    return value
+CHUNK = 256
+"""Nodes the uniform rules generate and evaluate per :func:`evaluate_many` batch.
+
+No list a rule builds is longer, so its memory is bounded for any ``n``."""
+
+
+def _samples(f: Expression, xs: list[float]) -> list[float]:
+    """f at each point of ``xs``; raises at the first point where it is not finite."""
+    values = evaluate_many(f, xs)
+    for x, value in zip(xs, values):
+        if not math.isfinite(value):
+            raise NonfiniteSampleError(x, value)
+    return values
+
+
+def _sum_samples(
+    f: Expression,
+    nodes: Iterator[float],
+    total: float = 0.0,
+    weights: Iterator[float] | None = None,
+) -> float:
+    """``total`` plus f (times its weight) at each node, added in node order."""
+    while chunk := list(islice(nodes, CHUNK)):
+        values = _samples(f, chunk)
+        if weights is None:
+            for value in values:
+                total += value
+        else:
+            # values first: zip stops at the chunk's end without drawing a weight too many
+            for value, weight in zip(values, weights):
+                total += weight * value
+    return total
 
 
 def _check_subintervals(n: int) -> None:
@@ -57,10 +87,7 @@ def left_riemann(f: Expression, interval: Interval, n: int) -> float:
     _check_subintervals(n)
     a, b = interval.a, interval.b
     h = (b - a) / n
-    total = 0.0
-    for i in range(n):
-        total += _sample(f, a + i * h)
-    return h * total
+    return h * _sum_samples(f, (a + i * h for i in range(n)))
 
 
 def right_riemann(f: Expression, interval: Interval, n: int) -> float:
@@ -68,10 +95,7 @@ def right_riemann(f: Expression, interval: Interval, n: int) -> float:
     _check_subintervals(n)
     a, b = interval.a, interval.b
     h = (b - a) / n
-    total = 0.0
-    for i in range(1, n + 1):
-        total += _sample(f, a + i * h)
-    return h * total
+    return h * _sum_samples(f, (a + i * h for i in range(1, n + 1)))
 
 
 def midpoint(f: Expression, interval: Interval, n: int) -> float:
@@ -79,10 +103,7 @@ def midpoint(f: Expression, interval: Interval, n: int) -> float:
     _check_subintervals(n)
     a, b = interval.a, interval.b
     h = (b - a) / n
-    total = 0.0
-    for i in range(n):
-        total += _sample(f, a + (i + 0.5) * h)
-    return h * total
+    return h * _sum_samples(f, (a + (i + 0.5) * h for i in range(n)))
 
 
 def trapezoid(f: Expression, interval: Interval, n: int) -> float:
@@ -90,10 +111,8 @@ def trapezoid(f: Expression, interval: Interval, n: int) -> float:
     _check_subintervals(n)
     a, b = interval.a, interval.b
     h = (b - a) / n
-    total = 0.5 * (_sample(f, a) + _sample(f, b))
-    for i in range(1, n):
-        total += _sample(f, a + i * h)
-    return h * total
+    fa, fb = _samples(f, [a, b])
+    return h * _sum_samples(f, (a + i * h for i in range(1, n)), 0.5 * (fa + fb))
 
 
 def simpson(f: Expression, interval: Interval, n: int) -> float:
@@ -107,10 +126,9 @@ def simpson(f: Expression, interval: Interval, n: int) -> float:
         raise ValueError(f"simpson needs an even subinterval count (got {n!r})")
     a, b = interval.a, interval.b
     h = (b - a) / n
-    total = _sample(f, a) + _sample(f, b)
-    for i in range(1, n):
-        total += (4.0 if i % 2 else 2.0) * _sample(f, a + i * h)
-    return h * total / 3.0
+    fa, fb = _samples(f, [a, b])
+    weights = (4.0 if i % 2 else 2.0 for i in range(1, n))
+    return h * _sum_samples(f, (a + i * h for i in range(1, n)), fa + fb, weights) / 3.0
 
 
 def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) -> float:

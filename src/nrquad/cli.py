@@ -52,6 +52,9 @@ _BASELINES = {
 
 REFERENCE_TOL = 1e-10
 
+MAX_COUNT = 1_000_000
+"""Largest ``--panels`` and ``--max-iter`` the CLI accepts; larger ones would run for seconds."""
+
 
 class MethodRow(Frozen):
     """One comparison line; ``error`` is set instead of numbers on failure."""
@@ -112,6 +115,16 @@ class _Parser(argparse.ArgumentParser):
         raise _ArgumentError(message)
 
 
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {value}")
+    return value
+
+
 def _build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--expr", required=True, help="integrand f(x), e.g. '2*x^2+3*x+1'")
@@ -119,7 +132,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--upper", type=float, required=True, help="upper limit b (the Newton start point)")
     common.add_argument("--tol-x", type=float, default=1e-6, help="stop when |x_next - a| <= tol-x")
     common.add_argument("--tol-f", type=float, default=None, help="stop when |f(x_next)| <= tol-f (default: scale-aware)")
-    common.add_argument("--max-iter", type=int, default=100, help="iteration budget")
+    common.add_argument("--max-iter", type=_count, default=100, help="iteration budget")
     common.add_argument("--closing-triangle", action="store_true", help="cover the [a, x_last] sliver with a triangle")
     common.add_argument("--no-validate", action="store_true", help="skip the sampled precondition checks")
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
@@ -128,7 +141,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("integrate", parents=[common], help="run the Newton-partition rule")
     compare = sub.add_parser("compare", parents=[common], help="compare methods against a reference integral")
-    compare.add_argument("--panels", type=int, default=3, help="subinterval count for the baseline rules")
+    compare.add_argument("--panels", type=_count, default=3, help="subinterval count for the baseline rules")
     compare.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS), help="methods to run, in order")
     sub.add_parser("trace", parents=[common], help="emit the Newton iterate / panel records")
     return parser

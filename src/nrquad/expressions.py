@@ -24,8 +24,9 @@ finiteness.
 from __future__ import annotations
 
 import math
+import operator
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from ._frozen import Frozen, set_field
 
@@ -281,6 +282,8 @@ def _depth(e: Expression) -> int:
         node, depth = pending.pop()
         deepest = max(deepest, depth)
         match node:
+            case Neg(Const()):
+                pass  # to_text prints Const(-c) as (-c): count the one level it was printed from
             case Neg(child) | Call(_, child):
                 pending.append((child, depth + 1))
             case BinOp(_, left, right):
@@ -325,6 +328,64 @@ def _eval(e: Expression, x: float) -> float:
         case Call(name, arg):
             return _FUNCTIONS[name](_eval(arg, x))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def evaluate_many(e: Expression, xs: Sequence[float]) -> list[float]:
+    """Evaluate ``e`` at every point of ``xs``: ``[evaluate(e, x) for x in xs]``.
+
+    The tree is walked once for the whole batch, and each node's values
+    are built over the batch at once.  The results are bit-identical to
+    :func:`evaluate`'s, including its rule that a domain violation
+    anywhere in the tree makes that one point NaN.  Only a NaN's sign may
+    differ, and only where two NaNs meet in ``+`` or ``*``: CPython returns
+    either operand's there, so :func:`evaluate` does not repeat it either.
+    """
+    failed: set[int] = set()
+    values = _eval_many(e, xs, failed)
+    # a failed point's NaN need not reach the root: pow(nan, 0) == 1
+    for i in failed:
+        values[i] = math.nan
+    return values
+
+
+_OPERATORS: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
+
+
+def _eval_many(e: Expression, xs: Sequence[float], failed: set[int]) -> list[float]:
+    match e:
+        case Const(value):
+            return [value] * len(xs)
+        case Var():
+            return list(xs)
+        case Neg(child):
+            return list(map(operator.neg, _eval_many(child, xs, failed)))
+        case BinOp(op, left, right):
+            return _map_points(_OPERATORS[op], failed, _eval_many(left, xs, failed), _eval_many(right, xs, failed))
+        case Call(name, arg):
+            return _map_points(_FUNCTIONS[name], failed, _eval_many(arg, xs, failed))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _map_points(fn: Callable[..., float], failed: set[int], *columns: list[float]) -> list[float]:
+    try:
+        return list(map(fn, *columns))
+    except (ArithmeticError, ValueError):
+        pass
+    # some point raised: redo the node one point at a time, NaN standing in for the failures
+    values = []
+    for i, args in enumerate(zip(*columns)):
+        try:
+            values.append(fn(*args))
+        except (ArithmeticError, ValueError):
+            failed.add(i)
+            values.append(math.nan)
+    return values
 
 
 def _add(l: Expression, r: Expression) -> Expression:

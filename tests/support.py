@@ -2,13 +2,17 @@
 
 The oracles here deliberately avoid the package's evaluation path: they
 work on plain coefficient lists, Python callables and Python floats so
-the tests compare two independent routes to the same numbers.
+the tests compare two independent routes to the same numbers.  The one
+exception is the scalar rule oracle, which samples through the scalar
+``evaluate`` one node at a time, as the rules did before they batched.
 """
 
 from __future__ import annotations
 
+import math
 import random
 
+from nrquad.baselines import NonfiniteSampleError
 from nrquad.expressions import BinOp, Call, Const, Expression, Neg, Var, evaluate
 
 FUNCTION_POOL = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -69,3 +73,77 @@ def brute_force_rule(f, df, a, b, tol_x, max_iter=100):
             return panels, x_next
         x = x_next
     return panels, x
+
+
+def _sample(f, x):
+    value = evaluate(f, x)
+    if not math.isfinite(value):
+        raise NonfiniteSampleError(x, value)
+    return value
+
+
+def _check_subintervals(n):
+    if n < 1:
+        raise ValueError(f"subinterval count must be at least 1, got {n!r}")
+
+
+def scalar_left_riemann(f, interval, n):
+    _check_subintervals(n)
+    a, b = interval.a, interval.b
+    h = (b - a) / n
+    total = 0.0
+    for i in range(n):
+        total += _sample(f, a + i * h)
+    return h * total
+
+
+def scalar_right_riemann(f, interval, n):
+    _check_subintervals(n)
+    a, b = interval.a, interval.b
+    h = (b - a) / n
+    total = 0.0
+    for i in range(1, n + 1):
+        total += _sample(f, a + i * h)
+    return h * total
+
+
+def scalar_midpoint(f, interval, n):
+    _check_subintervals(n)
+    a, b = interval.a, interval.b
+    h = (b - a) / n
+    total = 0.0
+    for i in range(n):
+        total += _sample(f, a + (i + 0.5) * h)
+    return h * total
+
+
+def scalar_trapezoid(f, interval, n):
+    _check_subintervals(n)
+    a, b = interval.a, interval.b
+    h = (b - a) / n
+    total = 0.5 * (_sample(f, a) + _sample(f, b))
+    for i in range(1, n):
+        total += _sample(f, a + i * h)
+    return h * total
+
+
+def scalar_simpson(f, interval, n):
+    _check_subintervals(n)
+    if n % 2 != 0:
+        raise ValueError(f"simpson needs an even subinterval count (got {n!r})")
+    a, b = interval.a, interval.b
+    h = (b - a) / n
+    total = _sample(f, a) + _sample(f, b)
+    for i in range(1, n):
+        total += (4.0 if i % 2 else 2.0) * _sample(f, a + i * h)
+    return h * total / 3.0
+
+
+SCALAR_RULES = {
+    "left_riemann": scalar_left_riemann,
+    "right_riemann": scalar_right_riemann,
+    "midpoint": scalar_midpoint,
+    "trapezoid": scalar_trapezoid,
+    "simpson": scalar_simpson,
+}
+"""The uniform rules as one scalar ``evaluate`` per node, keyed by rule name."""

@@ -2,10 +2,15 @@
 
 import math
 import random
+import struct
 
 import pytest
 
+import nrquad.baselines
+import nrquad.newton
+import nrquad.quadrature
 from nrquad.baselines import (
+    CHUNK,
     DepthLimitError,
     NonfiniteSampleError,
     error_stats,
@@ -16,9 +21,10 @@ from nrquad.baselines import (
     simpson,
     trapezoid,
 )
-from nrquad.expressions import parse
+from nrquad.cli import main
+from nrquad.expressions import evaluate, evaluate_many, parse
 from nrquad.quadrature import Interval
-from support import poly_value, random_polynomial
+from support import SCALAR_RULES, poly_value, random_polynomial
 
 QUAD = parse("2*x^2+3*x+1")
 QUAD_INTERVAL = Interval(-0.5, 1.0)
@@ -178,3 +184,100 @@ class TestErrorStats:
     def test_zero_reference_is_undefined(self):
         assert math.isnan(error_stats(1.0, 0.0).rel_error_pct)
         assert error_stats(1.0, 0.0).abs_error == 1.0
+
+
+RULES = [left_riemann, right_riemann, midpoint, trapezoid, simpson]
+
+
+def outcome(rule, f, interval, n):
+    """A rule's value as bits, or the error it raised with its sample."""
+    try:
+        value = rule(f, interval, n)
+    except NonfiniteSampleError as exc:
+        return "nonfinite", struct.pack("<d", exc.x), repr(exc.value), str(exc)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return struct.pack("<d", value)
+
+
+class TestBatchedRulesMatchScalarOracle:
+    """Each rule against the scalar loop it replaced, one evaluate per node."""
+
+    # node counts of a chunk minus one, a chunk and a chunk plus one, for
+    # rules with n nodes and for those with n - 1 interior nodes
+    SIZES = [1, 2, 3, 4, 5, 8, 17, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 3 * CHUNK + 1, 3 * CHUNK + 2]
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+    @pytest.mark.parametrize("f, interval", [(QUAD, QUAD_INTERVAL), (EXP, UNIT)], ids=["quad", "exp"])
+    def test_bit_identical_values(self, rule, f, interval):
+        oracle = SCALAR_RULES[rule.__name__]
+        for n in self.SIZES:
+            assert outcome(rule, f, interval, n) == outcome(oracle, f, interval, n), n
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+    @pytest.mark.parametrize(
+        "source, a, b, n",
+        [
+            ("sin(x)/x", -1.0, 2.0, 3),  # a node lands on 0
+            ("sin(x)/x", -1.0, 1.0, 4),
+            ("ln(x)", -1.0, 1.0, 2),
+            ("1/((x+1)*(x-1))", -1.0, 1.0, 4),  # both ends; a is sampled first
+            # nodes are the integers; the pole at 300 is in the second chunk
+            ("1/(x-300)", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
+            ("1/((x-300)*(x-700))", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
+            ("x*x*x", 0.0, 1e103, 4),  # an infinite sample, not a NaN
+            ("x*x", 0.0, 1.3e154, 2 * CHUNK),  # finite samples whose sum overflows
+        ],
+    )
+    def test_same_first_nonfinite_sample(self, rule, source, a, b, n):
+        f, interval = parse(source), Interval(a, b)
+        assert outcome(rule, f, interval, n) == outcome(SCALAR_RULES[rule.__name__], f, interval, n)
+
+    def test_node_on_zero_is_reported(self):
+        with pytest.raises(NonfiniteSampleError) as err:
+            left_riemann(parse("sin(x)/x"), Interval(-1.0, 2.0), 3)
+        assert err.value.x == 0.0 and math.isnan(err.value.value)
+
+
+class TestChunking:
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+    def test_no_batch_is_longer_than_a_chunk(self, rule, monkeypatch):
+        batches = []
+
+        def recorded(e, xs):
+            batches.append(len(xs))
+            return evaluate_many(e, xs)
+
+        monkeypatch.setattr(nrquad.baselines, "evaluate_many", recorded)
+        n = 3 * CHUNK + 2  # even, for simpson; more than three chunks of nodes
+        assert rule(QUAD, QUAD_INTERVAL, n) == SCALAR_RULES[rule.__name__](QUAD, QUAD_INTERVAL, n)
+        assert max(batches) <= CHUNK
+        assert sum(batches) == (n + 1 if rule in (trapezoid, simpson) else n)
+
+
+class TestScalarEvaluationCounts:
+    """Scalar evaluate calls, counted as for the 78/13 pins in test_quadrature."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        count = [0]
+
+        def counted(e, x):
+            count[0] += 1
+            return evaluate(e, x)
+
+        for module in (nrquad.quadrature, nrquad.newton, nrquad.baselines):
+            monkeypatch.setattr(module, "evaluate", counted)
+        return count
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+    def test_rules_make_no_scalar_calls(self, calls, rule):
+        rule(QUAD, QUAD_INTERVAL, 64)
+        assert calls[0] == 0
+
+    def test_compare_calls_come_from_reference_and_nr_only(self, calls, capsys):
+        # 5 for the reference, which accepts its first panel on the
+        # quadratic, and the pinned 78 for nr_integrate
+        argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
+        assert main(argv) == 0
+        assert calls[0] == 5 + 78

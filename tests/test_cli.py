@@ -11,7 +11,7 @@ import pytest
 
 import nrquad
 from nrquad.baselines import error_stats, left_riemann, midpoint, reference_integral, right_riemann, trapezoid
-from nrquad.cli import ComparisonReport, MethodRow, NrDetails, main, render_report
+from nrquad.cli import MAX_COUNT, ComparisonReport, MethodRow, NrDetails, main, render_report
 from nrquad.expressions import parse
 from nrquad.quadrature import Interval, NrQuadSettings, nr_integrate
 
@@ -149,6 +149,24 @@ class TestExitStatuses:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "nests deeper than" in err
+
+    def test_panels_at_the_cap_run(self, capsys):
+        argv = ["compare", *EXAMPLE, "--panels", str(MAX_COUNT), "--methods", "midpoint", "--format", "csv"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert out.startswith("method,value,abs_error,rel_error_pct\nmidpoint,3.37499999")
+
+    def test_max_iter_at_the_cap_runs(self, capsys):
+        code, out, _ = run(["integrate", *EXAMPLE, "--max-iter", str(MAX_COUNT)], capsys)
+        assert code == 0
+        assert "status:       ok" in out
+
+    @pytest.mark.parametrize("command, flag", [("compare", "--panels"), ("integrate", "--max-iter")])
+    def test_count_past_the_cap_exits_1_with_one_diagnostic(self, command, flag, capsys):
+        code, out, err = run([command, *EXAMPLE, flag, str(MAX_COUNT + 1)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: argument {flag}: must be at most 1000000, got 1000001\n"
 
     def test_duplicate_methods_are_reported_once(self, capsys):
         code, out, _ = run(

@@ -2,9 +2,11 @@
 
 import math
 import random
+import struct
 
 import pytest
 
+from nrquad.baselines import CHUNK
 from nrquad.expressions import (
     MAX_DEPTH,
     BinOp,
@@ -15,6 +17,7 @@ from nrquad.expressions import (
     Var,
     differentiate,
     evaluate,
+    evaluate_many,
     parse,
     simplify,
     to_text,
@@ -119,12 +122,14 @@ class TestDepthBound:
         to_text(df)
 
     def test_printed_trees_of_accepted_depth_parse_again(self):
-        # negations and right-nested powers print with the most nesting
-        deepest = Const(2.0)
-        for level in range(MAX_DEPTH - 1):
-            deepest = BinOp("^", Var(), deepest) if level % 2 else Neg(deepest)
-        text = to_text(deepest)
-        assert to_text(parse(text)) == text
+        # negations and right-nested powers print with the most nesting; a
+        # negative constant prints as (-c), which parses as Neg(Const(c))
+        for leaf in (Const(2.0), Const(-2.0)):
+            deepest = leaf
+            for level in range(MAX_DEPTH - 1):
+                deepest = BinOp("^", Var(), deepest) if level % 2 else Neg(deepest)
+            text = to_text(deepest)
+            assert to_text(parse(text)) == text
 
     @pytest.mark.parametrize(
         "source, offset",
@@ -164,6 +169,52 @@ class TestEvaluate:
 
     def test_nan_input_propagates(self):
         assert math.isnan(evaluate(parse(QUAD), math.nan))
+
+
+def bits(values):
+    # Every NaN counts as one value.  Where two NaNs of opposite sign meet in
+    # a + or *, CPython returns either operand's, and scalar evaluate itself
+    # differs between its first call and later ones: on (-x)+x at x = nan the
+    # first call returns +nan and the later ones -nan.
+    return ["nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
+
+
+class TestEvaluateMany:
+    # domain edges, signed zeros, overflow and nonfinite input among ordinary points
+    POINTS = [-3.0, -1.0, -1e-300, -0.0, 0.0, 1e-8, 0.5, 1.0, 2.5, 1e308, math.inf, math.nan]
+
+    def test_bit_identical_to_scalar_evaluate_on_random_trees(self):
+        rng = random.Random(6060)
+        nan_count = 0
+        for _ in range(15_000):
+            e = random_tree(rng, rng.randint(1, 5))
+            for tree in (e, simplify(differentiate(e))):
+                values = evaluate_many(tree, self.POINTS)
+                assert bits(values) == bits([evaluate(tree, x) for x in self.POINTS]), to_text(tree)
+                nan_count += sum(map(math.isnan, values))
+        # the corpus must keep exercising the NaN paths
+        assert nan_count > 30_000
+
+    @pytest.mark.parametrize("size", [CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_bit_identical_at_chunk_boundaries(self, size):
+        xs = [-2.0 + 4.0 * i / (size - 1) for i in range(size)]
+        xs[size // 2] = 0.0
+        for source in ("sin(x)/x", "ln(x)*sqrt(x)", "x^(-2)+exp(x)", "(1/x)^2"):
+            f = parse(source)
+            assert bits(evaluate_many(f, xs)) == bits([evaluate(f, x) for x in xs]), source
+
+    def test_failure_is_nan_even_where_nan_does_not_propagate(self):
+        # ln(-1) fails, and pow(nan, 0) == 1 would hide it
+        f = BinOp("^", Call("ln", Var()), Const(0.0))
+        values = evaluate_many(f, [-1.0, 1.0])
+        assert math.isnan(values[0]) and math.isnan(evaluate(f, -1.0))
+        assert values[1] == 1.0
+
+    def test_returns_a_new_list(self):
+        assert evaluate_many(parse(QUAD), []) == []
+        xs = [0.25, -1.0]
+        values = evaluate_many(Var(), xs)
+        assert values == xs and values is not xs
 
 
 class TestDifferentiate:
