@@ -3,8 +3,9 @@
 left_riemann / right_riemann / midpoint / trapezoid / simpson are the
 textbook composite rules; they evaluate their nodes a CHUNK at a time.
 reference_integral is an adaptive Simpson integrator accurate far beyond
-the rules it referees, and error_stats packages absolute and relative
-error against such a reference.
+the rules it referees; it evaluates the quarter points of the leftmost
+CHUNK // 2 pending panels at a time.  error_stats packages absolute and
+relative error against such a reference.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from collections.abc import Iterator
 from itertools import islice
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, evaluate, evaluate_many
+# nothing here calls evaluate; bench/tracing.py wraps it under this name
+from .expressions import Expression, evaluate, evaluate_many  # noqa: F401
 from .quadrature import Interval
 
 
@@ -44,7 +46,8 @@ class ErrorStats(Frozen):
 
 
 CHUNK = 256
-"""Nodes the uniform rules generate and evaluate per :func:`evaluate_many` batch.
+"""Points per :func:`evaluate_many` batch: a uniform rule's nodes, or the
+reference's quarter points of ``CHUNK // 2`` panels.
 
 No list a rule builds is longer, so its memory is bounded for any ``n``."""
 
@@ -136,7 +139,16 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
 
     A panel is accepted when |S_whole - S_left - S_right| <= 15*tol (with
     the usual S/15 correction added); otherwise it splits, halving the
-    tolerance, down to a recursion depth cap of 50.
+    tolerance, down to a depth cap of 50.
+
+    Pending panels wait on a stack with the leftmost on top.  Each round
+    takes up to ``CHUNK // 2`` of the leftmost and evaluates their quarter
+    points in one :func:`evaluate_many` batch.  Accepted values are added
+    up the bisection tree as each pair of halves completes, so the result
+    is bit-identical to a depth-first recursion's.  The first panel to
+    fail at the cap is the leftmost one, the one a depth-first walk raises
+    on; before it, at most about one batch per level is spent on panels to
+    its right.
 
     Raises:
         DepthLimitError: if the cap is hit, which is what NaN regions or
@@ -145,12 +157,51 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = interval.a, interval.b
-    fa = evaluate(f, a)
-    fb = evaluate(f, b)
     m = 0.5 * (a + b)
-    fm = evaluate(f, m)
-    whole = _simpson_estimate(fa, fm, fb, b - a)
-    return _adaptive(f, a, b, fa, fm, fb, whole, tol, depth=0)
+    fa, fb, fm = evaluate_many(f, [a, b, m])
+    # a panel: depth, node, a, b, f(a), f(mid), f(b), Simpson estimate, tol; the
+    # node numbers the bisection tree from 1 at the root, and node n's halves are 2n and 2n + 1
+    pending = [(0, 1, a, b, fa, fm, fb, _simpson_estimate(fa, fm, fb, b - a), tol)]
+    # values of finished panels whose sibling is not finished yet, by node
+    accepted: dict[int, float] = {}
+    while pending:
+        batch = pending[-(CHUNK // 2) :]
+        del pending[-(CHUNK // 2) :]
+        batch.reverse()  # the stack's top is the list's end; work left to right
+        xs = []
+        for panel in batch:
+            a, b = panel[2], panel[3]
+            m = 0.5 * (a + b)
+            xs += (0.5 * (a + m), 0.5 * (m + b))
+        quarters = evaluate_many(f, xs)
+        children = []
+        for (depth, node, a, b, fa, fm, fb, whole, tol), flm, frm in zip(batch, quarters[::2], quarters[1::2]):
+            m = 0.5 * (a + b)
+            left = _simpson_estimate(fa, flm, fm, m - a)
+            right = _simpson_estimate(fm, frm, fb, b - m)
+            delta = left + right - whole
+            if abs(delta) <= 15.0 * tol:
+                value = left + right + delta / 15.0
+                # add up each pair of halves this completes, as the recursion does; storing
+                # only unpaired values keeps memory bounded on inputs that run long
+                while (sibling := accepted.pop(node ^ 1, None)) is not None:
+                    value += sibling
+                    node >>= 1
+                accepted[node] = value
+            elif depth >= _MAX_DEPTH:
+                # depth never grows from left to right along the stack, so every panel
+                # left of this one was at the cap too and is done: this is the leftmost failure
+                raise DepthLimitError(
+                    f"adaptive bisection exceeded depth {_MAX_DEPTH} on [{a!r}, {b!r}]; "
+                    "the integrand looks non-integrable or undefined there"
+                )
+            else:
+                children += (
+                    (depth + 1, 2 * node, a, m, fa, flm, fm, left, tol / 2.0),
+                    (depth + 1, 2 * node + 1, m, b, fm, frm, fb, right, tol / 2.0),
+                )
+        pending += reversed(children)
+    return accepted[1]
 
 
 _MAX_DEPTH = 50
@@ -158,38 +209,6 @@ _MAX_DEPTH = 50
 
 def _simpson_estimate(fa: float, fm: float, fb: float, width: float) -> float:
     return (width / 6.0) * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(
-    f: Expression,
-    a: float,
-    b: float,
-    fa: float,
-    fm: float,
-    fb: float,
-    whole: float,
-    tol: float,
-    depth: int,
-) -> float:
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = evaluate(f, lm)
-    frm = evaluate(f, rm)
-    left = _simpson_estimate(fa, flm, fm, m - a)
-    right = _simpson_estimate(fm, frm, fb, b - m)
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    if depth >= _MAX_DEPTH:
-        raise DepthLimitError(
-            f"adaptive bisection exceeded depth {_MAX_DEPTH} on [{a!r}, {b!r}]; "
-            "the integrand looks non-integrable or undefined there"
-        )
-    half_tol = tol / 2.0
-    return _adaptive(f, a, m, fa, flm, fm, left, half_tol, depth + 1) + _adaptive(
-        f, m, b, fm, frm, fb, right, half_tol, depth + 1
-    )
 
 
 def error_stats(approx: float, reference: float) -> ErrorStats:

@@ -29,6 +29,7 @@ from .expressions import Expression, differentiate, evaluate, simplify
 from .newton import (
     DERIVATIVE_EPSILON,
     DerivativeVanishedError,
+    NewtonStep,
     NewtonTrace,
     NonfiniteValueError,
     StoppingCriteria,
@@ -170,19 +171,20 @@ def panel_area(f_k: float, df_k: float, f_next: float) -> float:
     return 0.5 * (f_k / df_k) * (f_k + f_next)
 
 
-def validate_problem(f: Expression, interval: Interval, *, df: Expression | None = None) -> ValidationReport:
+def validate_problem(f: Expression, interval: Interval, *, first: NewtonStep | None = None) -> ValidationReport:
     """Check, by sampling, that the problem fits the rule's hypotheses.
 
     Samples f at 64 equally spaced points and reports whether the values
     are nondecreasing, whether |f(a)| is small relative to |f(b)|, and
     whether f'(b) > 0.  Findings are returned, never raised.  A caller
-    that has already built ``simplify(differentiate(f))`` passes it as
-    ``df``.
+    that has already taken the Newton step from ``b`` passes it as
+    ``first``, and f(b) and f'(b) are taken from it.
     """
     a, b = interval.a, interval.b
     h = (b - a) / (VALIDATION_SAMPLES - 1)
     xs = [a + i * h for i in range(VALIDATION_SAMPLES - 1)] + [b]
-    values = [evaluate(f, x) for x in xs]
+    values = [evaluate(f, x) for x in xs[:-1]]
+    values.append(evaluate(f, b) if first is None else first.f_k)
     messages: list[str] = []
 
     monotone = True
@@ -205,9 +207,7 @@ def validate_problem(f: Expression, interval: Interval, *, df: Expression | None
     if not root_at_a:
         messages.append(f"f(a) = {f_a!r} is not negligible; the rule needs the root at a")
 
-    if df is None:
-        df = simplify(differentiate(f))
-    df_b = evaluate(df, b)
+    df_b = evaluate(simplify(differentiate(f)), b) if first is None else first.df_k
     derivative_positive = math.isfinite(df_b) and df_b > 0.0
     if not derivative_positive:
         messages.append(f"f'(b) = {df_b!r} is not positive")
@@ -247,11 +247,11 @@ def nr_integrate(
     settings = settings if settings is not None else NrQuadSettings()
     a, b = interval.a, interval.b
     df = simplify(differentiate(f))
-    # the first step checks f(b) and f'(b) before validation, and the iteration reuses it
+    # the first step checks f(b) and f'(b) before validation; validation and the iteration reuse it
     first = newton_step(f, df, b)
 
     if settings.validate:
-        report = validate_problem(f, interval, df=df)
+        report = validate_problem(f, interval, first=first)
         if not report.passed:
             raise ValidationError(report)
 

@@ -2,9 +2,10 @@
 
 The oracles here deliberately avoid the package's evaluation path: they
 work on plain coefficient lists, Python callables and Python floats so
-the tests compare two independent routes to the same numbers.  The one
-exception is the scalar rule oracle, which samples through the scalar
-``evaluate`` one node at a time, as the rules did before they batched.
+the tests compare two independent routes to the same numbers.  The
+exceptions are the scalar oracles for the uniform rules and the reference
+integral, which sample through the scalar ``evaluate`` one point at a
+time, as the package did before it batched.
 """
 
 from __future__ import annotations
@@ -12,8 +13,9 @@ from __future__ import annotations
 import math
 import random
 
-from nrquad.baselines import NonfiniteSampleError
+from nrquad.baselines import DepthLimitError, NonfiniteSampleError
 from nrquad.expressions import BinOp, Call, Const, Expression, Neg, Var, evaluate
+from nrquad.quadrature import Interval
 
 FUNCTION_POOL = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
 
@@ -147,3 +149,64 @@ SCALAR_RULES = {
     "simpson": scalar_simpson,
 }
 """The uniform rules as one scalar ``evaluate`` per node, keyed by rule name."""
+
+
+def scalar_reference(f: Expression, interval: Interval, tol: float = 1e-10) -> float:
+    """``reference_integral`` as the depth-first recursion it replaced, one evaluate per point.
+
+    A panel is accepted when |S_whole - S_left - S_right| <= 15*tol (with
+    the usual S/15 correction added); otherwise it splits, halving the
+    tolerance, down to a recursion depth cap of 50.
+
+    Raises:
+        DepthLimitError: if the cap is hit, which is what NaN regions or
+            non-smooth pathologies turn into.
+    """
+    if not tol > 0:
+        raise ValueError(f"tol must be positive, got {tol!r}")
+    a, b = interval.a, interval.b
+    fa = evaluate(f, a)
+    fb = evaluate(f, b)
+    m = 0.5 * (a + b)
+    fm = evaluate(f, m)
+    whole = _simpson_estimate(fa, fm, fb, b - a)
+    return _adaptive(f, a, b, fa, fm, fb, whole, tol, depth=0)
+
+
+_MAX_DEPTH = 50
+
+
+def _simpson_estimate(fa: float, fm: float, fb: float, width: float) -> float:
+    return (width / 6.0) * (fa + 4.0 * fm + fb)
+
+
+def _adaptive(
+    f: Expression,
+    a: float,
+    b: float,
+    fa: float,
+    fm: float,
+    fb: float,
+    whole: float,
+    tol: float,
+    depth: int,
+) -> float:
+    m = 0.5 * (a + b)
+    lm = 0.5 * (a + m)
+    rm = 0.5 * (m + b)
+    flm = evaluate(f, lm)
+    frm = evaluate(f, rm)
+    left = _simpson_estimate(fa, flm, fm, m - a)
+    right = _simpson_estimate(fm, frm, fb, b - m)
+    delta = left + right - whole
+    if abs(delta) <= 15.0 * tol:
+        return left + right + delta / 15.0
+    if depth >= _MAX_DEPTH:
+        raise DepthLimitError(
+            f"adaptive bisection exceeded depth {_MAX_DEPTH} on [{a!r}, {b!r}]; "
+            "the integrand looks non-integrable or undefined there"
+        )
+    half_tol = tol / 2.0
+    return _adaptive(f, a, m, fa, flm, fm, left, half_tol, depth + 1) + _adaptive(
+        f, m, b, fm, frm, fb, right, half_tol, depth + 1
+    )

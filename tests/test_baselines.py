@@ -3,12 +3,14 @@
 import math
 import random
 import struct
+import tracemalloc
 
 import pytest
 
 import nrquad.baselines
 import nrquad.newton
 import nrquad.quadrature
+import support
 from nrquad.baselines import (
     CHUNK,
     DepthLimitError,
@@ -22,9 +24,9 @@ from nrquad.baselines import (
     trapezoid,
 )
 from nrquad.cli import main
-from nrquad.expressions import evaluate, evaluate_many, parse
+from nrquad.expressions import evaluate, evaluate_many, parse, to_text
 from nrquad.quadrature import Interval
-from support import SCALAR_RULES, poly_value, random_polynomial
+from support import SCALAR_RULES, poly_value, random_polynomial, random_tree, scalar_reference
 
 QUAD = parse("2*x^2+3*x+1")
 QUAD_INTERVAL = Interval(-0.5, 1.0)
@@ -270,14 +272,176 @@ class TestScalarEvaluationCounts:
             monkeypatch.setattr(module, "evaluate", counted)
         return count
 
-    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+    @pytest.mark.parametrize("rule", [*RULES, reference_integral], ids=lambda rule: rule.__name__)
     def test_rules_make_no_scalar_calls(self, calls, rule):
-        rule(QUAD, QUAD_INTERVAL, 64)
+        if rule is reference_integral:
+            rule(QUAD, QUAD_INTERVAL)
+        else:
+            rule(QUAD, QUAD_INTERVAL, 64)
         assert calls[0] == 0
 
     def test_compare_calls_come_from_reference_and_nr_only(self, calls, capsys):
-        # 5 for the reference, which accepts its first panel on the
-        # quadratic, and the pinned 78 for nr_integrate
+        # none for the reference, which batches its points, and the pinned
+        # 76 for nr_integrate
         argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
         assert main(argv) == 0
-        assert calls[0] == 5 + 78
+        assert calls[0] == 0 + 76
+
+
+def reference_outcome(reference, f, interval, tol=1e-10):
+    """A reference value as hex, or the error it raised with its message."""
+    try:
+        return reference(f, interval, tol).hex()
+    except (DepthLimitError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReferenceMatchesScalarOracle:
+    """reference_integral against the depth-first recursion it replaced."""
+
+    @pytest.mark.parametrize(
+        "source, a, b",
+        [
+            ("ln(x)", -1.0, 1.0),  # NaN on the left half
+            ("1/x", -1.0, 1.0),
+            ("1.3*sqrt(x)", 0.0, 2.7),
+            ("x", 0.0, 1e308),  # the Simpson estimates overflow
+            ("x^2", 0.0, 1e150),
+            ("sin(1/x)", 0.0, 1.0),
+            ("1/(x-0.3)", 0.0, 1.0),  # a pole inside, found after ~70,000 points
+            ("1e300", 0.0, 1e10),  # finite panels whose sum overflows to inf
+            ("sqrt(x)", 0.0, 1.0),
+            ("exp(x)*sin(x)+ln(x+1)/sqrt(x+2)", 0.0, 3.0),
+            ("2*x^2+3*x+1", -0.5, 1.0),
+        ],
+    )
+    def test_named_cases(self, source, a, b):
+        f, interval = parse(source), Interval(a, b)
+        assert reference_outcome(reference_integral, f, interval) == reference_outcome(scalar_reference, f, interval)
+
+    def test_overflowing_sum_is_inf(self):
+        assert reference_integral(parse("1e300"), Interval(0.0, 1e10)) == math.inf
+
+    @pytest.mark.parametrize("tol", [1e-3, 1e-7, 1e-13, 5e-324, 0.0])
+    def test_tolerances(self, tol):
+        for source, a, b in [("sqrt(x)", 0.0, 1.0), ("exp(x)", -1.0, 2.0), ("ln(x)", -1.0, 1.0)]:
+            f, interval = parse(source), Interval(a, b)
+            assert reference_outcome(reference_integral, f, interval, tol) == reference_outcome(
+                scalar_reference, f, interval, tol
+            )
+
+    def test_random_trees(self, monkeypatch):
+        # Neither version has an evaluation budget, and on a few trees the
+        # oracle takes far more points than the others (sin(tan(0.616-x)) on
+        # [-1, 1] does not finish), so trees past 3,000 points are left out.
+        class OverBudget(Exception):
+            pass
+
+        budget = [0]
+
+        def budgeted(e, x):
+            budget[0] -= 1
+            if budget[0] < 0:
+                raise OverBudget
+            return evaluate(e, x)
+
+        monkeypatch.setattr(support, "evaluate", budgeted)
+        intervals = [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(-2.5, 0.5), Interval(0.1, 3.0)]
+        rng = random.Random(7)
+        compared = raised = 0
+        for _ in range(60):
+            f = random_tree(rng, 3)
+            for interval in intervals:
+                budget[0] = 3_000
+                try:
+                    expected = reference_outcome(scalar_reference, f, interval)
+                except OverBudget:
+                    continue
+                assert reference_outcome(reference_integral, f, interval) == expected, (to_text(f), interval)
+                compared += 1
+                raised += isinstance(expected, tuple)
+        assert compared >= 200 and raised >= 40, (compared, raised)
+
+
+class TestReferenceBatches:
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        sizes = []
+
+        def recorded(e, xs):
+            sizes.append(len(xs))
+            return evaluate_many(e, xs)
+
+        monkeypatch.setattr(nrquad.baselines, "evaluate_many", recorded)
+        return sizes
+
+    def test_quadratic_takes_five_points(self, batches):
+        # the interval's ends and middle, then its two quarter points; Simpson
+        # is exact on a quadratic, so the first panel is accepted
+        assert reference_integral(QUAD, QUAD_INTERVAL) == 3.375
+        assert sum(batches) == 5
+
+    @pytest.mark.parametrize("source, a, b", [("sqrt(x)", 0.0, 1.0), ("1/x", -1.0, 1.0)])
+    def test_no_batch_is_longer_than_a_chunk(self, batches, source, a, b):
+        # 985 and about 73,000 points
+        reference_outcome(reference_integral, parse(source), Interval(a, b))
+        assert max(batches) <= CHUNK
+
+    def test_memory_stays_bounded_on_an_input_that_does_not_finish(self, monkeypatch):
+        # sin(tan(0.616-x)) on [-1, 1] resolves ever faster oscillations
+        # towards its pole and runs for minutes; stopped after 100 batches
+        # (about 25,000 points), it must not hold a value per accepted panel:
+        # that took 1.2 MB there
+        class Stop(Exception):
+            pass
+
+        count = [0]
+
+        def limited(e, xs):
+            count[0] += 1
+            if count[0] > 100:
+                raise Stop
+            return evaluate_many(e, xs)
+
+        monkeypatch.setattr(nrquad.baselines, "evaluate_many", limited)
+        tracemalloc.start()
+        try:
+            with pytest.raises(Stop):
+                reference_integral(parse("sin(tan(0.616-x))"), Interval(-1.0, 1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 640_000
+
+    def test_extra_work_on_a_failing_input_is_bounded(self, batches):
+        # the recursion takes 105 points; the batches reach the cap down the
+        # leftmost path, at most one batch per level, and raise there
+        with pytest.raises(DepthLimitError):
+            reference_integral(parse("ln(x)"), Interval(-1.0, 1.0))
+        assert sum(batches) <= 51 * CHUNK + 3
+
+
+class TestReferenceAgainstMpmath:
+    """The reference refereed by an independent oracle, mpmath's tanh-sinh quadrature."""
+
+    @pytest.mark.parametrize(
+        "source, a, b, integrand",
+        [
+            ("sqrt(x)", 0.0, 1.0, lambda mp, x: mp.sqrt(x)),
+            (
+                "exp(x)*sin(x)+ln(x+1)/sqrt(x+2)",
+                0.0,
+                3.0,
+                lambda mp, x: mp.exp(x) * mp.sin(x) + mp.log(x + 1) / mp.sqrt(x + 2),
+            ),
+            ("2*x^2+3*x+1", -0.5, 1.0, lambda mp, x: 2 * x**2 + 3 * x + 1),
+            ("x*sqrt(x)", 0.0, 2.0, lambda mp, x: x * mp.sqrt(x)),
+            ("1/(1+x^2)", -3.0, 1.0, lambda mp, x: 1 / (1 + x**2)),
+            ("cos(x)^2", 0.0, 10.0, lambda mp, x: mp.cos(x) ** 2),
+        ],
+    )
+    def test_smooth_integrands(self, source, a, b, integrand):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            exact = float(mpmath.quad(lambda x: integrand(mpmath, x), [a, b]))
+        assert reference_integral(parse(source), Interval(a, b)) == pytest.approx(exact, rel=1e-10)

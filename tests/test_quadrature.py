@@ -8,8 +8,8 @@ import pytest
 import nrquad.newton
 import nrquad.quadrature
 from nrquad.baselines import reference_integral
-from nrquad.expressions import evaluate, parse
-from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, Termination
+from nrquad.expressions import differentiate, evaluate, parse, simplify
+from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, Termination, newton_step
 from nrquad.quadrature import (
     Interval,
     NrQuadSettings,
@@ -71,6 +71,16 @@ class TestValidateProblem:
         report = validate_problem(parse("ln(x)"), Interval(-1.0, 1.0))
         assert not report.monotone_increasing
         assert any("not finite" in m for m in report.messages)
+
+    @pytest.mark.parametrize(
+        "source, a, b",
+        [(QUAD, -0.5, 1.0), ("x", 0.0, 1.0), ("0-x", 0.0, 1.0), ("x+1", 0.0, 1.0), ("sin(x)", 0.0, 3.5), ("x^3-x", -1.0, 1.2)],
+    )
+    def test_a_given_first_step_gives_the_same_report(self, source, a, b):
+        f = parse(source)
+        first = newton_step(f, simplify(differentiate(f)), b)
+        interval = Interval(a, b)
+        assert validate_problem(f, interval, first=first) == validate_problem(f, interval)
 
 
 class TestNrIntegrate:
@@ -238,8 +248,8 @@ class TestEvaluationCounts:
         return count
 
     # f and f' once at each of the 6 iterates, f at the last one, and with
-    # validation 64 samples of f and f'(b)
-    @pytest.mark.parametrize("validate, expected", [(True, 78), (False, 13)])
+    # validation 63 samples of f; f(b) and f'(b) come from the first step
+    @pytest.mark.parametrize("validate, expected", [(True, 76), (False, 13)])
     def test_worked_example(self, calls, validate, expected):
         result = nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(validate=validate))
         assert len(result.panels) == 6
