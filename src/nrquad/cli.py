@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Sequence
 
 from ._frozen import Frozen, set_field
 from .baselines import (
@@ -142,9 +143,12 @@ def _build_parser() -> _Parser:
     sub.add_parser("integrate", parents=[common], help="run the Newton-partition rule")
     compare = sub.add_parser("compare", parents=[common], help="compare methods against a reference integral")
     compare.add_argument("--panels", type=_count, default=3, help="subinterval count for the baseline rules")
-    compare.add_argument("--methods", nargs="+", choices=METHODS, default=list(METHODS), help="methods to run, in order")
+    compare.add_argument("--methods", nargs="+", choices=METHODS, default=METHODS, help="methods to run, in order")
     sub.add_parser("trace", parents=[common], help="emit the Newton iterate / panel records")
     return parser
+
+
+_PARSER = _build_parser()  # parse_args leaves a parser as it was, so every call shares one
 
 
 def _fmt_value(value: float) -> str:
@@ -367,7 +371,7 @@ def _run_compare(
     interval: Interval,
     settings: NrQuadSettings,
     panels: int,
-    methods: list[str],
+    methods: Sequence[str],
     format: str,
 ) -> int:
     reference = reference_integral(f, interval, tol=REFERENCE_TOL)
@@ -402,9 +406,8 @@ def _run_compare(
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

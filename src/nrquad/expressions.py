@@ -18,13 +18,13 @@ taking exactly one argument; any other identifier is a parse error.
 
 Evaluation is total: domain violations (``ln`` of a negative, division by
 zero, ...) yield NaN instead of raising, and callers are expected to check
-finiteness.
+finiteness.  ``evaluate`` walks the tree; ``evaluate_many`` runs a batch
+through straight-line code compiled once per expression, with equal bits.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from collections.abc import Callable, Sequence
 
@@ -333,59 +333,70 @@ def _eval(e: Expression, x: float) -> float:
 def evaluate_many(e: Expression, xs: Sequence[float]) -> list[float]:
     """Evaluate ``e`` at every point of ``xs``: ``[evaluate(e, x) for x in xs]``.
 
-    The tree is walked once for the whole batch, and each node's values
-    are built over the batch at once.  The results are bit-identical to
-    :func:`evaluate`'s, including its rule that a domain violation
-    anywhere in the tree makes that one point NaN.  Only a NaN's sign may
-    differ, and only where two NaNs meet in ``+`` or ``*``: CPython returns
-    either operand's there, so :func:`evaluate` does not repeat it either.
+    ``e`` is compiled once into a kernel: straight-line Python with one
+    statement per operation, run in one loop over the batch.  A point
+    whose evaluation raises anywhere in the tree is NaN, as with
+    :func:`evaluate` (also where NaN would not reach the root:
+    ``pow(nan, 0) == 1``); every other value is bit-identical to it, the
+    same operations in the same order.  The last expression's kernel is
+    kept, keyed on the object's identity, so the calls of one comparison
+    compile once.
     """
-    failed: set[int] = set()
-    values = _eval_many(e, xs, failed)
-    # a failed point's NaN need not reach the root: pow(nan, 0) == 1
-    for i in failed:
-        values[i] = math.nan
-    return values
+    global _last_kernel
+    cached = _last_kernel  # read once: another thread may replace it meanwhile
+    if cached[0] is not e:
+        cached = _last_kernel = (e, _compile_kernel(e))
+    return cached[1](xs)
 
 
-_OPERATORS: dict[str, Callable[[float, float], float]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": math.pow,
-}
+_last_kernel: tuple[object, Callable[[Sequence[float]], list[float]]] = (object(), list)  # matches no expression
 
 
-def _eval_many(e: Expression, xs: Sequence[float], failed: set[int]) -> list[float]:
-    match e:
-        case Const(value):
-            return [value] * len(xs)
-        case Var():
-            return list(xs)
-        case Neg(child):
-            return list(map(operator.neg, _eval_many(child, xs, failed)))
-        case BinOp(op, left, right):
-            return _map_points(_OPERATORS[op], failed, _eval_many(left, xs, failed), _eval_many(right, xs, failed))
-        case Call(name, arg):
-            return _map_points(_FUNCTIONS[name], failed, _eval_many(arg, xs, failed))
-    raise TypeError(f"not an expression node: {e!r}")
+def _compile_kernel(e: Expression) -> Callable[[Sequence[float]], list[float]]:
+    # SSA form: one assignment per node, so a deep tree never nests in the source.
+    # Constants and functions are bound by name: no value goes through repr,
+    # and no text from the tree reaches the source.
+    names: dict[str, object] = {"pow": math.pow, "nan": math.nan}
+    lines: list[str] = []
 
+    def bind(value: object) -> str:
+        name = f"v{len(names)}"
+        names[name] = value
+        return name
 
-def _map_points(fn: Callable[..., float], failed: set[int], *columns: list[float]) -> list[float]:
-    try:
-        return list(map(fn, *columns))
-    except (ArithmeticError, ValueError):
-        pass
-    # some point raised: redo the node one point at a time, NaN standing in for the failures
-    values = []
-    for i, args in enumerate(zip(*columns)):
-        try:
-            values.append(fn(*args))
-        except (ArithmeticError, ValueError):
-            failed.add(i)
-            values.append(math.nan)
-    return values
+    def emit(node: Expression) -> str:
+        match node:
+            case Const(value):
+                return bind(value)
+            case Var():
+                return "x"
+            case Neg(child):
+                code = f"-{emit(child)}"
+            case BinOp(op, left, right):
+                lv, rv = emit(left), emit(right)
+                code = f"{lv} {op} {rv}" if op in ("+", "-", "*", "/") else f"pow({lv}, {rv})"
+            case Call(name, arg):
+                code = f"{bind(_FUNCTIONS[name])}({emit(arg)})"
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+        lines.append(f"            t{len(lines)} = {code}\n")
+        return f"t{len(lines) - 1}"
+
+    root = emit(e)
+    source = (
+        "def kernel(xs):\n"
+        "    values = []\n"
+        "    append = values.append\n"
+        "    for x in xs:\n"
+        "        try:\n"
+        f"{''.join(lines)}"
+        f"            append({root})\n"
+        "        except (ArithmeticError, ValueError):\n"
+        "            append(nan)\n"
+        "    return values\n"
+    )
+    exec(compile(source, "<nrquad kernel>", "exec"), names)
+    return names["kernel"]
 
 
 def _add(l: Expression, r: Expression) -> Expression:

@@ -10,6 +10,8 @@ from pathlib import Path
 import pytest
 
 import nrquad
+import nrquad.cli
+import nrquad.expressions
 from nrquad.baselines import error_stats, left_riemann, midpoint, reference_integral, right_riemann, trapezoid
 from nrquad.cli import MAX_COUNT, ComparisonReport, MethodRow, NrDetails, main, render_report
 from nrquad.expressions import parse
@@ -399,3 +401,35 @@ class TestEntryPoints:
             check=True,
         )
         assert proc.stdout == "[]\n"
+
+    def test_repeated_calls_share_one_parser_and_match_a_fresh_one(self, capsys, monkeypatch):
+        sequence = [
+            ["compare", *EXAMPLE, "--methods", "nr", "simpson"],
+            ["compare", *EXAMPLE, "--panels", "many"],
+            ["compare", *EXAMPLE],
+            ["integrate", *EXAMPLE, "--format", "csv"],
+        ]
+        shared = [run(argv, capsys) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            monkeypatch.setattr(nrquad.cli, "_PARSER", nrquad.cli._build_parser())
+            fresh.append(run(argv, capsys))
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0, 1, 0, 0]
+        _, out, err = shared[1]
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+        assert shared[2][1].encode() == GOLDEN.read_bytes()
+        assert nrquad.cli._PARSER.parse_args(["compare", *EXAMPLE]).methods is nrquad.cli.METHODS
+
+    def test_compare_compiles_one_kernel(self, capsys, monkeypatch):
+        compiled = []
+
+        def counting(e):
+            compiled.append(e)
+            return compile_kernel(e)
+
+        compile_kernel = nrquad.expressions._compile_kernel
+        monkeypatch.setattr(nrquad.expressions, "_compile_kernel", counting)
+        code, out, _ = run(["compare", *EXAMPLE, "--panels", "64"], capsys)
+        assert code == 0 and "simpson" in out
+        assert len(compiled) == 1

@@ -3,6 +3,8 @@
 import math
 import random
 import struct
+import sys
+import threading
 
 import pytest
 
@@ -215,6 +217,77 @@ class TestEvaluateMany:
         xs = [0.25, -1.0]
         values = evaluate_many(Var(), xs)
         assert values == xs and values is not xs
+
+
+class TestCompiledKernel:
+    """Cases that only a code generator can get wrong."""
+
+    POINTS = TestEvaluateMany.POINTS
+
+    def assert_matches_evaluate(self, tree, points=POINTS):
+        assert bits(evaluate_many(tree, points)) == bits([evaluate(tree, x) for x in points])
+
+    def test_300_level_neg_chain(self):
+        # nested source would pass CPython's limit of 200 parentheses
+        tree = Call("sin", Var())
+        for _ in range(299):
+            tree = Neg(tree)
+        assert evaluate_many(tree, [1.0]) == [-math.sin(1.0)]
+        self.assert_matches_evaluate(tree)
+
+    def test_300_level_left_leaning_binop_chain(self):
+        tree = Var()
+        for level in range(300):
+            op = "+-*/^"[level % 5]
+            tree = BinOp(op, tree, Const(1.0 if op == "^" else 1.0 + level / 1000.0))
+        self.assert_matches_evaluate(tree)
+
+    @pytest.mark.parametrize("value", [-0.0, 1e308, 5e-324], ids=["-0.0", "1e308", "5e-324"])
+    def test_extreme_constants_keep_their_bits(self, value):
+        points = [-1.0, 0.0, 1.0, math.nan]
+        root = evaluate_many(Const(value), points)
+        assert [struct.pack("<d", v) for v in root] == [struct.pack("<d", value)] * len(points)
+        for tree in (
+            BinOp("*", Var(), Const(value)),
+            BinOp("+", Const(value), Neg(Var())),
+            Neg(Const(value)),
+            Call("sqrt", BinOp("/", Const(value), Var())),
+        ):
+            self.assert_matches_evaluate(tree, points)
+
+    def test_equal_but_distinct_expressions_give_the_same_bits(self):
+        first, second = parse("ln(x)/x + sqrt(x)^3"), parse("ln(x)/x + sqrt(x)^3")
+        assert first == second and first is not second
+        want = bits(evaluate_many(first, self.POINTS))
+        assert bits(evaluate_many(second, self.POINTS)) == want
+        assert bits(evaluate_many(first, self.POINTS)) == want
+
+    def test_threads_never_run_each_others_kernel(self):
+        exprs = [parse("x^2 + 1"), parse("-exp(x)")]
+        xs = [0.5 * i for i in range(-8, 9)]
+        wants = [[evaluate(e, x) for x in xs] for e in exprs]
+        start = threading.Barrier(2, timeout=60)
+        wrong = [0, 0]
+
+        def work(k):
+            # each call replaces the other thread's kernel, often while it compiles
+            start.wait()
+            for i in range(500):
+                j = (i + k) % 2
+                wrong[k] += evaluate_many(exprs[j], xs) != wants[j]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [0, 0]
 
 
 class TestDifferentiate:
