@@ -60,7 +60,6 @@ from .quadrature import (
     ValidationError,
     ValidationReport,
     nr_integrate,
-    panel_area,
     validate_problem,
 )
 
@@ -99,7 +98,6 @@ __all__ = [
     "newton_iterate",
     "newton_step",
     "nr_integrate",
-    "panel_area",
     "parse",
     "reference_integral",
     "right_riemann",

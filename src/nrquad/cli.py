@@ -1,27 +1,32 @@
 """Command-line front end: integrate, trace, and compare subcommands.
 
+Each command builds one plain document, the dict that ``--format json``
+prints; :func:`render` derives the table and CSV views from the same
+document.
+
 Exit status contract:
-  0  result produced (status ok, clamped, or budget-exhausted)
-  1  usage or expression parse error
-  2  precondition validation failed
-  3  iteration error (vanished derivative, nonfinite values) or a failed
-     reference computation
+  0    result produced (status ok, clamped, or budget-exhausted)
+  1    usage or expression parse error
+  2    precondition validation failed
+  3    iteration error (vanished derivative, nonfinite values) or a failed
+       reference computation
+  141  stdout was closed before the report was written (128 + SIGPIPE)
 
 Reports go to stdout; every error path prints one diagnostic line to
-stderr.  Table output truncates percentages to 4 decimal places and
-prints values with 6 decimals; CSV and JSON carry full shortest
-round-trip precision.  JSON is strict (RFC 8259): a NaN or infinite
-value is written as ``null``.
+stderr, and a closed stdout prints nothing.  Table output truncates
+percentages to 4 decimal places and prints values with 6 decimals; CSV
+and JSON carry full shortest round-trip precision.  JSON is strict
+(RFC 8259): a NaN or infinite value is written as ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from collections.abc import Sequence
 
-from ._frozen import Frozen, set_field
 from .baselines import (
     DepthLimitError,
     error_stats,
@@ -55,55 +60,6 @@ REFERENCE_TOL = 1e-10
 
 MAX_COUNT = 1_000_000
 """Largest ``--panels`` and ``--max-iter`` the CLI accepts; larger ones would run for seconds."""
-
-
-class MethodRow(Frozen):
-    """One comparison line; ``error`` is set instead of numbers on failure."""
-
-    __slots__ = ("method", "value", "abs_error", "rel_error_pct", "settings", "error")
-
-    def __init__(
-        self,
-        method: str,
-        value: float | None,
-        abs_error: float | None,
-        rel_error_pct: float | None,
-        settings: str,
-        error: str | None = None,
-    ) -> None:
-        set_field(self, "method", method)
-        set_field(self, "value", value)
-        set_field(self, "abs_error", abs_error)
-        set_field(self, "rel_error_pct", rel_error_pct)
-        set_field(self, "settings", settings)
-        set_field(self, "error", error)
-
-
-class NrDetails(Frozen):
-    __slots__ = ("panel_count", "residual_gap", "termination")
-
-    def __init__(self, panel_count: int, residual_gap: float, termination: str) -> None:
-        set_field(self, "panel_count", panel_count)
-        set_field(self, "residual_gap", residual_gap)
-        set_field(self, "termination", termination)
-
-
-class ComparisonReport(Frozen):
-    __slots__ = ("expression", "interval", "reference", "rows", "nr_details")
-
-    def __init__(
-        self,
-        expression: str,
-        interval: tuple[float, float],
-        reference: float,
-        rows: tuple[MethodRow, ...],
-        nr_details: NrDetails | None,
-    ) -> None:
-        set_field(self, "expression", expression)
-        set_field(self, "interval", interval)
-        set_field(self, "reference", reference)
-        set_field(self, "rows", rows)
-        set_field(self, "nr_details", nr_details)
 
 
 class _ArgumentError(Exception):
@@ -162,25 +118,6 @@ def _fmt_pct(pct: float) -> str:
     return f"{math.floor(pct * 10000.0) / 10000.0:.4f}"
 
 
-def _aligned(rows: list[list[str]], left_columns: int = 1) -> list[str]:
-    widths = [0] * max(len(row) for row in rows)
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in rows:
-        cells = [
-            cell.ljust(widths[i]) if i < left_columns else cell.rjust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return lines
-
-
-def _interval_text(interval: tuple[float, float]) -> str:
-    return f"[{interval[0]!r}, {interval[1]!r}]"
-
-
 def _json_text(doc: dict[str, object]) -> str:
     """Strict JSON (RFC 8259): NaN and infinities are written as ``null``."""
     import json  # only the json format pays for this import
@@ -198,185 +135,101 @@ def _finite_or_null(value: object) -> object:
     return value
 
 
-def render_report(report: ComparisonReport, format: str) -> str:
-    """Render a comparison report as table, csv, or json text."""
-    if format == "csv":
-        lines = ["method,value,abs_error,rel_error_pct"]
-        for row in report.rows:
-            if row.error is not None:
-                marker = "error: " + row.error.replace(",", ";")
-                lines.append(f"{row.method},{marker},,")
-            else:
-                lines.append(f"{row.method},{row.value!r},{row.abs_error!r},{row.rel_error_pct!r}")
-        return "\n".join(lines)
+def _table(header: list[tuple[str, str]], rows: list[list[str]], columns: int, footer: str | None = None) -> str:
+    """Padded ``key: value`` header lines, a blank line, then ``rows`` in aligned columns.
 
-    if format == "json":
-        rows: list[dict[str, object]] = []
-        for row in report.rows:
-            if row.error is not None:
-                rows.append({"method": row.method, "error": row.error, "settings": row.settings})
-            else:
-                rows.append(
-                    {
-                        "method": row.method,
-                        "value": row.value,
-                        "abs_error": row.abs_error,
-                        "rel_error_pct": row.rel_error_pct,
-                        "settings": row.settings,
-                    }
-                )
-        details = None
-        if report.nr_details is not None:
-            details = {
-                "panel_count": report.nr_details.panel_count,
-                "residual_gap": report.nr_details.residual_gap,
-                "termination": report.nr_details.termination,
-            }
-        doc = {
-            "expression": report.expression,
-            "interval": list(report.interval),
-            "reference": report.reference,
-            "rows": rows,
-            "nr_details": details,
-        }
-        return _json_text(doc)
-
-    # table
-    lines = [
-        f"expression: {report.expression}",
-        f"interval:   {_interval_text(report.interval)}",
-        f"reference:  {report.reference!r}",
-        "",
-    ]
-    name_width = max(len(row.method) for row in report.rows) if report.rows else 0
-    numeric = [
-        [_fmt_value(row.value), _fmt_value(row.abs_error), _fmt_pct(row.rel_error_pct)]
-        for row in report.rows
-        if row.error is None
-    ]
-    widths = [max(len(r[i]) for r in numeric) for i in range(3)] if numeric else [0, 0, 0]
-    for row in report.rows:
-        if row.error is not None:
-            lines.append(f"{row.method.ljust(name_width)}  error: {row.error}".rstrip())
+    The first column is left-aligned and the others right-aligned.  A row of
+    fewer than ``columns`` cells (an error row) aligns its first cell only;
+    the rest follows as written and sets no column width.  A ``footer``
+    follows after a blank line.
+    """
+    pad = max(len(key) for key, _ in header) + 1
+    lines = [f"{key + ':':<{pad}} {value}" for key, value in header]
+    lines.append("")
+    widths = [0] * columns
+    for row in rows:
+        for i, cell in enumerate(row if len(row) == columns else row[:1]):
+            widths[i] = max(widths[i], len(cell))
+    for row in rows:
+        cells = [row[0].ljust(widths[0])]
+        if len(row) == columns:
+            cells += [cell.rjust(width) for cell, width in zip(row[1:], widths[1:])]
         else:
-            cells = [_fmt_value(row.value), _fmt_value(row.abs_error), _fmt_pct(row.rel_error_pct)]
-            padded = "  ".join(cell.rjust(widths[i]) for i, cell in enumerate(cells))
-            lines.append(f"{row.method.ljust(name_width)}  {padded}".rstrip())
-    if report.nr_details is not None:
-        d = report.nr_details
-        lines.append("")
-        lines.append(f"nr: panels={d.panel_count}  residual_gap={d.residual_gap!r}  termination={d.termination}")
+            cells += row[1:]
+        lines.append("  ".join(cells).rstrip())
+    if footer is not None:
+        lines += ["", footer]
     return "\n".join(lines)
 
 
-def _render_integrate(expr_text: str, interval: Interval, result: QuadResult, format: str) -> str:
-    if format == "csv":
-        lines = ["value,closing_area,residual_gap,status,panel_count,termination"]
-        lines.append(
-            f"{result.value!r},{result.closing_area!r},{result.residual_gap!r},"
-            f"{result.status.value},{len(result.panels)},{result.trace.termination.value}"
-        )
-        return "\n".join(lines)
+def render(command: str, doc: dict[str, object], format: str) -> str:
+    """Write the document a command built as ``table``, ``csv`` or ``json`` text.
 
+    JSON prints the document itself; CSV and the table are views of it.
+    """
     if format == "json":
-        doc = {
-            "expression": expr_text,
-            "interval": [interval.a, interval.b],
-            "value": result.value,
-            "panels": [{"x_k": p.x_k, "width": p.width, "area": p.area} for p in result.panels],
-            "closing_area": result.closing_area,
-            "residual_gap": result.residual_gap,
-            "status": result.status.value,
-            "trace": {
-                "steps": [
-                    {"x_k": s.x_k, "f_k": s.f_k, "df_k": s.df_k, "step": s.step, "x_next": s.x_next}
-                    for s in result.trace.steps
-                ],
-                "termination": result.trace.termination.value,
-                "final_x": result.trace.final_x,
-            },
-        }
         return _json_text(doc)
+    interval = "[{!r}, {!r}]".format(*doc["interval"])
+    if command == "compare":
+        if format == "csv":
+            lines = ["method,value,abs_error,rel_error_pct"]
+            for row in doc["rows"]:
+                if "error" in row:
+                    lines.append(f"{row['method']},error: {row['error'].replace(',', ';')},,")
+                else:
+                    lines.append(f"{row['method']},{row['value']!r},{row['abs_error']!r},{row['rel_error_pct']!r}")
+            return "\n".join(lines)
+        cells = [
+            [row["method"], "error: " + row["error"]]
+            if "error" in row
+            else [row["method"], _fmt_value(row["value"]), _fmt_value(row["abs_error"]), _fmt_pct(row["rel_error_pct"])]
+            for row in doc["rows"]
+        ]
+        nr = doc["nr_details"]  # None when nr did not run or failed
+        footer = nr and f"nr: panels={nr['panel_count']}  residual_gap={nr['residual_gap']!r}  termination={nr['termination']}"
+        header = [("expression", doc["expression"]), ("interval", interval), ("reference", repr(doc["reference"]))]
+        return _table(header, cells, 4, footer)
 
-    lines = [
-        f"expression:   {expr_text}",
-        f"interval:     {_interval_text((interval.a, interval.b))}",
-        f"value:        {result.value!r}",
-        f"status:       {result.status.value}",
-        f"panels:       {len(result.panels)}",
-        f"closing_area: {result.closing_area!r}",
-        f"residual_gap: {result.residual_gap!r}",
-        f"termination:  {result.trace.termination.value}",
-        "",
-    ]
-    cells = [["k", "x_k", "width", "area"]]
-    for k, panel in enumerate(result.panels):
-        cells.append([str(k), _fmt_value(panel.x_k), _fmt_value(panel.width), _fmt_value(panel.area)])
-    lines.extend(_aligned(cells))
-    return "\n".join(lines)
+    if command == "integrate":
+        termination = doc["trace"]["termination"]
+        if format == "csv":
+            return (
+                "value,closing_area,residual_gap,status,panel_count,termination\n"
+                f"{doc['value']!r},{doc['closing_area']!r},{doc['residual_gap']!r},"
+                f"{doc['status']},{len(doc['panels'])},{termination}"
+            )
+        header = [
+            ("expression", doc["expression"]),
+            ("interval", interval),
+            ("value", repr(doc["value"])),
+            ("status", doc["status"]),
+            ("panels", str(len(doc["panels"]))),
+            ("closing_area", repr(doc["closing_area"])),
+            ("residual_gap", repr(doc["residual_gap"])),
+            ("termination", termination),
+        ]
+        keys = ("x_k", "width", "area")
+        cells = [["k", *keys]]
+        cells += [[str(k), *[_fmt_value(panel[key]) for key in keys]] for k, panel in enumerate(doc["panels"])]
+        return _table(header, cells, 4)
 
-
-def _render_trace(expr_text: str, interval: Interval, result: QuadResult, format: str) -> str:
-    steps = result.trace.steps
+    keys = ("x_k", "f_k", "df_k", "step", "area")
     if format == "csv":
-        lines = ["index,x_k,f_k,df_k,step,area"]
-        for i, s in enumerate(steps):
-            lines.append(f"{i},{s.x_k!r},{s.f_k!r},{s.df_k!r},{s.step!r},{result.panels[i].area!r}")
+        lines = ["index," + ",".join(keys)]
+        lines += [",".join([str(s["index"]), *[repr(s[key]) for key in keys]]) for s in doc["steps"]]
         return "\n".join(lines)
-
-    if format == "json":
-        doc = {
-            "expression": expr_text,
-            "interval": [interval.a, interval.b],
-            "steps": [
-                {
-                    "index": i,
-                    "x_k": s.x_k,
-                    "f_k": s.f_k,
-                    "df_k": s.df_k,
-                    "step": s.step,
-                    "area": result.panels[i].area,
-                }
-                for i, s in enumerate(steps)
-            ],
-            "termination": result.trace.termination.value,
-        }
-        return _json_text(doc)
-
-    lines = [
-        f"expression:  {expr_text}",
-        f"interval:    {_interval_text((interval.a, interval.b))}",
-        f"termination: {result.trace.termination.value}",
-        "",
-    ]
-    cells = [["index", "x_k", "f_k", "df_k", "step", "area"]]
-    for i, s in enumerate(steps):
-        cells.append(
-            [
-                str(i),
-                _fmt_value(s.x_k),
-                _fmt_value(s.f_k),
-                _fmt_value(s.df_k),
-                _fmt_value(s.step),
-                _fmt_value(result.panels[i].area),
-            ]
-        )
-    lines.extend(_aligned(cells))
-    return "\n".join(lines)
+    header = [("expression", doc["expression"]), ("interval", interval), ("termination", doc["termination"])]
+    cells = [["index", *keys]]
+    cells += [[str(s["index"]), *[_fmt_value(s[key]) for key in keys]] for s in doc["steps"]]
+    return _table(header, cells, 6)
 
 
-def _run_compare(
-    f: Expression,
-    expr_text: str,
-    interval: Interval,
-    settings: NrQuadSettings,
-    panels: int,
-    methods: Sequence[str],
-    format: str,
-) -> int:
+def _compare_doc(
+    f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
+) -> dict[str, object]:
     reference = reference_integral(f, interval, tol=REFERENCE_TOL)
-    rows: list[MethodRow] = []
-    nr_details: NrDetails | None = None
+    rows: list[dict[str, object]] = []
+    nr_details = None
     # method names are unique within a report; keep first occurrences
     for method in dict.fromkeys(methods):
         if method == "nr":
@@ -386,23 +239,63 @@ def _run_compare(
             try:
                 result = nr_integrate(f, interval, settings)
             except (ValidationError, NewtonError) as exc:
-                rows.append(MethodRow(method, None, None, None, summary, error=str(exc)))
+                rows.append({"method": method, "error": str(exc), "settings": summary})
                 continue
-            stats = error_stats(result.value, reference)
-            rows.append(MethodRow(method, stats.approx, stats.abs_error, stats.rel_error_pct, summary))
-            nr_details = NrDetails(len(result.panels), result.residual_gap, result.trace.termination.value)
+            value = result.value
+            nr_details = {
+                "panel_count": len(result.panels),
+                "residual_gap": result.residual_gap,
+                "termination": result.trace.termination.value,
+            }
         else:
             summary = f"n={panels}"
             try:
                 value = _BASELINES[method](f, interval, panels)
             except ValueError as exc:
-                rows.append(MethodRow(method, None, None, None, summary, error=str(exc)))
+                rows.append({"method": method, "error": str(exc), "settings": summary})
                 continue
-            stats = error_stats(value, reference)
-            rows.append(MethodRow(method, stats.approx, stats.abs_error, stats.rel_error_pct, summary))
-    report = ComparisonReport(expr_text, (interval.a, interval.b), reference, tuple(rows), nr_details)
-    print(render_report(report, format))
-    return EXIT_OK
+        stats = error_stats(value, reference)
+        numbers = {"value": stats.approx, "abs_error": stats.abs_error, "rel_error_pct": stats.rel_error_pct}
+        rows.append({"method": method, **numbers, "settings": summary})
+    return {
+        "expression": expr_text,
+        "interval": [interval.a, interval.b],
+        "reference": reference,
+        "rows": rows,
+        "nr_details": nr_details,
+    }
+
+
+def _integrate_doc(expr_text: str, interval: Interval, result: QuadResult) -> dict[str, object]:
+    return {
+        "expression": expr_text,
+        "interval": [interval.a, interval.b],
+        "value": result.value,
+        "panels": [{"x_k": p.x_k, "width": p.width, "area": p.area} for p in result.panels],
+        "closing_area": result.closing_area,
+        "residual_gap": result.residual_gap,
+        "status": result.status.value,
+        "trace": {
+            "steps": [
+                {"x_k": s.x_k, "f_k": s.f_k, "df_k": s.df_k, "step": s.step, "x_next": s.x_next}
+                for s in result.trace.steps
+            ],
+            "termination": result.trace.termination.value,
+            "final_x": result.trace.final_x,
+        },
+    }
+
+
+def _trace_doc(expr_text: str, interval: Interval, result: QuadResult) -> dict[str, object]:
+    return {
+        "expression": expr_text,
+        "interval": [interval.a, interval.b],
+        "steps": [
+            {"index": i, "x_k": s.x_k, "f_k": s.f_k, "df_k": s.df_k, "step": s.step, "area": panel.area}
+            for i, (s, panel) in enumerate(zip(result.trace.steps, result.panels))
+        ],
+        "termination": result.trace.termination.value,
+    }
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -427,24 +320,29 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE
 
     try:
-        if args.command == "integrate":
+        if args.command == "compare":
+            doc = _compare_doc(f, args.expr, interval, settings, args.panels, args.methods)
+        else:
             result = nr_integrate(f, interval, settings)
-            print(_render_integrate(args.expr, interval, result, args.format))
-            return EXIT_OK
-        if args.command == "trace":
-            result = nr_integrate(f, interval, settings)
-            print(_render_trace(args.expr, interval, result, args.format))
-            return EXIT_OK
-        return _run_compare(f, args.expr, interval, settings, args.panels, args.methods, args.format)
+            doc = (_integrate_doc if args.command == "integrate" else _trace_doc)(args.expr, interval, result)
     except ValidationError as exc:
         print(f"error: validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NewtonError as exc:
+    except (NewtonError, DepthLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ITERATION
-    except DepthLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ITERATION
+
+    text = render(args.command, doc, args.format)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so the flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -80,12 +80,7 @@ class NrQuadSettings(Frozen):
         closing_triangle: bool = False,
         validate: bool = True,
     ) -> None:
-        if not tol_x > 0:
-            raise ValueError(f"tol_x must be positive, got {tol_x!r}")
-        if tol_f is not None and not tol_f > 0:
-            raise ValueError(f"tol_f must be positive, got {tol_f!r}")
-        if max_iter < 1:
-            raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
+        StoppingCriteria(tol_x=tol_x, tol_f=tol_f, max_iter=max_iter)  # raises on a bad tolerance or budget
         set_field(self, "tol_x", tol_x)
         set_field(self, "tol_f", tol_f)
         set_field(self, "max_iter", max_iter)

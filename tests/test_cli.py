@@ -13,13 +13,28 @@ import nrquad
 import nrquad.cli
 import nrquad.expressions
 from nrquad.baselines import error_stats, left_riemann, midpoint, reference_integral, right_riemann, trapezoid
-from nrquad.cli import MAX_COUNT, ComparisonReport, MethodRow, NrDetails, main, render_report
+from nrquad.cli import MAX_COUNT, main, render
 from nrquad.expressions import parse
 from nrquad.quadrature import Interval, NrQuadSettings, nr_integrate
 
-GOLDEN = Path(__file__).parent / "golden" / "compare_worked_example.txt"
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = GOLDEN_DIR / "compare_worked_example.txt"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXAMPLE = ["--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1"]
+
+# golden stdout, one file per case and format: tests/golden/<case>.<extension>
+GOLDEN_CASES = {
+    "compare_worked_example": ["compare", *EXAMPLE],
+    "integrate_worked_example": ["integrate", *EXAMPLE],
+    "trace_worked_example": ["trace", *EXAMPLE],
+    # the precondition check fails, so nr is an error row and there is no nr footer
+    "compare_nr_error": ["compare", "--expr", "x^2-1", "--lower", "0", "--upper", "2"],
+    # the reference is 0, so every relative error is nan (null in JSON)
+    "compare_zero_reference": ["compare", "--expr", "x", "--lower", "-1", "--upper", "1", "--no-validate"],
+    "integrate_clamped": ["integrate", "--expr", "ln(x+1)", "--lower", "0", "--upper", "2"],
+}
+GOLDEN_EXTENSIONS = {"table": "txt", "csv": "csv", "json": "json"}
 
 
 def strict_json(text):
@@ -35,6 +50,20 @@ def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("format", GOLDEN_EXTENSIONS)
+@pytest.mark.parametrize("case", GOLDEN_CASES)
+def test_output_matches_golden_bytes(case, format, capsys):
+    code, out, err = run([*GOLDEN_CASES[case], "--format", format], capsys)
+    assert (code, err) == (0, "")
+    assert out.encode() == (GOLDEN_DIR / f"{case}.{GOLDEN_EXTENSIONS[format]}").read_bytes()
+
+
+def test_readme_compare_block_matches_golden():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("`compare` on the worked example prints:\n\n```\n", 1)[1].split("```", 1)[0]
+    assert block.encode() == GOLDEN.read_bytes()
 
 
 class TestExitStatuses:
@@ -339,33 +368,38 @@ class TestCompare:
             assert float(cells[3]) == pytest.approx(0.0, abs=1e-12)
 
 
+def compare_doc(rows, reference=3.375, nr_details=None):
+    return {"expression": "x", "interval": [0.0, 1.0], "reference": reference, "rows": rows, "nr_details": nr_details}
+
+
+def numeric_row(method, value, abs_error, rel_error_pct, settings="n=3"):
+    return {"method": method, "value": value, "abs_error": abs_error, "rel_error_pct": rel_error_pct, "settings": settings}
+
+
 class TestRenderReport:
     def test_midpoint_row_rendering(self):
         stats = error_stats(3.3125, 3.375)
-        row = MethodRow("midpoint", stats.approx, stats.abs_error, stats.rel_error_pct, "n=3")
-        report = ComparisonReport("2*x^2+3*x+1", (-0.5, 1.0), 3.375, (row,), None)
-        table = render_report(report, "table")
+        doc = compare_doc([numeric_row("midpoint", stats.approx, stats.abs_error, stats.rel_error_pct)])
+        table = render("compare", doc, "table")
         assert "midpoint  3.312500  0.062500  1.8518" in table.split("\n")
 
     def test_empty_rows_csv_is_header_only(self):
-        report = ComparisonReport("x", (0.0, 1.0), 0.5, (), None)
-        assert render_report(report, "csv") == "method,value,abs_error,rel_error_pct"
+        doc = compare_doc([], reference=0.5)
+        assert render("compare", doc, "csv") == "method,value,abs_error,rel_error_pct"
 
     def test_json_round_trip_preserves_fields(self):
         stats = error_stats(3.3125, 3.375)
-        row = MethodRow("midpoint", stats.approx, stats.abs_error, stats.rel_error_pct, "n=3")
-        report = ComparisonReport("2*x^2+3*x+1", (-0.5, 1.0), 3.375, (row,), None)
-        doc = json.loads(render_report(report, "json"))
+        doc = compare_doc([numeric_row("midpoint", stats.approx, stats.abs_error, stats.rel_error_pct)])
+        doc = json.loads(render("compare", doc, "json"))
         assert doc["rows"][0]["value"] == 3.3125
         assert doc["rows"][0]["abs_error"] == 0.0625
         assert doc["rows"][0]["rel_error_pct"] == stats.rel_error_pct
         assert json.loads(json.dumps(doc)) == doc
 
-
     def test_json_is_strict_for_every_nonfinite_value(self):
-        row = MethodRow("midpoint", math.inf, math.inf, math.nan, "n=3")
-        report = ComparisonReport("x", (0.0, 1.0), -math.inf, (row,), NrDetails(1, math.nan, "ok"))
-        doc = strict_json(render_report(report, "json"))
+        nr_details = {"panel_count": 1, "residual_gap": math.nan, "termination": "ok"}
+        doc = compare_doc([numeric_row("midpoint", math.inf, math.inf, math.nan)], -math.inf, nr_details)
+        doc = strict_json(render("compare", doc, "json"))
         assert doc["reference"] is None
         assert [doc["rows"][0][key] for key in ("value", "abs_error", "rel_error_pct")] == [None] * 3
         assert doc["nr_details"]["residual_gap"] is None
@@ -420,6 +454,25 @@ class TestEntryPoints:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
         assert shared[2][1].encode() == GOLDEN.read_bytes()
         assert nrquad.cli._PARSER.parse_args(["compare", *EXAMPLE]).methods is nrquad.cli.METHODS
+
+    @pytest.mark.parametrize(
+        "launcher",
+        [["-m", "nrquad"], ["-c", "import sys; from nrquad.cli import main; sys.exit(main())"]],
+        ids=["module", "console-script"],
+    )
+    @pytest.mark.parametrize("format", ["table", "json"])
+    def test_closed_stdout_exits_quietly(self, launcher, format):
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # the reader is gone before the first byte is written
+        try:
+            proc = subprocess.run(
+                [sys.executable, *launcher, "compare", *EXAMPLE, "--format", format],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, b"")
 
     def test_compare_compiles_one_kernel(self, capsys, monkeypatch):
         compiled = []

@@ -26,11 +26,9 @@ from nrquad import (
     Var,
     parse,
 )
-from nrquad.cli import ComparisonReport, MethodRow, NrDetails
 
 STEP = NewtonStep(x_k=1.0, f_k=6.0, df_k=7.0, step=6.0 / 7.0, x_next=1.0 - 6.0 / 7.0)
 TRACE = NewtonTrace((STEP,), Termination.REACHED_TARGET, STEP.x_next)
-ROW = MethodRow("midpoint", 3.3125, 0.0625, 1.8518518518518519, "n=3")
 
 # (value, a field-for-field copy, an instance differing in one field, repr text)
 CASES = [
@@ -91,25 +89,6 @@ CASES = [
         ErrorStats(3.3125, 3.375, 0.0625, 1.8518518518518519),
         ErrorStats(3.3125, 3.375, 0.0625, 2.0),
         "ErrorStats(approx=3.3125, reference=3.375, abs_error=0.0625, rel_error_pct=1.8518518518518519)",
-    ),
-    (
-        ROW,
-        MethodRow("midpoint", 3.3125, 0.0625, 1.8518518518518519, "n=3", None),
-        MethodRow("midpoint", None, None, None, "n=3", error="failed"),
-        "MethodRow(method='midpoint', value=3.3125, abs_error=0.0625, rel_error_pct=1.8518518518518519, "
-        "settings='n=3', error=None)",
-    ),
-    (
-        NrDetails(6, 5e-09, "reached-target"),
-        NrDetails(6, 5e-09, "reached-target"),
-        NrDetails(7, 5e-09, "reached-target"),
-        "NrDetails(panel_count=6, residual_gap=5e-09, termination='reached-target')",
-    ),
-    (
-        ComparisonReport("x", (0.0, 1.0), 0.5, (ROW,), None),
-        ComparisonReport("x", (0.0, 1.0), 0.5, (ROW,), None),
-        ComparisonReport("x", (0.0, 1.0), 0.5, (), None),
-        f"ComparisonReport(expression='x', interval=(0.0, 1.0), reference=0.5, rows=({ROW!r},), nr_details=None)",
     ),
 ]
 
@@ -187,6 +166,10 @@ def test_constructors_keep_their_validation_messages():
         Interval(1.0, 1.0)
     with pytest.raises(ValueError, match="tol_x must be positive, got 0"):
         NrQuadSettings(tol_x=0)
+    with pytest.raises(ValueError, match="tol_f must be positive, got -1.0"):
+        NrQuadSettings(tol_f=-1.0)
+    with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
+        NrQuadSettings(max_iter=0)
     with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
         StoppingCriteria(max_iter=0)
     with pytest.raises(TypeError):
