@@ -1,7 +1,9 @@
 """Classical quadrature rules on uniform partitions, plus a reference oracle.
 
 left_riemann / right_riemann / midpoint / trapezoid / simpson are the
-textbook composite rules; they evaluate their nodes a CHUNK at a time.
+textbook composite rules.  They share one pass over the uniform grid, which
+evaluates its nodes a CHUNK at a time and each distinct node once: all five
+rules on n subintervals take 2n + 3 points together, 5n + 2 one at a time.
 reference_integral is an adaptive Simpson integrator accurate far beyond
 the rules it referees; it evaluates the quarter points of the leftmost
 CHUNK // 2 pending panels at a time.  error_stats packages absolute and
@@ -11,8 +13,8 @@ relative error against such a reference.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from itertools import islice
+from collections.abc import Iterable
+from itertools import cycle
 
 from ._frozen import Frozen, set_field
 # nothing here calls evaluate; bench/tracing.py wraps it under this name
@@ -46,76 +48,119 @@ class ErrorStats(Frozen):
 
 
 CHUNK = 256
-"""Points per :func:`evaluate_many` batch: a uniform rule's nodes, or the
+"""Points per :func:`evaluate_many` batch: the uniform rules' interior nodes
+or midpoints (``CHUNK // 2`` of each when both are needed), or the
 reference's quarter points of ``CHUNK // 2`` panels.
 
 No list a rule builds is longer, so its memory is bounded for any ``n``."""
 
 
-def _samples(f: Expression, xs: list[float]) -> list[float]:
-    """f at each point of ``xs``; raises at the first point where it is not finite."""
-    values = evaluate_many(f, xs)
-    for x, value in zip(xs, values):
-        if not math.isfinite(value):
-            raise NonfiniteSampleError(x, value)
-    return values
+def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
+    """The named uniform rules on ``n`` subintervals, from one pass over the grid.
 
-
-def _sum_samples(
-    f: Expression,
-    nodes: Iterator[float],
-    total: float = 0.0,
-    weights: Iterator[float] | None = None,
-) -> float:
-    """``total`` plus f (times its weight) at each node, added in node order."""
-    while chunk := list(islice(nodes, CHUNK)):
-        values = _samples(f, chunk)
-        if weights is None:
-            for value in values:
-                total += value
-        else:
-            # values first: zip stops at the chunk's end without drawing a weight too many
-            for value, weight in zip(values, weights):
-                total += weight * value
-    return total
-
-
-def _check_subintervals(n: int) -> None:
+    Maps each name in ``rules`` (``left_riemann``, ``right_riemann``,
+    ``midpoint``, ``trapezoid``, ``simpson``) to the rule's value, or to the
+    ``ValueError`` that the rule of that name raises.  f is evaluated once at
+    each node that a named rule needs: the end nodes first, then the interior
+    nodes ``a + i*h`` and the midpoints, a chunk at a time.  The end nodes are
+    left's ``a + 0*h``, right's ``a + n*h`` and trapezoid's and Simpson's
+    ``a`` and ``b``; they are not merged, because ``a + 0*h`` is not ``a``
+    when ``a`` is -0.0 or ``h`` is infinite.  Each rule adds up its samples in
+    its own node order and fails at the first one that is not finite.
+    """
+    rules = set(rules)
     if n < 1:
-        raise ValueError(f"subinterval count must be at least 1, got {n!r}")
+        return {rule: ValueError(f"subinterval count must be at least 1, got {n!r}") for rule in rules}
+    outcomes: dict[str, float | ValueError] = {}
+    if "simpson" in rules and n % 2 != 0:
+        outcomes["simpson"] = ValueError(f"simpson needs an even subinterval count (got {n!r})")
+    a, b = interval.a, interval.b
+    h = (b - a) / n
+    totals = {rule: 0.0 for rule in rules - outcomes.keys()}  # running sums of the rules not failed yet
+
+    def failed(names: list[str], xs: list[float], values: list[float]) -> bool:
+        """Whether a value is not finite; if so, ``names`` fail at the first such point of ``xs``."""
+        if all(map(math.isfinite, values)):
+            return False
+        sample = next((x, value) for x, value in zip(xs, values) if not math.isfinite(value))
+        for rule in names:
+            outcomes[rule] = NonfiniteSampleError(*sample)
+            del totals[rule]
+        return True
+
+    ends = {}
+    if "left_riemann" in totals:
+        ends["first"] = a + 0 * h
+    if "right_riemann" in totals:
+        ends["last"] = a + n * h
+    if totals.keys() & {"trapezoid", "simpson"}:
+        ends["a"], ends["b"] = a, b
+    f_end = dict(zip(ends, evaluate_many(f, list(ends.values())))) if ends else {}
+    if "left_riemann" in totals and not failed(["left_riemann"], [ends["first"]], [f_end["first"]]):
+        totals["left_riemann"] += f_end["first"]
+    for rule in totals.keys() & {"trapezoid", "simpson"}:
+        if not failed([rule], [a, b], [f_end["a"], f_end["b"]]):
+            fa, fb = f_end["a"], f_end["b"]
+            totals[rule] = 0.5 * (fa + fb) if rule == "trapezoid" else fa + fb
+
+    # every rule but midpoint samples the interior nodes, in the same order
+    interior_rules = [rule for rule in totals if rule != "midpoint"]
+    mid_rules = [rule for rule in totals if rule == "midpoint"]
+    weights = cycle((4.0, 2.0))  # simpson's, from i = 1
+    step = CHUNK // 2 if interior_rules and mid_rules else CHUNK
+    for lo in range(0, n, step):
+        if not interior_rules and not mid_rules:
+            break
+        hi = min(lo + step, n)
+        interior = [a + i * h for i in range(max(lo, 1), hi)] if interior_rules else []
+        mids = [a + (i + 0.5) * h for i in range(lo, hi)] if mid_rules else []
+        values = evaluate_many(f, interior + mids)
+        streams = (interior_rules, interior, values[: len(interior)]), (mid_rules, mids, values[len(interior) :])
+        for names, xs, samples in streams:
+            if xs and failed(names, xs, samples):
+                names.clear()
+            for rule in names:
+                total = totals[rule]
+                if rule == "simpson":
+                    # values first: zip stops at the chunk's end without drawing a weight too many
+                    for value, weight in zip(samples, weights):
+                        total += weight * value
+                else:
+                    for value in samples:
+                        total += value
+                totals[rule] = total
+    if "right_riemann" in totals and not failed(["right_riemann"], [ends["last"]], [f_end["last"]]):
+        totals["right_riemann"] += f_end["last"]
+    for rule, total in totals.items():
+        outcomes[rule] = h * total / 3.0 if rule == "simpson" else h * total
+    return outcomes
+
+
+def _rule(name: str, f: Expression, interval: Interval, n: int) -> float:
+    outcome = _grid_rules(f, interval, n, [name])[name]
+    if isinstance(outcome, ValueError):
+        raise outcome
+    return outcome
 
 
 def left_riemann(f: Expression, interval: Interval, n: int) -> float:
     """Rectangle rule sampling at left endpoints: h * sum f(a + i*h), i = 0..n-1."""
-    _check_subintervals(n)
-    a, b = interval.a, interval.b
-    h = (b - a) / n
-    return h * _sum_samples(f, (a + i * h for i in range(n)))
+    return _rule("left_riemann", f, interval, n)
 
 
 def right_riemann(f: Expression, interval: Interval, n: int) -> float:
     """Rectangle rule sampling at right endpoints: h * sum f(a + i*h), i = 1..n."""
-    _check_subintervals(n)
-    a, b = interval.a, interval.b
-    h = (b - a) / n
-    return h * _sum_samples(f, (a + i * h for i in range(1, n + 1)))
+    return _rule("right_riemann", f, interval, n)
 
 
 def midpoint(f: Expression, interval: Interval, n: int) -> float:
     """Midpoint rule: h * sum f(a + (i + 1/2)*h)."""
-    _check_subintervals(n)
-    a, b = interval.a, interval.b
-    h = (b - a) / n
-    return h * _sum_samples(f, (a + (i + 0.5) * h for i in range(n)))
+    return _rule("midpoint", f, interval, n)
 
 
 def trapezoid(f: Expression, interval: Interval, n: int) -> float:
     """Composite trapezoid rule: h * (f(a)/2 + interior samples + f(b)/2)."""
-    _check_subintervals(n)
-    a, b = interval.a, interval.b
-    h = (b - a) / n
-    fa, fb = _samples(f, [a, b])
-    return h * _sum_samples(f, (a + i * h for i in range(1, n)), 0.5 * (fa + fb))
+    return _rule("trapezoid", f, interval, n)
 
 
 def simpson(f: Expression, interval: Interval, n: int) -> float:
@@ -124,14 +169,7 @@ def simpson(f: Expression, interval: Interval, n: int) -> float:
     Raises:
         ValueError: if ``n`` is odd.
     """
-    _check_subintervals(n)
-    if n % 2 != 0:
-        raise ValueError(f"simpson needs an even subinterval count (got {n!r})")
-    a, b = interval.a, interval.b
-    h = (b - a) / n
-    fa, fb = _samples(f, [a, b])
-    weights = (4.0 if i % 2 else 2.0 for i in range(1, n))
-    return h * _sum_samples(f, (a + i * h for i in range(1, n)), fa + fb, weights) / 3.0
+    return _rule("simpson", f, interval, n)
 
 
 def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) -> float:

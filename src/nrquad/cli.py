@@ -10,6 +10,7 @@ Exit status contract:
   2    precondition validation failed
   3    iteration error (vanished derivative, nonfinite values) or a failed
        reference computation
+  4    the report could not be written to stdout (a full disk, say)
   141  stdout was closed before the report was written (128 + SIGPIPE)
 
 Reports go to stdout; every error path prints one diagnostic line to
@@ -29,6 +30,7 @@ from collections.abc import Sequence
 
 from .baselines import (
     DepthLimitError,
+    _grid_rules,
     error_stats,
     left_riemann,
     midpoint,
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_ITERATION = 3
+EXIT_WRITE = 4
 
 METHODS = ("nr", "midpoint", "trapezoid", "left-riemann", "right-riemann", "simpson")
 
@@ -228,6 +231,9 @@ def _compare_doc(
     f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
 ) -> dict[str, object]:
     reference = reference_integral(f, interval, tol=REFERENCE_TOL)
+    # the baseline methods, by the name of their rule, run in one pass over the grid
+    rules = {method: _BASELINES[method].__name__ for method in methods if method in _BASELINES}
+    outcomes = _grid_rules(f, interval, panels, rules.values())
     rows: list[dict[str, object]] = []
     nr_details = None
     # method names are unique within a report; keep first occurrences
@@ -249,10 +255,9 @@ def _compare_doc(
             }
         else:
             summary = f"n={panels}"
-            try:
-                value = _BASELINES[method](f, interval, panels)
-            except ValueError as exc:
-                rows.append({"method": method, "error": str(exc), "settings": summary})
+            value = outcomes[rules[method]]
+            if isinstance(value, ValueError):
+                rows.append({"method": method, "error": str(value), "settings": summary})
                 continue
         stats = error_stats(value, reference)
         numbers = {"value": stats.approx, "abs_error": stats.abs_error, "rel_error_pct": stats.rel_error_pct}
@@ -336,13 +341,24 @@ def main(argv: list[str] | None = None) -> int:
     try:
         print(text)
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader is gone: point stdout at devnull so the flush at exit cannot fail again
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        return 141  # 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
+    except OSError as exc:
+        _discard_stdout()
+        if isinstance(exc, BrokenPipeError):
+            return 141  # 128 + SIGPIPE, the status a shell reports for a writer killed by a closed pipe
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_WRITE
     return EXIT_OK
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at devnull, so the flush at exit cannot fail again."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError):
+        return  # not backed by a descriptor, so nothing is flushed to one at exit
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Classical rule tests: frozen worked-example values, orders, identities."""
 
+import itertools
 import math
 import random
 import struct
@@ -8,6 +9,7 @@ import tracemalloc
 import pytest
 
 import nrquad.baselines
+import nrquad.cli
 import nrquad.newton
 import nrquad.quadrature
 import support
@@ -15,6 +17,7 @@ from nrquad.baselines import (
     CHUNK,
     DepthLimitError,
     NonfiniteSampleError,
+    _grid_rules,
     error_stats,
     left_riemann,
     midpoint,
@@ -194,12 +197,30 @@ RULES = [left_riemann, right_riemann, midpoint, trapezoid, simpson]
 def outcome(rule, f, interval, n):
     """A rule's value as bits, or the error it raised with its sample."""
     try:
-        value = rule(f, interval, n)
-    except NonfiniteSampleError as exc:
-        return "nonfinite", struct.pack("<d", exc.x), repr(exc.value), str(exc)
+        return as_outcome(rule(f, interval, n))
     except ValueError as exc:
-        return type(exc), str(exc)
-    return struct.pack("<d", value)
+        return as_outcome(exc)
+
+
+def as_outcome(result):
+    if isinstance(result, NonfiniteSampleError):
+        return "nonfinite", struct.pack("<d", result.x), repr(result.value), str(result)
+    if isinstance(result, ValueError):
+        return type(result), str(result)
+    return struct.pack("<d", result)
+
+
+NONFINITE_CASES = [
+    ("sin(x)/x", -1.0, 2.0, 3),  # a node lands on 0
+    ("sin(x)/x", -1.0, 1.0, 4),
+    ("ln(x)", -1.0, 1.0, 2),
+    ("1/((x+1)*(x-1))", -1.0, 1.0, 4),  # both ends; a is sampled first
+    # nodes are the integers; the pole at 300 is in the second chunk
+    ("1/(x-300)", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
+    ("1/((x-300)*(x-700))", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
+    ("x*x*x", 0.0, 1e103, 4),  # an infinite sample, not a NaN
+    ("x*x", 0.0, 1.3e154, 2 * CHUNK),  # finite samples whose sum overflows
+]
 
 
 class TestBatchedRulesMatchScalarOracle:
@@ -217,20 +238,7 @@ class TestBatchedRulesMatchScalarOracle:
             assert outcome(rule, f, interval, n) == outcome(oracle, f, interval, n), n
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
-    @pytest.mark.parametrize(
-        "source, a, b, n",
-        [
-            ("sin(x)/x", -1.0, 2.0, 3),  # a node lands on 0
-            ("sin(x)/x", -1.0, 1.0, 4),
-            ("ln(x)", -1.0, 1.0, 2),
-            ("1/((x+1)*(x-1))", -1.0, 1.0, 4),  # both ends; a is sampled first
-            # nodes are the integers; the pole at 300 is in the second chunk
-            ("1/(x-300)", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
-            ("1/((x-300)*(x-700))", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
-            ("x*x*x", 0.0, 1e103, 4),  # an infinite sample, not a NaN
-            ("x*x", 0.0, 1.3e154, 2 * CHUNK),  # finite samples whose sum overflows
-        ],
-    )
+    @pytest.mark.parametrize("source, a, b, n", NONFINITE_CASES)
     def test_same_first_nonfinite_sample(self, rule, source, a, b, n):
         f, interval = parse(source), Interval(a, b)
         assert outcome(rule, f, interval, n) == outcome(SCALAR_RULES[rule.__name__], f, interval, n)
@@ -241,20 +249,107 @@ class TestBatchedRulesMatchScalarOracle:
         assert err.value.x == 0.0 and math.isnan(err.value.value)
 
 
+class TestGridRulesMatchScalarOracle:
+    """The one-pass helper, for every non-empty set of rules, against each rule's scalar loop."""
+
+    SUBSETS = [names for k in range(1, 6) for names in itertools.combinations(SCALAR_RULES, k)]
+
+    def check(self, f, interval, n):
+        """Compares every subset; returns the oracle's outcomes."""
+        expected = {name: outcome(oracle, f, interval, n) for name, oracle in SCALAR_RULES.items()}
+        for names in self.SUBSETS:
+            results = _grid_rules(f, interval, n, names)
+            assert {name: as_outcome(result) for name, result in results.items()} == {
+                name: expected[name] for name in names
+            }, (names, n)
+        return expected
+
+    def test_thirty_one_subsets(self):
+        assert len(self.SUBSETS) == 31
+
+    @pytest.mark.parametrize("f, interval", [(QUAD, QUAD_INTERVAL), (EXP, UNIT)], ids=["quad", "exp"])
+    def test_sizes(self, f, interval):
+        for n in [-1, 0, *TestBatchedRulesMatchScalarOracle.SIZES]:
+            self.check(f, interval, n)
+
+    @pytest.mark.parametrize("source, a, b, n", NONFINITE_CASES)
+    def test_nonfinite_samples(self, source, a, b, n):
+        self.check(parse(source), Interval(a, b), n)
+
+    @pytest.mark.parametrize(
+        "source, a, b",
+        [
+            # a + 0*h is 0.0 and a is -0.0: left and trapezoid fail at different points
+            ("1/x", -0.0, 1.0),
+            ("x", -0.0, 1.0),
+            # h is inf: a + 0*h is NaN, the other nodes are inf, and a and b are finite
+            ("x", -1e308, 1e308),
+            ("1/x", -1e308, 1e308),
+            ("0*x+1", -1e308, 1e308),
+            # f(a) + f(b) overflows: the trapezoid starts from inf, not from 1e308
+            ("1e308+0*x", 0.0, 1.0),
+        ],
+    )
+    def test_extreme_nodes_and_sums(self, source, a, b):
+        for n in (1, 2, 3, 4, 5):
+            self.check(parse(source), Interval(a, b), n)
+
+    def test_random_trees(self):
+        rng = random.Random(31)
+        intervals = [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(-2.5, 0.5)]
+        nonfinite = 0
+        for _ in range(40):
+            f = random_tree(rng, 3)
+            for interval in intervals:
+                for n in (1, 2, 3, 8, CHUNK + 2):
+                    expected = self.check(f, interval, n)
+                    nonfinite += sum(result[0] == "nonfinite" for result in expected.values())
+        assert nonfinite >= 300, nonfinite  # 422 of 3,000 outcomes
+
+
 class TestChunking:
-    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
-    def test_no_batch_is_longer_than_a_chunk(self, rule, monkeypatch):
-        batches = []
+    @pytest.fixture
+    def batches(self, monkeypatch):
+        sizes = []
 
         def recorded(e, xs):
-            batches.append(len(xs))
+            sizes.append(len(xs))
             return evaluate_many(e, xs)
 
         monkeypatch.setattr(nrquad.baselines, "evaluate_many", recorded)
+        return sizes
+
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
+    def test_no_batch_is_longer_than_a_chunk(self, rule, batches):
         n = 3 * CHUNK + 2  # even, for simpson; more than three chunks of nodes
         assert rule(QUAD, QUAD_INTERVAL, n) == SCALAR_RULES[rule.__name__](QUAD, QUAD_INTERVAL, n)
         assert max(batches) <= CHUNK
         assert sum(batches) == (n + 1 if rule in (trapezoid, simpson) else n)
+
+    def test_all_rules_evaluate_each_distinct_node_once(self, batches):
+        # n - 1 interior nodes, n midpoints, a + 0*h, a + n*h, a and b; the
+        # rules one at a time take 5n + 2 between them
+        n = 3 * CHUNK + 2
+        _grid_rules(QUAD, QUAD_INTERVAL, n, list(SCALAR_RULES))
+        assert max(batches) <= CHUNK
+        assert sum(batches) == 2 * n + 3
+
+    def test_compare_evaluates_each_grid_node_once(self, batches, monkeypatch, capsys):
+        rule_batches = []
+
+        def grid_rules(*args):
+            start = len(batches)
+            try:
+                return nrquad.baselines._grid_rules(*args)
+            finally:
+                rule_batches.extend(batches[start:])
+
+        monkeypatch.setattr(nrquad.cli, "_grid_rules", grid_rules)
+        argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
+        assert main(argv) == 0
+        assert "error" not in capsys.readouterr().out
+        assert sum(rule_batches) == 2 * 64 + 3 == 131  # 5 * 64 + 2 = 322 one rule at a time
+        assert max(batches) <= CHUNK
 
 
 class TestScalarEvaluationCounts:

@@ -1,5 +1,7 @@
 """CLI contract tests: exit statuses, formats, round trips, golden output."""
 
+import errno
+import io
 import json
 import math
 import os
@@ -22,6 +24,7 @@ GOLDEN = GOLDEN_DIR / "compare_worked_example.txt"
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXAMPLE = ["--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1"]
+NONFINITE_NODE = ["--expr", "sin(x)/x", "--lower", "-1", "--upper", "2", "--panels", "3", "--no-validate"]
 
 # golden stdout, one file per case and format: tests/golden/<case>.<extension>
 GOLDEN_CASES = {
@@ -33,6 +36,11 @@ GOLDEN_CASES = {
     # the reference is 0, so every relative error is nan (null in JSON)
     "compare_zero_reference": ["compare", "--expr", "x", "--lower", "-1", "--upper", "1", "--no-validate"],
     "integrate_clamped": ["integrate", "--expr", "ln(x+1)", "--lower", "0", "--upper", "2"],
+    # the node at 0 is NaN, so left, right and trapezoid are error rows; simpson's n is odd
+    "compare_nonfinite_node": ["compare", *NONFINITE_NODE],
+    "compare_nonfinite_node_subset": ["compare", *NONFINITE_NODE, "--methods", "simpson", "left-riemann"],
+    # one panel: each rule samples only the interval's ends or its middle
+    "compare_one_panel": ["compare", *EXAMPLE, "--panels", "1"],
 }
 GOLDEN_EXTENSIONS = {"table": "txt", "csv": "csv", "json": "json"}
 
@@ -473,6 +481,35 @@ class TestEntryPoints:
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "launcher",
+        [["-m", "nrquad"], ["-c", "import sys; from nrquad.cli import main; sys.exit(main())"]],
+        ids=["module", "console-script"],
+    )
+    def test_full_stdout_exits_with_one_diagnostic(self, launcher):
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, *launcher, "integrate", "--expr", "x", "--lower", "0", "--upper", "1"],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        assert proc.returncode == nrquad.cli.EXIT_WRITE == 4
+        assert proc.stderr.startswith("error: cannot write the report: ") and proc.stderr.count("\n") == 1
+
+    def test_failing_stdout_write_exits_with_one_diagnostic(self, capsys, monkeypatch):
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        code = main(["compare", *EXAMPLE, "--format", "json"])
+        monkeypatch.undo()
+        err = capsys.readouterr().err
+        assert code == nrquad.cli.EXIT_WRITE
+        assert err == f"error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
     def test_compare_compiles_one_kernel(self, capsys, monkeypatch):
         compiled = []
