@@ -18,7 +18,7 @@ from itertools import cycle
 
 from ._frozen import Frozen, set_field
 # nothing here calls evaluate; bench/tracing.py wraps it under this name
-from .expressions import Expression, evaluate, evaluate_many  # noqa: F401
+from .expressions import Expression, _Compiled, evaluate  # noqa: F401
 from .quadrature import Interval
 
 
@@ -48,14 +48,14 @@ class ErrorStats(Frozen):
 
 
 CHUNK = 256
-"""Points per :func:`evaluate_many` batch: the uniform rules' interior nodes
+"""Points per batch through the compiled kernel: the uniform rules' interior nodes
 or midpoints (``CHUNK // 2`` of each when both are needed), or the
 reference's quarter points of ``CHUNK // 2`` panels.
 
 No list a rule builds is longer, so its memory is bounded for any ``n``."""
 
 
-def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
+def _grid_rules(f: _Compiled, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
     """The named uniform rules on ``n`` subintervals, from one pass over the grid.
 
     Maps each name in ``rules`` (``left_riemann``, ``right_riemann``,
@@ -95,7 +95,7 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
         ends["last"] = a + n * h
     if totals.keys() & {"trapezoid", "simpson"}:
         ends["a"], ends["b"] = a, b
-    f_end = dict(zip(ends, evaluate_many(f, list(ends.values())))) if ends else {}
+    f_end = dict(zip(ends, f.many(list(ends.values())))) if ends else {}
     if "left_riemann" in totals and not failed(["left_riemann"], [ends["first"]], [f_end["first"]]):
         totals["left_riemann"] += f_end["first"]
     for rule in totals.keys() & {"trapezoid", "simpson"}:
@@ -114,7 +114,7 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
         hi = min(lo + step, n)
         interior = [a + i * h for i in range(max(lo, 1), hi)] if interior_rules else []
         mids = [a + (i + 0.5) * h for i in range(lo, hi)] if mid_rules else []
-        values = evaluate_many(f, interior + mids)
+        values = f.many(interior + mids)
         streams = (interior_rules, interior, values[: len(interior)]), (mid_rules, mids, values[len(interior) :])
         for names, xs, samples in streams:
             if xs and failed(names, xs, samples):
@@ -137,7 +137,7 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
 
 
 def _rule(name: str, f: Expression, interval: Interval, n: int) -> float:
-    outcome = _grid_rules(f, interval, n, [name])[name]
+    outcome = _grid_rules(_Compiled(f), interval, n, [name])[name]
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome
@@ -181,7 +181,7 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
 
     Pending panels wait on a stack with the leftmost on top.  Each round
     takes up to ``CHUNK // 2`` of the leftmost and evaluates their quarter
-    points in one :func:`evaluate_many` batch.  Accepted values are added
+    points in one batch.  Accepted values are added
     up the bisection tree as each pair of halves completes, so the result
     is bit-identical to a depth-first recursion's.  The first panel to
     fail at the cap is the leftmost one, the one a depth-first walk raises
@@ -192,11 +192,16 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
         DepthLimitError: if the cap is hit, which is what NaN regions or
             non-smooth pathologies turn into.
     """
+    return _reference_integral(_Compiled(f), interval, tol)
+
+
+def _reference_integral(f: _Compiled, interval: Interval, tol: float = 1e-10) -> float:
+    """:func:`reference_integral` on a compiled integrand."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = interval.a, interval.b
     m = 0.5 * (a + b)
-    fa, fb, fm = evaluate_many(f, [a, b, m])
+    fa, fb, fm = f.many([a, b, m])
     # a panel: depth, node, a, b, f(a), f(mid), f(b), Simpson estimate, tol; the
     # node numbers the bisection tree from 1 at the root, and node n's halves are 2n and 2n + 1
     pending = [(0, 1, a, b, fa, fm, fb, _simpson_estimate(fa, fm, fb, b - a), tol)]
@@ -211,7 +216,7 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
             a, b = panel[2], panel[3]
             m = 0.5 * (a + b)
             xs += (0.5 * (a + m), 0.5 * (m + b))
-        quarters = evaluate_many(f, xs)
+        quarters = f.many(xs)
         children = []
         for (depth, node, a, b, fa, fm, fb, whole, tol), flm, frm in zip(batch, quarters[::2], quarters[1::2]):
             m = 0.5 * (a + b)

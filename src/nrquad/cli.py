@@ -28,9 +28,10 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .baselines import (
+from .baselines import (  # noqa: F401 - bench/tracing.py wraps reference_integral under this name
     DepthLimitError,
     _grid_rules,
+    _reference_integral,
     error_stats,
     left_riemann,
     midpoint,
@@ -39,9 +40,9 @@ from .baselines import (
     simpson,
     trapezoid,
 )
-from .expressions import Expression, parse
+from .expressions import Expression, _Compiled, parse
 from .newton import NewtonError
-from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, nr_integrate
+from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, _nr_integrate, nr_integrate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -230,7 +231,8 @@ def render(command: str, doc: dict[str, object], format: str) -> str:
 def _compare_doc(
     f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
 ) -> dict[str, object]:
-    reference = reference_integral(f, interval, tol=REFERENCE_TOL)
+    f = _Compiled(f)  # one scalar closure and one kernel for the reference, the rules and nr
+    reference = _reference_integral(f, interval, tol=REFERENCE_TOL)
     # the baseline methods, by the name of their rule, run in one pass over the grid
     rules = {method: _BASELINES[method].__name__ for method in methods if method in _BASELINES}
     outcomes = _grid_rules(f, interval, panels, rules.values())
@@ -243,7 +245,7 @@ def _compare_doc(
             if settings.closing_triangle:
                 summary += " closing-triangle"
             try:
-                result = nr_integrate(f, interval, settings)
+                result = _nr_integrate(f, interval, settings)
             except (ValidationError, NewtonError) as exc:
                 rows.append({"method": method, "error": str(exc), "settings": summary})
                 continue

@@ -12,12 +12,16 @@ values.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, evaluate
+# nothing here calls evaluate; bench/tracing.py wraps it under this name
+from .expressions import Expression, _Compiled, evaluate  # noqa: F401
 
 DERIVATIVE_EPSILON = 1e-12
+
+_Scalar = Callable[[float], float]  # a compiled evaluator: _Compiled.at
 
 
 class Termination(str, Enum):
@@ -141,8 +145,14 @@ def newton_step(
         DerivativeVanishedError: if ``|f'(x)| <= derivative_epsilon``.
         NonfiniteValueError: if ``f(x)`` or ``f'(x)`` is NaN or infinite.
     """
-    f_k = evaluate(f, x) if f_x is None else f_x
-    df_k = evaluate(df, x)
+    return _step(_Compiled(f).at, _Compiled(df).at, x, derivative_epsilon, f_x)
+
+
+def _step(
+    f: _Scalar, df: _Scalar, x: float, derivative_epsilon: float = DERIVATIVE_EPSILON, f_x: float | None = None
+) -> NewtonStep:
+    f_k = f(x) if f_x is None else f_x
+    df_k = df(x)
     if not (math.isfinite(f_k) and math.isfinite(df_k)):
         raise NonfiniteValueError(x, f_k, df_k)
     if abs(df_k) <= derivative_epsilon:
@@ -176,13 +186,20 @@ def newton_iterate(
     All failure modes are reported as terminations on the returned trace;
     this function does not raise.
     """
+    return _iterate(_Compiled(f).at, _Compiled(df).at, x0, stop, first)[0]
+
+
+def _iterate(
+    f: _Scalar, df: _Scalar, x0: float, stop: StoppingCriteria | None = None, first: NewtonStep | None = None
+) -> tuple[NewtonTrace, float | None]:
+    """:func:`newton_iterate` on scalar evaluators; also f(final_x) if it was evaluated, else None."""
     stop = stop if stop is not None else StoppingCriteria()
     step = first
     f_x = None if first is None else first.f_k
     tol_f = stop.tol_f
     if tol_f is None:
         if f_x is None:
-            f_x = evaluate(f, x0)
+            f_x = f(x0)
         tol_f = 1e-9 * max(1.0, abs(f_x))
     descending = stop.target is not None and x0 > stop.target
 
@@ -191,23 +208,23 @@ def newton_iterate(
     for _ in range(stop.max_iter):
         if step is None:
             try:
-                step = newton_step(f, df, x, stop.derivative_epsilon, f_x=f_x)
+                step = _step(f, df, x, stop.derivative_epsilon, f_x)
             except NonfiniteValueError:
-                return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x)
+                return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None
             except DerivativeVanishedError:
-                return NewtonTrace(tuple(steps), Termination.DERIVATIVE_VANISHED, x)
+                return NewtonTrace(tuple(steps), Termination.DERIVATIVE_VANISHED, x), None
         steps.append(step)
         if not math.isfinite(step.x_next):
-            return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x)
+            return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None
         if stop.target is not None and abs(step.x_next - stop.target) <= stop.tol_x:
-            return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, step.x_next)
-        f_x = evaluate(f, step.x_next)
+            return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, step.x_next), None
+        f_x = f(step.x_next)
         if math.isfinite(f_x) and abs(f_x) <= tol_f:
-            return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next)
+            return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next), f_x
         if abs(step.step) <= stop.tol_step:
-            return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next)
+            return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next), f_x
         if descending and step.x_next < stop.target:
-            return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, stop.target)
+            return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, stop.target), None
         x = step.x_next
         step = None
-    return NewtonTrace(tuple(steps), Termination.MAX_ITERATIONS, x)
+    return NewtonTrace(tuple(steps), Termination.MAX_ITERATIONS, x), f_x

@@ -25,8 +25,9 @@ import math
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, differentiate, evaluate, simplify
-from .newton import (
+# nothing here calls evaluate or newton_iterate; bench/tracing.py wraps them under these names
+from .expressions import Expression, _Compiled, differentiate, evaluate, simplify  # noqa: F401
+from .newton import (  # noqa: F401
     DERIVATIVE_EPSILON,
     DerivativeVanishedError,
     NewtonStep,
@@ -34,8 +35,10 @@ from .newton import (
     NonfiniteValueError,
     StoppingCriteria,
     Termination,
+    _iterate,
+    _Scalar,
+    _step,
     newton_iterate,
-    newton_step,
 )
 
 VALIDATION_SAMPLES = 64
@@ -175,11 +178,20 @@ def validate_problem(f: Expression, interval: Interval, *, first: NewtonStep | N
     that has already taken the Newton step from ``b`` passes it as
     ``first``, and f(b) and f'(b) are taken from it.
     """
+    f_at = _Compiled(f).at
+    if first is None:
+        b = interval.b
+        return _validate(f_at, interval, f_at(b), _Compiled(simplify(differentiate(f))).at(b))
+    return _validate(f_at, interval, first.f_k, first.df_k)
+
+
+def _validate(f: _Scalar, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
+    """:func:`validate_problem` on a scalar evaluator, given f(b) and f'(b)."""
     a, b = interval.a, interval.b
     h = (b - a) / (VALIDATION_SAMPLES - 1)
     xs = [a + i * h for i in range(VALIDATION_SAMPLES - 1)] + [b]
-    values = [evaluate(f, x) for x in xs[:-1]]
-    values.append(evaluate(f, b) if first is None else first.f_k)
+    values = [f(x) for x in xs[:-1]]
+    values.append(f_b)
     messages: list[str] = []
 
     monotone = True
@@ -202,7 +214,6 @@ def validate_problem(f: Expression, interval: Interval, *, first: NewtonStep | N
     if not root_at_a:
         messages.append(f"f(a) = {f_a!r} is not negligible; the rule needs the root at a")
 
-    df_b = evaluate(simplify(differentiate(f)), b) if first is None else first.df_k
     derivative_positive = math.isfinite(df_b) and df_b > 0.0
     if not derivative_positive:
         messages.append(f"f'(b) = {df_b!r} is not positive")
@@ -239,14 +250,20 @@ def nr_integrate(
     Running out of iterations is not an error: the result then carries
     status ``budget-exhausted``.
     """
+    return _nr_integrate(_Compiled(f), interval, settings)
+
+
+def _nr_integrate(f: _Compiled, interval: Interval, settings: NrQuadSettings | None = None) -> QuadResult:
+    """:func:`nr_integrate` on a compiled integrand."""
     settings = settings if settings is not None else NrQuadSettings()
     a, b = interval.a, interval.b
-    df = simplify(differentiate(f))
+    f_at = f.at
+    df_at = _Compiled(simplify(differentiate(f.expression))).at
     # the first step checks f(b) and f'(b) before validation; validation and the iteration reuse it
-    first = newton_step(f, df, b)
+    first = _step(f_at, df_at, b)
 
     if settings.validate:
-        report = validate_problem(f, interval, first=first)
+        report = _validate(f_at, interval, first.f_k, first.df_k)
         if not report.passed:
             raise ValidationError(report)
 
@@ -256,14 +273,14 @@ def nr_integrate(
         tol_f=settings.tol_f,
         max_iter=settings.max_iter,
     )
-    trace = newton_iterate(f, df, b, stop, first=first)
+    trace, f_final = _iterate(f_at, df_at, b, stop, first)
     if trace.termination is Termination.DERIVATIVE_VANISHED:
-        raise DerivativeVanishedError(trace.final_x, evaluate(df, trace.final_x), DERIVATIVE_EPSILON)
+        raise DerivativeVanishedError(trace.final_x, df_at(trace.final_x), DERIVATIVE_EPSILON)
     if trace.termination is Termination.NONFINITE_VALUE:
-        raise NonfiniteValueError(trace.final_x, evaluate(f, trace.final_x), evaluate(df, trace.final_x))
+        raise NonfiniteValueError(trace.final_x, f_at(trace.final_x), df_at(trace.final_x))
 
-    clamped = trace.termination is Termination.OVERSHOOT_CLAMPED
-    f_final = evaluate(f, a) if clamped else evaluate(f, trace.final_x)
+    if f_final is None:  # the iteration stopped before evaluating f there; after a clamp, final_x is a
+        f_final = f_at(trace.final_x)
 
     panels: list[Panel] = []
     value = 0.0
@@ -278,7 +295,7 @@ def nr_integrate(
         closing_area = 0.5 * (trace.final_x - a) * f_final
         value += closing_area
 
-    if clamped:
+    if trace.termination is Termination.OVERSHOOT_CLAMPED:
         status = QuadStatus.CLAMPED
     elif trace.termination is Termination.MAX_ITERATIONS:
         status = QuadStatus.BUDGET_EXHAUSTED

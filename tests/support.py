@@ -6,6 +6,9 @@ the tests compare two independent routes to the same numbers.  The
 exceptions are the scalar oracles for the uniform rules and the reference
 integral, which sample through the scalar ``evaluate`` one point at a
 time, as the package did before it batched.
+
+The counting hooks wrap what the package compiles each integrand into:
+every scalar evaluator (``_Compiled.at``) and every batch kernel.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import math
 import random
 
+import nrquad.expressions
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
 from nrquad.expressions import BinOp, Call, Const, Expression, Neg, Var, evaluate
 from nrquad.quadrature import Interval
@@ -210,3 +214,44 @@ def _adaptive(
     return _adaptive(f, a, m, fa, flm, fm, left, half_tol, depth + 1) + _adaptive(
         f, m, b, fm, frm, fb, right, half_tol, depth + 1
     )
+
+
+def count_scalar_calls(monkeypatch) -> list[int]:
+    """Counts, in its one item, the calls of every scalar evaluator compiled from now on."""
+    count = [0]
+    compile_scalar = nrquad.expressions._compile_scalar
+
+    def counting(e: Expression):
+        at = compile_scalar(e)
+
+        def counted(x: float) -> float:
+            count[0] += 1
+            return at(x)
+
+        return counted
+
+    monkeypatch.setattr(nrquad.expressions, "_compile_scalar", counting)
+    return count
+
+
+def record_batches(monkeypatch, before_batch=None) -> list[int]:
+    """Records the size of each batch run through a kernel compiled from now on.
+
+    ``before_batch``, if given, is called before each batch runs.
+    """
+    sizes: list[int] = []
+    compile_kernel = nrquad.expressions._compile_kernel
+
+    def recording(e: Expression):
+        kernel = compile_kernel(e)
+
+        def recorded(xs):
+            if before_batch is not None:
+                before_batch()
+            sizes.append(len(xs))
+            return kernel(xs)
+
+        return recorded
+
+    monkeypatch.setattr(nrquad.expressions, "_compile_kernel", recording)
+    return sizes

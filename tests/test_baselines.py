@@ -10,8 +10,6 @@ import pytest
 
 import nrquad.baselines
 import nrquad.cli
-import nrquad.newton
-import nrquad.quadrature
 import support
 from nrquad.baselines import (
     CHUNK,
@@ -27,9 +25,17 @@ from nrquad.baselines import (
     trapezoid,
 )
 from nrquad.cli import main
-from nrquad.expressions import evaluate, evaluate_many, parse, to_text
+from nrquad.expressions import _Compiled, evaluate, parse, to_text
 from nrquad.quadrature import Interval
-from support import SCALAR_RULES, poly_value, random_polynomial, random_tree, scalar_reference
+from support import (
+    SCALAR_RULES,
+    count_scalar_calls,
+    poly_value,
+    random_polynomial,
+    random_tree,
+    record_batches,
+    scalar_reference,
+)
 
 QUAD = parse("2*x^2+3*x+1")
 QUAD_INTERVAL = Interval(-0.5, 1.0)
@@ -257,8 +263,9 @@ class TestGridRulesMatchScalarOracle:
     def check(self, f, interval, n):
         """Compares every subset; returns the oracle's outcomes."""
         expected = {name: outcome(oracle, f, interval, n) for name, oracle in SCALAR_RULES.items()}
+        compiled = _Compiled(f)
         for names in self.SUBSETS:
-            results = _grid_rules(f, interval, n, names)
+            results = _grid_rules(compiled, interval, n, names)
             assert {name: as_outcome(result) for name, result in results.items()} == {
                 name: expected[name] for name in names
             }, (names, n)
@@ -310,14 +317,7 @@ class TestGridRulesMatchScalarOracle:
 class TestChunking:
     @pytest.fixture
     def batches(self, monkeypatch):
-        sizes = []
-
-        def recorded(e, xs):
-            sizes.append(len(xs))
-            return evaluate_many(e, xs)
-
-        monkeypatch.setattr(nrquad.baselines, "evaluate_many", recorded)
-        return sizes
+        return record_batches(monkeypatch)
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
     def test_no_batch_is_longer_than_a_chunk(self, rule, batches):
@@ -330,7 +330,7 @@ class TestChunking:
         # n - 1 interior nodes, n midpoints, a + 0*h, a + n*h, a and b; the
         # rules one at a time take 5n + 2 between them
         n = 3 * CHUNK + 2
-        _grid_rules(QUAD, QUAD_INTERVAL, n, list(SCALAR_RULES))
+        _grid_rules(_Compiled(QUAD), QUAD_INTERVAL, n, list(SCALAR_RULES))
         assert max(batches) <= CHUNK
         assert sum(batches) == 2 * n + 3
 
@@ -353,19 +353,11 @@ class TestChunking:
 
 
 class TestScalarEvaluationCounts:
-    """Scalar evaluate calls, counted as for the 78/13 pins in test_quadrature."""
+    """Scalar evaluator calls, counted as for the 76/13 pins in test_quadrature."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-
-        def counted(e, x):
-            count[0] += 1
-            return evaluate(e, x)
-
-        for module in (nrquad.quadrature, nrquad.newton, nrquad.baselines):
-            monkeypatch.setattr(module, "evaluate", counted)
-        return count
+        return count_scalar_calls(monkeypatch)
 
     @pytest.mark.parametrize("rule", [*RULES, reference_integral], ids=lambda rule: rule.__name__)
     def test_rules_make_no_scalar_calls(self, calls, rule):
@@ -461,14 +453,7 @@ class TestReferenceMatchesScalarOracle:
 class TestReferenceBatches:
     @pytest.fixture
     def batches(self, monkeypatch):
-        sizes = []
-
-        def recorded(e, xs):
-            sizes.append(len(xs))
-            return evaluate_many(e, xs)
-
-        monkeypatch.setattr(nrquad.baselines, "evaluate_many", recorded)
-        return sizes
+        return record_batches(monkeypatch)
 
     def test_quadratic_takes_five_points(self, batches):
         # the interval's ends and middle, then its two quarter points; Simpson
@@ -490,15 +475,11 @@ class TestReferenceBatches:
         class Stop(Exception):
             pass
 
-        count = [0]
-
-        def limited(e, xs):
-            count[0] += 1
-            if count[0] > 100:
+        def stop_after_100():
+            if len(batches) == 100:
                 raise Stop
-            return evaluate_many(e, xs)
 
-        monkeypatch.setattr(nrquad.baselines, "evaluate_many", limited)
+        batches = record_batches(monkeypatch, stop_after_100)
         tracemalloc.start()
         try:
             with pytest.raises(Stop):

@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -523,3 +525,46 @@ class TestEntryPoints:
         code, out, _ = run(["compare", *EXAMPLE, "--panels", "64"], capsys)
         assert code == 0 and "simpson" in out
         assert len(compiled) == 1
+
+    def test_each_compare_compiles_one_kernel_in_threads(self, monkeypatch):
+        # nothing is kept between calls, so threads that alternate expressions
+        # share no kernel, and each comparison compiles its own once
+        problems = [(parse("2*x^2+3*x+1"), Interval(-0.5, 1.0)), (parse("exp(x)-1"), Interval(0.0, 1.0))]
+        settings = NrQuadSettings()
+
+        def compare(j):
+            f, interval = problems[j]
+            return nrquad.cli._compare_doc(f, "f", interval, settings, 64, nrquad.cli.METHODS)
+
+        wants = [compare(j) for j in range(2)]
+        compiled = Counter()
+        compile_kernel = nrquad.expressions._compile_kernel
+
+        def counting(e):
+            compiled[threading.get_ident()] += 1
+            return compile_kernel(e)
+
+        monkeypatch.setattr(nrquad.expressions, "_compile_kernel", counting)
+        start = threading.Barrier(2, timeout=60)
+        wrong = [0, 0]
+        runs = 50
+
+        def work(k):
+            start.wait()
+            for i in range(runs):
+                j = (i + k) % 2
+                wrong[k] += compare(j) != wants[j]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == [0, 0]
+        assert sorted(compiled.values()) == [runs, runs]

@@ -3,13 +3,12 @@
 import math
 import random
 import struct
-import sys
-import threading
 
 import pytest
 
 from nrquad.baselines import CHUNK
 from nrquad.expressions import (
+    FUNCTION_NAMES,
     MAX_DEPTH,
     BinOp,
     Call,
@@ -23,6 +22,7 @@ from nrquad.expressions import (
     parse,
     simplify,
     to_text,
+    _Compiled,
 )
 from support import central_difference, random_polynomial, random_tree
 
@@ -219,13 +219,58 @@ class TestEvaluateMany:
         assert values == xs and values is not xs
 
 
+def compiled_bits(tree, points):
+    at = _Compiled(tree).at
+    return bits([at(x) for x in points])
+
+
+class TestScalarClosures:
+    """The compiled scalar evaluator, one closure per node, against evaluate."""
+
+    POINTS = TestEvaluateMany.POINTS
+
+    def test_bit_identical_to_scalar_evaluate_on_random_trees(self):
+        rng = random.Random(6061)
+        nan_count = 0
+        for _ in range(15_000):
+            e = random_tree(rng, rng.randint(1, 5))
+            for tree in (e, simplify(differentiate(e))):
+                want = bits([evaluate(tree, x) for x in self.POINTS])
+                assert compiled_bits(tree, self.POINTS) == want, to_text(tree)
+                nan_count += want.count("nan")
+        assert nan_count > 30_000
+
+    def test_bit_identical_on_any_tree_and_point(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        leaves = st.one_of(st.just(Var()), st.floats(allow_nan=False, allow_infinity=False).map(Const))
+        trees = st.recursive(
+            leaves,
+            lambda children: st.one_of(
+                st.builds(Neg, children),
+                st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+                st.builds(Call, st.sampled_from(sorted(FUNCTION_NAMES)), children),
+            ),
+            max_leaves=12,
+        )
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(trees, st.lists(st.floats(), min_size=1, max_size=4))
+        def check(tree, points):
+            assert compiled_bits(tree, points) == bits([evaluate(tree, x) for x in points])
+
+        check()
+
+
 class TestCompiledKernel:
-    """Cases that only a code generator can get wrong."""
+    """Cases that only a code generator can get wrong, for the kernel and the closures."""
 
     POINTS = TestEvaluateMany.POINTS
 
     def assert_matches_evaluate(self, tree, points=POINTS):
-        assert bits(evaluate_many(tree, points)) == bits([evaluate(tree, x) for x in points])
+        want = bits([evaluate(tree, x) for x in points])
+        assert bits(evaluate_many(tree, points)) == want
+        assert compiled_bits(tree, points) == want
 
     def test_300_level_neg_chain(self):
         # nested source would pass CPython's limit of 200 parentheses
@@ -245,8 +290,9 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("value", [-0.0, 1e308, 5e-324], ids=["-0.0", "1e308", "5e-324"])
     def test_extreme_constants_keep_their_bits(self, value):
         points = [-1.0, 0.0, 1.0, math.nan]
-        root = evaluate_many(Const(value), points)
-        assert [struct.pack("<d", v) for v in root] == [struct.pack("<d", value)] * len(points)
+        at = _Compiled(Const(value)).at
+        for root in (evaluate_many(Const(value), points), [at(x) for x in points]):
+            assert [struct.pack("<d", v) for v in root] == [struct.pack("<d", value)] * len(points)
         for tree in (
             BinOp("*", Var(), Const(value)),
             BinOp("+", Const(value), Neg(Var())),
@@ -261,33 +307,6 @@ class TestCompiledKernel:
         want = bits(evaluate_many(first, self.POINTS))
         assert bits(evaluate_many(second, self.POINTS)) == want
         assert bits(evaluate_many(first, self.POINTS)) == want
-
-    def test_threads_never_run_each_others_kernel(self):
-        exprs = [parse("x^2 + 1"), parse("-exp(x)")]
-        xs = [0.5 * i for i in range(-8, 9)]
-        wants = [[evaluate(e, x) for x in xs] for e in exprs]
-        start = threading.Barrier(2, timeout=60)
-        wrong = [0, 0]
-
-        def work(k):
-            # each call replaces the other thread's kernel, often while it compiles
-            start.wait()
-            for i in range(500):
-                j = (i + k) % 2
-                wrong[k] += evaluate_many(exprs[j], xs) != wants[j]
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == [0, 0]
 
 
 class TestDifferentiate:

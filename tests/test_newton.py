@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-import nrquad.newton
 from nrquad.expressions import differentiate, evaluate, parse, simplify
 from nrquad.newton import (
     DerivativeVanishedError,
@@ -16,7 +15,7 @@ from nrquad.newton import (
     newton_iterate,
     newton_step,
 )
-from support import poly_derivative, poly_value, random_polynomial
+from support import count_scalar_calls, poly_derivative, poly_value, random_polynomial
 
 QUAD = "2*x^2+3*x+1"
 
@@ -185,14 +184,7 @@ class TestNewtonIterate:
 class TestCarriedValues:
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-
-        def counted(e, x):
-            count[0] += 1
-            return evaluate(e, x)
-
-        monkeypatch.setattr(nrquad.newton, "evaluate", counted)
-        return count
+        return count_scalar_calls(monkeypatch)
 
     def test_step_uses_a_given_f_value(self, calls):
         f, df = _fdf(QUAD)

@@ -5,8 +5,6 @@ import random
 
 import pytest
 
-import nrquad.newton
-import nrquad.quadrature
 from nrquad.baselines import reference_integral
 from nrquad.expressions import differentiate, evaluate, parse, simplify
 from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, Termination, newton_step
@@ -19,7 +17,7 @@ from nrquad.quadrature import (
     panel_area,
     validate_problem,
 )
-from support import brute_force_rule
+from support import brute_force_rule, count_scalar_calls
 
 QUAD = "2*x^2+3*x+1"
 QUAD_INTERVAL = Interval(-0.5, 1.0)
@@ -232,20 +230,31 @@ class TestNrIntegrate:
             NrQuadSettings(tol_f=-1.0)
 
 
+class TestPowerClosedForm:
+    """The rule on x^k over [0, b], against its value in closed form.
+
+    Newton's step on x^k is x/k, so the iterates are b*q^n with q = 1 - 1/k,
+    panel n has area (1 + q^k)/(2k) * (b*q^n)^(k+1), and the panels sum to
+    b^(k+1) * (1 + q^k) / (2k * (1 - q^(k+1))).  The closing triangle covers
+    what the last iterate leaves of that sum's tail.
+    """
+
+    @pytest.mark.parametrize("b", [1.0, 2.0, 2.7])
+    @pytest.mark.parametrize("k", [1.5, 2.0, 3.0])
+    def test_value(self, k, b):
+        q = 1.0 - 1.0 / k
+        closed_form = b ** (k + 1) * (1.0 + q**k) / (2.0 * k * (1.0 - q ** (k + 1)))
+        settings = NrQuadSettings(tol_x=1e-12, closing_triangle=True)
+        result = nr_integrate(parse(f"x^{k!r}"), Interval(0.0, b), settings)
+        assert result.value == pytest.approx(closed_form, rel=1e-12, abs=0.0)
+
+
 class TestEvaluationCounts:
     """Integrand evaluations on the worked example, pinned; a change may lower them."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        count = [0]
-
-        def counted(e, x):
-            count[0] += 1
-            return evaluate(e, x)
-
-        for module in (nrquad.quadrature, nrquad.newton):
-            monkeypatch.setattr(module, "evaluate", counted)
-        return count
+        return count_scalar_calls(monkeypatch)
 
     # f and f' once at each of the 6 iterates, f at the last one, and with
     # validation 63 samples of f; f(b) and f'(b) come from the first step
@@ -253,7 +262,20 @@ class TestEvaluationCounts:
     def test_worked_example(self, calls, validate, expected):
         result = nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(validate=validate))
         assert len(result.panels) == 6
+        assert result.trace.termination is Termination.REACHED_TARGET
         assert calls[0] == expected
+
+    # f and f' at each iterate and f once at the last one, where the residual
+    # test has already evaluated it: 38 and 12 when the rule evaluated it again
+    @pytest.mark.parametrize(
+        "max_iter, termination, expected",
+        [(100, Termination.RESIDUAL_SMALL, 37), (5, Termination.MAX_ITERATIONS, 11)],
+    )
+    def test_last_residual_value_closes_the_rule(self, calls, max_iter, termination, expected):
+        settings = NrQuadSettings(tol_x=1e-30, max_iter=max_iter, validate=False)
+        result = nr_integrate(parse("x^3"), Interval(0.0, 1.0), settings)
+        assert result.trace.termination is termination
+        assert calls[0] == 2 * len(result.trace.steps) + 1 == expected
 
 
 class TestInterval:
