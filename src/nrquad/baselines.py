@@ -17,8 +17,7 @@ from collections.abc import Iterable
 from itertools import cycle
 
 from ._frozen import Frozen, set_field
-# nothing here calls evaluate; bench/tracing.py wraps it under this name
-from .expressions import Expression, _Compiled, evaluate  # noqa: F401
+from .expressions import Expression, _Compiled
 from .quadrature import Interval
 
 

@@ -28,18 +28,7 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .baselines import (  # noqa: F401 - bench/tracing.py wraps reference_integral under this name
-    DepthLimitError,
-    _grid_rules,
-    _reference_integral,
-    error_stats,
-    left_riemann,
-    midpoint,
-    reference_integral,
-    right_riemann,
-    simpson,
-    trapezoid,
-)
+from .baselines import DepthLimitError, _grid_rules, _reference_integral, error_stats
 from .expressions import Expression, _Compiled, parse
 from .newton import NewtonError
 from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, _nr_integrate, nr_integrate
@@ -51,14 +40,6 @@ EXIT_ITERATION = 3
 EXIT_WRITE = 4
 
 METHODS = ("nr", "midpoint", "trapezoid", "left-riemann", "right-riemann", "simpson")
-
-_BASELINES = {
-    "midpoint": midpoint,
-    "trapezoid": trapezoid,
-    "left-riemann": left_riemann,
-    "right-riemann": right_riemann,
-    "simpson": simpson,
-}
 
 REFERENCE_TOL = 1e-10
 
@@ -234,7 +215,7 @@ def _compare_doc(
     f = _Compiled(f)  # one scalar closure and one kernel for the reference, the rules and nr
     reference = _reference_integral(f, interval, tol=REFERENCE_TOL)
     # the baseline methods, by the name of their rule, run in one pass over the grid
-    rules = {method: _BASELINES[method].__name__ for method in methods if method in _BASELINES}
+    rules = {method: method.replace("-", "_") for method in methods if method != "nr"}
     outcomes = _grid_rules(f, interval, panels, rules.values())
     rows: list[dict[str, object]] = []
     nr_details = None

@@ -6,10 +6,10 @@ types, the source syntax, :func:`parse` and :func:`to_text` live in
 
 Evaluation is total: domain violations (``ln`` of a negative, division by
 zero, ...) yield NaN instead of raising, and callers are expected to check
-finiteness.  ``evaluate`` walks the tree.  A caller that evaluates one
-expression many times compiles it once into a ``_Compiled``: a closure per
-node for single points and straight-line code for batches
-(``evaluate_many``), each with the bits of ``evaluate``.
+finiteness.  ``evaluate`` walks the tree.  Inside the package each integrand
+is compiled once into a ``_Compiled``: a closure per node for single points
+(``at``) and straight-line code for batches (``many``), each with the bits
+of ``evaluate``.
 """
 
 from __future__ import annotations
@@ -73,27 +73,16 @@ def _eval(e: Expression, x: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def evaluate_many(e: Expression, xs: Sequence[float]) -> list[float]:
-    """Evaluate ``e`` at every point of ``xs``: ``[evaluate(e, x) for x in xs]``.
-
-    ``e`` is compiled into a kernel: straight-line Python with one
-    statement per operation, run in one loop over the batch.  A point
-    whose evaluation raises anywhere in the tree is NaN, as with
-    :func:`evaluate` (also where NaN would not reach the root:
-    ``pow(nan, 0) == 1``); every other value is bit-identical to it, the
-    same operations in the same order.  Nothing is kept between calls: a
-    caller that evaluates one expression in many batches compiles it once
-    into a ``_Compiled``.
-    """
-    return _compile_kernel(e)(xs)
-
-
 class _Compiled:
     """An expression compiled once for the calls of one computation.
 
-    ``at(x)`` is a scalar closure, built now; ``many(xs)`` runs the
-    batch kernel, compiled on the first batch.  Both give the bits of
-    :func:`evaluate`, NaN included where it gives NaN.
+    ``at(x)`` is a scalar closure, built now.  ``many(xs)`` is
+    ``[evaluate(e, x) for x in xs]`` through a kernel compiled on the first
+    batch: straight-line Python with one statement per operation, run in
+    one loop over the batch.  Both give the bits of :func:`evaluate`, the
+    same operations in the same order; a point whose evaluation raises
+    anywhere in the tree is NaN, as with :func:`evaluate` (also where NaN
+    would not reach the root: ``pow(nan, 0) == 1``).
     """
 
     __slots__ = ("expression", "at", "_kernel")

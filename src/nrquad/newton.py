@@ -16,8 +16,7 @@ from collections.abc import Callable
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-# nothing here calls evaluate; bench/tracing.py wraps it under this name
-from .expressions import Expression, _Compiled, evaluate  # noqa: F401
+from .expressions import Expression, _Compiled
 
 DERIVATIVE_EPSILON = 1e-12
 
@@ -57,6 +56,18 @@ class NonfiniteValueError(NewtonError):
         self.x = x
         self.f = f
         self.df = df
+
+
+class _OverflowedStepError(NonfiniteValueError):
+    """f and f' were finite at ``x``, but the step they give is not."""
+
+    def __init__(self, step: NewtonStep) -> None:
+        NewtonError.__init__(
+            self,
+            f"Newton step overflowed at x = {step.x_k!r} "
+            f"(f = {step.f_k!r}, f' = {step.df_k!r}, step = {step.step!r}, x_next = {step.x_next!r})",
+        )
+        self.x, self.f, self.df = step.x_k, step.f_k, step.df_k
 
 
 class NewtonStep(Frozen):
@@ -126,31 +137,23 @@ class StoppingCriteria(Frozen):
         set_field(self, "derivative_epsilon", derivative_epsilon)
 
 
-def newton_step(
-    f: Expression,
-    df: Expression,
-    x: float,
-    derivative_epsilon: float = DERIVATIVE_EPSILON,
-    *,
-    f_x: float | None = None,
-) -> NewtonStep:
+def newton_step(f: Expression, df: Expression, x: float, derivative_epsilon: float = DERIVATIVE_EPSILON) -> NewtonStep:
     """Take one Newton step from ``x``.
 
     The returned ``x_next`` is the x-intercept of the tangent drawn at
     ``(x, f(x))``, i.e. the solution of ``0 - f(x) = f'(x) * (x1 - x)``.
-    A caller that already holds ``f(x)`` passes it as ``f_x``, and only
-    ``f'(x)`` is evaluated.
 
     Raises:
         DerivativeVanishedError: if ``|f'(x)| <= derivative_epsilon``.
         NonfiniteValueError: if ``f(x)`` or ``f'(x)`` is NaN or infinite.
     """
-    return _step(_Compiled(f).at, _Compiled(df).at, x, derivative_epsilon, f_x)
+    return _step(_Compiled(f).at, _Compiled(df).at, x, derivative_epsilon)
 
 
 def _step(
     f: _Scalar, df: _Scalar, x: float, derivative_epsilon: float = DERIVATIVE_EPSILON, f_x: float | None = None
 ) -> NewtonStep:
+    """:func:`newton_step` on scalar evaluators; a caller that already holds f(x) passes it as ``f_x``."""
     f_k = f(x) if f_x is None else f_x
     df_k = df(x)
     if not (math.isfinite(f_k) and math.isfinite(df_k)):
@@ -161,14 +164,7 @@ def _step(
     return NewtonStep(x_k=x, f_k=f_k, df_k=df_k, step=step, x_next=x - step)
 
 
-def newton_iterate(
-    f: Expression,
-    df: Expression,
-    x0: float,
-    stop: StoppingCriteria | None = None,
-    *,
-    first: NewtonStep | None = None,
-) -> NewtonTrace:
+def newton_iterate(f: Expression, df: Expression, x0: float, stop: StoppingCriteria | None = None) -> NewtonTrace:
     """Iterate Newton steps from ``x0`` until a stopping criterion holds.
 
     Criteria are checked in a fixed priority order so traces are
@@ -180,19 +176,21 @@ def newton_iterate(
 
     Each point costs one evaluation of f and one of f': the value
     ``f(x_next)`` that the residual test needs is carried into the next
-    step.  A caller that has already taken the step from ``x0`` with
-    :func:`newton_step` passes it as ``first``, and it is used as is.
+    step.
 
     All failure modes are reported as terminations on the returned trace;
     this function does not raise.
     """
-    return _iterate(_Compiled(f).at, _Compiled(df).at, x0, stop, first)[0]
+    return _iterate(_Compiled(f).at, _Compiled(df).at, x0, stop)[0]
 
 
 def _iterate(
     f: _Scalar, df: _Scalar, x0: float, stop: StoppingCriteria | None = None, first: NewtonStep | None = None
 ) -> tuple[NewtonTrace, float | None]:
-    """:func:`newton_iterate` on scalar evaluators; also f(final_x) if it was evaluated, else None."""
+    """:func:`newton_iterate` on scalar evaluators; also f(final_x) if it was evaluated, else None.
+
+    A caller that has already taken the step from ``x0`` passes it as ``first``, and it is used as is.
+    """
     stop = stop if stop is not None else StoppingCriteria()
     step = first
     f_x = None if first is None else first.f_k

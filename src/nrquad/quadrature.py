@@ -25,20 +25,18 @@ import math
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-# nothing here calls evaluate or newton_iterate; bench/tracing.py wraps them under these names
-from .expressions import Expression, _Compiled, differentiate, evaluate, simplify  # noqa: F401
-from .newton import (  # noqa: F401
+from .expressions import Expression, _Compiled, differentiate, simplify
+from .newton import (
     DERIVATIVE_EPSILON,
     DerivativeVanishedError,
-    NewtonStep,
     NewtonTrace,
     NonfiniteValueError,
     StoppingCriteria,
     Termination,
     _iterate,
+    _OverflowedStepError,
     _Scalar,
     _step,
-    newton_iterate,
 )
 
 VALIDATION_SAMPLES = 64
@@ -48,6 +46,10 @@ class QuadStatus(str, Enum):
     OK = "ok"
     CLAMPED = "clamped"
     BUDGET_EXHAUSTED = "budget-exhausted"
+
+
+# a result's status, by why its iteration stopped; any other termination is ok
+_STATUS = {Termination.OVERSHOOT_CLAMPED: QuadStatus.CLAMPED, Termination.MAX_ITERATIONS: QuadStatus.BUDGET_EXHAUSTED}
 
 
 class Interval(Frozen):
@@ -110,42 +112,34 @@ class QuadResult(Frozen):
     of the uncovered sliver (zero after a clamp).
     """
 
-    __slots__ = ("value", "panels", "closing_area", "residual_gap", "trace", "status")
+    __slots__ = ("value", "panels", "closing_area", "residual_gap", "trace")
 
     def __init__(
-        self,
-        value: float,
-        panels: tuple[Panel, ...],
-        closing_area: float,
-        residual_gap: float,
-        trace: NewtonTrace,
-        status: QuadStatus,
+        self, value: float, panels: tuple[Panel, ...], closing_area: float, residual_gap: float, trace: NewtonTrace
     ) -> None:
         set_field(self, "value", value)
         set_field(self, "panels", panels)
         set_field(self, "closing_area", closing_area)
         set_field(self, "residual_gap", residual_gap)
         set_field(self, "trace", trace)
-        set_field(self, "status", status)
+
+    @property
+    def status(self) -> QuadStatus:
+        """``clamped`` after an overshoot clamp, ``budget-exhausted`` when the iterations ran out, else ``ok``."""
+        return _STATUS.get(self.trace.termination, QuadStatus.OK)
 
 
 class ValidationReport(Frozen):
     """Sampled precondition checks; heuristic, not a proof."""
 
-    __slots__ = ("monotone_increasing", "root_at_a", "derivative_positive_at_b", "samples", "messages")
+    __slots__ = ("monotone_increasing", "root_at_a", "derivative_positive_at_b", "messages")
 
     def __init__(
-        self,
-        monotone_increasing: bool,
-        root_at_a: bool,
-        derivative_positive_at_b: bool,
-        samples: int,
-        messages: tuple[str, ...],
+        self, monotone_increasing: bool, root_at_a: bool, derivative_positive_at_b: bool, messages: tuple[str, ...]
     ) -> None:
         set_field(self, "monotone_increasing", monotone_increasing)
         set_field(self, "root_at_a", root_at_a)
         set_field(self, "derivative_positive_at_b", derivative_positive_at_b)
-        set_field(self, "samples", samples)
         set_field(self, "messages", messages)
 
     @property
@@ -169,20 +163,17 @@ def panel_area(f_k: float, df_k: float, f_next: float) -> float:
     return 0.5 * (f_k / df_k) * (f_k + f_next)
 
 
-def validate_problem(f: Expression, interval: Interval, *, first: NewtonStep | None = None) -> ValidationReport:
+def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     """Check, by sampling, that the problem fits the rule's hypotheses.
 
-    Samples f at 64 equally spaced points and reports whether the values
-    are nondecreasing, whether |f(a)| is small relative to |f(b)|, and
-    whether f'(b) > 0.  Findings are returned, never raised.  A caller
-    that has already taken the Newton step from ``b`` passes it as
-    ``first``, and f(b) and f'(b) are taken from it.
+    Samples f at ``VALIDATION_SAMPLES`` (64) equally spaced points and
+    reports whether the values are nondecreasing, whether |f(a)| is small
+    relative to |f(b)|, and whether f'(b) > 0.  Findings are returned,
+    never raised.
     """
     f_at = _Compiled(f).at
-    if first is None:
-        b = interval.b
-        return _validate(f_at, interval, f_at(b), _Compiled(simplify(differentiate(f))).at(b))
-    return _validate(f_at, interval, first.f_k, first.df_k)
+    b = interval.b
+    return _validate(f_at, interval, f_at(b), _Compiled(simplify(differentiate(f))).at(b))
 
 
 def _validate(f: _Scalar, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
@@ -222,7 +213,6 @@ def _validate(f: _Scalar, interval: Interval, f_b: float, df_b: float) -> Valida
         monotone_increasing=monotone,
         root_at_a=root_at_a,
         derivative_positive_at_b=derivative_positive,
-        samples=VALIDATION_SAMPLES,
         messages=tuple(messages),
     )
 
@@ -277,6 +267,8 @@ def _nr_integrate(f: _Compiled, interval: Interval, settings: NrQuadSettings | N
     if trace.termination is Termination.DERIVATIVE_VANISHED:
         raise DerivativeVanishedError(trace.final_x, df_at(trace.final_x), DERIVATIVE_EPSILON)
     if trace.termination is Termination.NONFINITE_VALUE:
+        if trace.steps and not math.isfinite(trace.steps[-1].x_next):  # f and f' were finite there
+            raise _OverflowedStepError(trace.steps[-1])
         raise NonfiniteValueError(trace.final_x, f_at(trace.final_x), df_at(trace.final_x))
 
     if f_final is None:  # the iteration stopped before evaluating f there; after a clamp, final_x is a
@@ -295,18 +287,10 @@ def _nr_integrate(f: _Compiled, interval: Interval, settings: NrQuadSettings | N
         closing_area = 0.5 * (trace.final_x - a) * f_final
         value += closing_area
 
-    if trace.termination is Termination.OVERSHOOT_CLAMPED:
-        status = QuadStatus.CLAMPED
-    elif trace.termination is Termination.MAX_ITERATIONS:
-        status = QuadStatus.BUDGET_EXHAUSTED
-    else:
-        status = QuadStatus.OK
-
     return QuadResult(
         value=value,
         panels=tuple(panels),
         closing_area=closing_area,
         residual_gap=abs(trace.final_x - a),
         trace=trace,
-        status=status,
     )

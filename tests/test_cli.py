@@ -135,6 +135,13 @@ class TestExitStatuses:
         assert code == 3
         assert "nonfinite" in err
 
+    def test_overflowing_step_exits_3_and_names_the_step(self, capsys):
+        argv = ["integrate", "--expr", "1e300+1e-11*x", "--lower", "0", "--upper", "1", "--no-validate"]
+        code, out, err = run(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: Newton step overflowed at x = 1.0 (f = 1e+300, f' = 1e-11, step = inf, x_next = -inf)\n"
+
     def test_no_validate_skips_checks(self, capsys):
         code, out, _ = run(
             ["integrate", "--expr", "0-x", "--lower", "0", "--upper", "1", "--no-validate"], capsys

@@ -18,7 +18,6 @@ from nrquad.expressions import (
     Var,
     differentiate,
     evaluate,
-    evaluate_many,
     parse,
     simplify,
     to_text,
@@ -182,6 +181,8 @@ def bits(values):
 
 
 class TestEvaluateMany:
+    """The compiled batch kernel, ``_Compiled(e).many``, against evaluate."""
+
     # domain edges, signed zeros, overflow and nonfinite input among ordinary points
     POINTS = [-3.0, -1.0, -1e-300, -0.0, 0.0, 1e-8, 0.5, 1.0, 2.5, 1e308, math.inf, math.nan]
 
@@ -191,7 +192,7 @@ class TestEvaluateMany:
         for _ in range(15_000):
             e = random_tree(rng, rng.randint(1, 5))
             for tree in (e, simplify(differentiate(e))):
-                values = evaluate_many(tree, self.POINTS)
+                values = _Compiled(tree).many(self.POINTS)
                 assert bits(values) == bits([evaluate(tree, x) for x in self.POINTS]), to_text(tree)
                 nan_count += sum(map(math.isnan, values))
         # the corpus must keep exercising the NaN paths
@@ -203,19 +204,19 @@ class TestEvaluateMany:
         xs[size // 2] = 0.0
         for source in ("sin(x)/x", "ln(x)*sqrt(x)", "x^(-2)+exp(x)", "(1/x)^2"):
             f = parse(source)
-            assert bits(evaluate_many(f, xs)) == bits([evaluate(f, x) for x in xs]), source
+            assert bits(_Compiled(f).many(xs)) == bits([evaluate(f, x) for x in xs]), source
 
     def test_failure_is_nan_even_where_nan_does_not_propagate(self):
         # ln(-1) fails, and pow(nan, 0) == 1 would hide it
         f = BinOp("^", Call("ln", Var()), Const(0.0))
-        values = evaluate_many(f, [-1.0, 1.0])
+        values = _Compiled(f).many([-1.0, 1.0])
         assert math.isnan(values[0]) and math.isnan(evaluate(f, -1.0))
         assert values[1] == 1.0
 
     def test_returns_a_new_list(self):
-        assert evaluate_many(parse(QUAD), []) == []
+        assert _Compiled(parse(QUAD)).many([]) == []
         xs = [0.25, -1.0]
-        values = evaluate_many(Var(), xs)
+        values = _Compiled(Var()).many(xs)
         assert values == xs and values is not xs
 
 
@@ -269,7 +270,7 @@ class TestCompiledKernel:
 
     def assert_matches_evaluate(self, tree, points=POINTS):
         want = bits([evaluate(tree, x) for x in points])
-        assert bits(evaluate_many(tree, points)) == want
+        assert bits(_Compiled(tree).many(points)) == want
         assert compiled_bits(tree, points) == want
 
     def test_300_level_neg_chain(self):
@@ -277,7 +278,7 @@ class TestCompiledKernel:
         tree = Call("sin", Var())
         for _ in range(299):
             tree = Neg(tree)
-        assert evaluate_many(tree, [1.0]) == [-math.sin(1.0)]
+        assert _Compiled(tree).many([1.0]) == [-math.sin(1.0)]
         self.assert_matches_evaluate(tree)
 
     def test_300_level_left_leaning_binop_chain(self):
@@ -291,7 +292,7 @@ class TestCompiledKernel:
     def test_extreme_constants_keep_their_bits(self, value):
         points = [-1.0, 0.0, 1.0, math.nan]
         at = _Compiled(Const(value)).at
-        for root in (evaluate_many(Const(value), points), [at(x) for x in points]):
+        for root in (_Compiled(Const(value)).many(points), [at(x) for x in points]):
             assert [struct.pack("<d", v) for v in root] == [struct.pack("<d", value)] * len(points)
         for tree in (
             BinOp("*", Var(), Const(value)),
@@ -304,9 +305,9 @@ class TestCompiledKernel:
     def test_equal_but_distinct_expressions_give_the_same_bits(self):
         first, second = parse("ln(x)/x + sqrt(x)^3"), parse("ln(x)/x + sqrt(x)^3")
         assert first == second and first is not second
-        want = bits(evaluate_many(first, self.POINTS))
-        assert bits(evaluate_many(second, self.POINTS)) == want
-        assert bits(evaluate_many(first, self.POINTS)) == want
+        want = bits(_Compiled(first).many(self.POINTS))
+        assert bits(_Compiled(second).many(self.POINTS)) == want
+        assert bits(_Compiled(first).many(self.POINTS)) == want
 
 
 class TestDifferentiate:

@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from nrquad.expressions import differentiate, evaluate, parse, simplify
+from nrquad.expressions import _Compiled, differentiate, evaluate, parse, simplify
 from nrquad.newton import (
     DerivativeVanishedError,
     NonfiniteValueError,
     StoppingCriteria,
     Termination,
+    _iterate,
+    _step,
     newton_iterate,
     newton_step,
 )
@@ -182,18 +184,20 @@ class TestNewtonIterate:
 
 
 class TestCarriedValues:
+    """The values that nr_integrate carries between steps, through the private scalar functions."""
+
     @pytest.fixture
     def calls(self, monkeypatch):
         return count_scalar_calls(monkeypatch)
 
     def test_step_uses_a_given_f_value(self, calls):
-        f, df = _fdf(QUAD)
-        assert newton_step(f, df, 1.0, f_x=6.0) == newton_step(f, df, 1.0)
+        f, df = (_Compiled(e).at for e in _fdf(QUAD))
+        assert _step(f, df, 1.0, f_x=6.0) == _step(f, df, 1.0)
         assert calls[0] == 3
-        step = newton_step(f, df, 1.0, f_x=3.5)
+        step = _step(f, df, 1.0, f_x=3.5)
         assert (step.f_k, step.step) == (3.5, 0.5)
         with pytest.raises(NonfiniteValueError):
-            newton_step(f, df, 1.0, f_x=math.nan)
+            _step(f, df, 1.0, f_x=math.nan)
 
     def test_iteration_evaluates_f_and_df_once_per_point(self, calls):
         f, df = _fdf(QUAD)
@@ -202,14 +206,15 @@ class TestCarriedValues:
         assert calls[0] == 2 * len(trace.steps) == 8
 
     def test_a_given_first_step_is_reused(self, calls):
-        f, df = _fdf(QUAD)
+        f_expr, df_expr = _fdf(QUAD)
+        f, df = _Compiled(f_expr).at, _Compiled(df_expr).at
         stop = StoppingCriteria(target=-0.5, tol_x=0.01)
-        first = newton_step(f, df, 1.0)
+        first = _step(f, df, 1.0)
         calls[0] = 0
-        trace = newton_iterate(f, df, 1.0, stop, first=first)
+        trace, _ = _iterate(f, df, 1.0, stop, first)
         assert calls[0] == 2 * (len(trace.steps) - 1)
         assert trace.steps[0] is first
-        assert trace == newton_iterate(f, df, 1.0, stop)
+        assert trace == newton_iterate(f_expr, df_expr, 1.0, stop)
 
 
 class TestStoppingCriteria:

@@ -71,18 +71,18 @@ CASES = [
     ),
     (Panel(1.0, 0.5, 0.25), Panel(x_k=1.0, width=0.5, area=0.25), Panel(1.0, 0.5, 0.5), "Panel(x_k=1.0, width=0.5, area=0.25)"),
     (
-        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, TRACE, QuadStatus.OK),
-        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, TRACE, QuadStatus.OK),
-        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, TRACE, QuadStatus.CLAMPED),
+        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, TRACE),
+        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, TRACE),
+        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, NewtonTrace((STEP,), Termination.OVERSHOOT_CLAMPED, 0.5)),
         f"QuadResult(value=0.5, panels=(Panel(x_k=1.0, width=1.0, area=0.5),), closing_area=0.0, "
-        f"residual_gap=0.0, trace={TRACE!r}, status=<QuadStatus.OK: 'ok'>)",
+        f"residual_gap=0.0, trace={TRACE!r})",
     ),
     (
-        ValidationReport(True, True, False, 64, ("f'(b) = 0.0 is not positive",)),
-        ValidationReport(True, True, False, 64, ("f'(b) = 0.0 is not positive",)),
-        ValidationReport(True, True, True, 64, ()),
+        ValidationReport(True, True, False, ("f'(b) = 0.0 is not positive",)),
+        ValidationReport(True, True, False, ("f'(b) = 0.0 is not positive",)),
+        ValidationReport(True, True, True, ()),
         "ValidationReport(monotone_increasing=True, root_at_a=True, derivative_positive_at_b=False, "
-        "samples=64, messages=(\"f'(b) = 0.0 is not positive\",))",
+        "messages=(\"f'(b) = 0.0 is not positive\",))",
     ),
     (
         ErrorStats(3.3125, 3.375, 0.0625, 1.8518518518518519),
@@ -151,6 +151,21 @@ def test_class_patterns_bind_fields_in_order():
             assert (a, b, approx, reference, abs_error) == (-0.5, 1.0, 3.3125, 3.375, 0.0625)
         case _:
             pytest.fail("the interval pattern did not match")
+
+
+def test_quad_status_follows_the_termination():
+    expected = {
+        Termination.REACHED_TARGET: QuadStatus.OK,
+        Termination.RESIDUAL_SMALL: QuadStatus.OK,
+        Termination.STEP_SMALL: QuadStatus.OK,
+        Termination.OVERSHOOT_CLAMPED: QuadStatus.CLAMPED,
+        Termination.MAX_ITERATIONS: QuadStatus.BUDGET_EXHAUSTED,
+    }
+    for termination, status in expected.items():
+        result = QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, NewtonTrace((STEP,), termination, STEP.x_next))
+        assert result.status is status, termination
+    with pytest.raises(AttributeError):
+        result.status = QuadStatus.OK
 
 
 def test_equality_needs_the_same_class():
