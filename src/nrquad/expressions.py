@@ -7,9 +7,9 @@ types, the source syntax, :func:`parse` and :func:`to_text` live in
 Evaluation is total: domain violations (``ln`` of a negative, division by
 zero, ...) yield NaN instead of raising, and callers are expected to check
 finiteness.  ``evaluate`` walks the tree.  Inside the package each integrand
-is compiled once into a ``_Compiled``: a closure per node for single points
-(``at``) and straight-line code for batches (``many``), each with the bits
-of ``evaluate``.
+is compiled once into a ``_Compiled``: closures for single points (``at``),
+which read constant and ``x`` operands in place, and straight-line code for
+batches (``many``), each with the bits of ``evaluate``.
 """
 
 from __future__ import annotations
@@ -120,7 +120,7 @@ _OPERATORS: dict[str, Callable[[float, float], float]] = {
 
 
 def _closure(e: Expression) -> Callable[[float], float]:
-    # one closure per node, doing _eval's operations in _eval's order
+    # _eval's operations in _eval's order; a constant or x operand is read in place, not called
     match e:
         case Const(value):
             return lambda x: value
@@ -130,10 +130,26 @@ def _closure(e: Expression) -> Callable[[float], float]:
             inner = _closure(child)
             return lambda x: -inner(x)
         case BinOp(op, left, right):
-            fn, l, r = _OPERATORS[op], _closure(left), _closure(right)
+            fn = _OPERATORS[op]
+            if isinstance(left, Const):
+                c = left.value
+                if isinstance(right, Var):
+                    return lambda x: fn(c, x)
+                r = _closure(right)
+                return lambda x: fn(c, r(x))
+            if isinstance(right, Const):
+                c = right.value
+                if isinstance(left, Var):
+                    return lambda x: fn(x, c)
+                l = _closure(left)
+                return lambda x: fn(l(x), c)
+            l, r = _closure(left), _closure(right)
             return lambda x: fn(l(x), r(x))
         case Call(name, arg):
-            fn, inner = _FUNCTIONS[name], _closure(arg)
+            fn = _FUNCTIONS[name]
+            if isinstance(arg, Var):
+                return fn
+            inner = _closure(arg)
             return lambda x: fn(inner(x))
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -185,26 +201,6 @@ def _compile_kernel(e: Expression) -> Callable[[Sequence[float]], list[float]]:
     return names["kernel"]
 
 
-def _add(l: Expression, r: Expression) -> Expression:
-    return BinOp("+", l, r)
-
-
-def _sub(l: Expression, r: Expression) -> Expression:
-    return BinOp("-", l, r)
-
-
-def _mul(l: Expression, r: Expression) -> Expression:
-    return BinOp("*", l, r)
-
-
-def _div(l: Expression, r: Expression) -> Expression:
-    return BinOp("/", l, r)
-
-
-def _pow(l: Expression, r: Expression) -> Expression:
-    return BinOp("^", l, r)
-
-
 def differentiate(e: Expression) -> Expression:
     """Return the derivative of ``e`` with respect to ``x``.
 
@@ -214,52 +210,69 @@ def differentiate(e: Expression) -> Expression:
     base yields NaN.  The result is not simplified; pass it through
     :func:`simplify` for a tidier tree.
     """
+    return _derive(e, _RAW)
+
+
+def _derivative(e: Expression) -> Expression:
+    """``simplify(differentiate(e))``, built in one pass.
+
+    ``simplify`` rewrites bottom-up, so building each node of the derivative
+    through its rules, with every reused subtree of ``e`` simplified, gives
+    the same tree without building the unsimplified one.
+    """
+    return _derive(e, _SIMPLIFIED)
+
+
+def _derive(e: Expression, build: tuple) -> Expression:
+    # build = (binop, neg, call, reuse): the node constructors, and what a rule makes of a subtree of e it reuses
+    binop, neg, call, reuse = build
     match e:
         case Const(_):
             return Const(0.0)
         case Var():
             return Const(1.0)
         case Neg(child):
-            return Neg(differentiate(child))
-        case BinOp("+", left, right):
-            return _add(differentiate(left), differentiate(right))
-        case BinOp("-", left, right):
-            return _sub(differentiate(left), differentiate(right))
+            return neg(_derive(child, build))
+        case BinOp("+" | "-" as op, left, right):
+            return binop(op, _derive(left, build), _derive(right, build))
         case BinOp("*", left, right):
-            return _add(_mul(differentiate(left), right), _mul(left, differentiate(right)))
+            du_v = binop("*", _derive(left, build), reuse(right))
+            return binop("+", du_v, binop("*", reuse(left), _derive(right, build)))
         case BinOp("/", left, right):
-            numerator = _sub(_mul(differentiate(left), right), _mul(left, differentiate(right)))
-            return _div(numerator, _pow(right, Const(2.0)))
+            v = reuse(right)
+            du_v = binop("*", _derive(left, build), v)
+            numerator = binop("-", du_v, binop("*", reuse(left), _derive(right, build)))
+            return binop("/", numerator, binop("^", v, Const(2.0)))
         case BinOp("^", base, Const(c)):
-            scaled = _mul(Const(c), _pow(base, Const(c - 1.0)))
-            return _mul(scaled, differentiate(base))
+            scaled = binop("*", Const(c), binop("^", reuse(base), Const(c - 1.0)))
+            return binop("*", scaled, _derive(base, build))
         case BinOp("^", base, exponent):
             # u^v = exp(v*ln(u)):  (u^v)' = u^v * (v'*ln(u) + v*u'/u)
-            inner = _add(
-                _mul(differentiate(exponent), Call("ln", base)),
-                _mul(exponent, _div(differentiate(base), base)),
-            )
-            return _mul(_pow(base, exponent), inner)
+            u, v = reuse(base), reuse(exponent)
+            dv_ln_u = binop("*", _derive(exponent, build), call("ln", u))
+            inner = binop("+", dv_ln_u, binop("*", v, binop("/", _derive(base, build), u)))
+            return binop("*", binop("^", u, v), inner)
         case Call(name, arg):
-            return _mul(_outer_derivative(name, arg), differentiate(arg))
+            return binop("*", _outer_derivative(name, reuse(arg), build), _derive(arg, build))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _outer_derivative(name: str, u: Expression) -> Expression:
+def _outer_derivative(name: str, u: Expression, build: tuple) -> Expression:
+    binop, neg, call, _ = build
     if name == "sin":
-        return Call("cos", u)
+        return call("cos", u)
     if name == "cos":
-        return Neg(Call("sin", u))
+        return neg(call("sin", u))
     if name == "tan":
-        return _div(Const(1.0), _pow(Call("cos", u), Const(2.0)))
+        return binop("/", Const(1.0), binop("^", call("cos", u), Const(2.0)))
     if name == "exp":
-        return Call("exp", u)
+        return call("exp", u)
     if name == "ln":
-        return _div(Const(1.0), u)
+        return binop("/", Const(1.0), u)
     if name == "sqrt":
-        return _div(Const(1.0), _mul(Const(2.0), Call("sqrt", u)))
+        return binop("/", Const(1.0), binop("*", Const(2.0), call("sqrt", u)))
     # abs: the sign of the argument, undefined (NaN) at zero
-    return _div(u, Call("abs", u))
+    return binop("/", u, call("abs", u))
 
 
 def simplify(e: Expression) -> Expression:
@@ -273,60 +286,77 @@ def simplify(e: Expression) -> Expression:
         case Const(_) | Var():
             return e
         case Neg(child):
-            child = simplify(child)
-            match child:
-                case Const(value):
-                    return Const(-value)
-                case Neg(grandchild):
-                    return grandchild
-            return Neg(child)
+            return _simplify_neg(simplify(child))
         case BinOp(op, left, right):
             return _simplify_binop(op, simplify(left), simplify(right))
         case Call(name, arg):
-            arg = simplify(arg)
-            if isinstance(arg, Const):
-                value = evaluate(Call(name, arg), 0.0)
-                if math.isfinite(value):
-                    return Const(value)
-            return Call(name, arg)
+            return _simplify_call(name, simplify(arg))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _is_const(e: Expression, value: float) -> bool:
-    return isinstance(e, Const) and e.value == value
+def _simplify_neg(child: Expression) -> Expression:
+    match child:
+        case Const(value):
+            return Const(-value)
+        case Neg(grandchild):
+            return grandchild
+    return Neg(child)
+
+
+def _simplify_call(name: str, arg: Expression) -> Expression:
+    if isinstance(arg, Const):
+        folded = _fold(_FUNCTIONS[name], arg.value)
+        if folded is not None:
+            return folded
+    return Call(name, arg)
+
+
+def _fold(fn: Callable[..., float], *values: float) -> Const | None:
+    # the constant evaluate gives, unless it is NaN or infinite
+    try:
+        value = fn(*values)
+    except (ArithmeticError, ValueError):
+        return None
+    return Const(value) if math.isfinite(value) else None
 
 
 def _simplify_binop(op: str, left: Expression, right: Expression) -> Expression:
-    if isinstance(left, Const) and isinstance(right, Const):
-        value = evaluate(BinOp(op, left, right), 0.0)
-        if math.isfinite(value):
-            return Const(value)
+    l = left.value if isinstance(left, Const) else None
+    r = right.value if isinstance(right, Const) else None
+    if l is not None and r is not None:
+        folded = _fold(_OPERATORS[op], l, r)
+        if folded is not None:
+            return folded
     if op == "+":
-        if _is_const(left, 0.0):
+        if l == 0.0:
             return right
-        if _is_const(right, 0.0):
+        if r == 0.0:
             return left
     elif op == "-":
-        if _is_const(right, 0.0):
+        if r == 0.0:
             return left
-        if _is_const(left, 0.0):
+        if l == 0.0:
             return Neg(right)
     elif op == "*":
-        if _is_const(left, 1.0):
+        if l == 1.0:
             return right
-        if _is_const(right, 1.0):
+        if r == 1.0:
             return left
-        if _is_const(left, 0.0) or _is_const(right, 0.0):
+        if l == 0.0 or r == 0.0:
             return Const(0.0)
     elif op == "/":
-        if _is_const(right, 1.0):
+        if r == 1.0:
             return left
-        if _is_const(left, 0.0):
+        if l == 0.0:
             return Const(0.0)
     else:  # "^"
-        if _is_const(right, 1.0):
+        if r == 1.0:
             return left
-        if _is_const(right, 0.0) or _is_const(left, 1.0):
+        if r == 0.0 or l == 1.0:
             # pow(x, 0) == 1 and pow(1, y) == 1 for every float y, NaN included
             return Const(1.0)
     return BinOp(op, left, right)
+
+
+_RAW = (BinOp, Neg, Call, lambda e: e)
+_SIMPLIFIED = (_simplify_binop, _simplify_neg, _simplify_call, simplify)

@@ -25,7 +25,7 @@ import math
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, _Compiled, differentiate, simplify
+from .expressions import Expression, _Compiled, _derivative
 from .newton import (
     DERIVATIVE_EPSILON,
     DerivativeVanishedError,
@@ -173,7 +173,7 @@ def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     """
     f_at = _Compiled(f).at
     b = interval.b
-    return _validate(f_at, interval, f_at(b), _Compiled(simplify(differentiate(f))).at(b))
+    return _validate(f_at, interval, f_at(b), _Compiled(_derivative(f)).at(b))
 
 
 def _validate(f: _Scalar, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
@@ -231,7 +231,8 @@ def nr_integrate(
 
     Raises:
         DerivativeVanishedError / NonfiniteValueError: hard failures at
-            the start point or during iteration.
+            the start point or during iteration, or a nonfinite f where
+            the last panel closes.
         ValidationError: when ``settings.validate`` and the sampled checks
             fail.  A vanishing or nonfinite derivative at ``b`` is
             detected before validation, so it wins over a validation
@@ -248,7 +249,7 @@ def _nr_integrate(f: _Compiled, interval: Interval, settings: NrQuadSettings | N
     settings = settings if settings is not None else NrQuadSettings()
     a, b = interval.a, interval.b
     f_at = f.at
-    df_at = _Compiled(simplify(differentiate(f.expression))).at
+    df_at = _Compiled(_derivative(f.expression)).at
     # the first step checks f(b) and f'(b) before validation; validation and the iteration reuse it
     first = _step(f_at, df_at, b)
 
@@ -273,6 +274,8 @@ def _nr_integrate(f: _Compiled, interval: Interval, settings: NrQuadSettings | N
 
     if f_final is None:  # the iteration stopped before evaluating f there; after a clamp, final_x is a
         f_final = f_at(trace.final_x)
+    if not math.isfinite(f_final):  # it closes the last panel
+        raise NonfiniteValueError(trace.final_x, f_final, df_at(trace.final_x))
 
     panels: list[Panel] = []
     value = 0.0

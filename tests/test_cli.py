@@ -142,6 +142,12 @@ class TestExitStatuses:
         assert out == ""
         assert err == "error: Newton step overflowed at x = 1.0 (f = 1e+300, f' = 1e-11, step = inf, x_next = -inf)\n"
 
+    def test_nan_closing_the_last_panel_exits_3(self, capsys):
+        code, out, err = run(["integrate", "--expr", "sqrt(x)", "--lower", "0", "--upper", "1e-7"], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: nonfinite value at x = -1.0000000000000002e-07 (f = nan, f' = nan)\n"
+
     def test_no_validate_skips_checks(self, capsys):
         code, out, _ = run(
             ["integrate", "--expr", "0-x", "--lower", "0", "--upper", "1", "--no-validate"], capsys
@@ -352,6 +358,19 @@ class TestCompare:
         rows = [row for row in doc["rows"] if "error" not in row]
         assert rows and all(row["rel_error_pct"] is None for row in rows)
         assert '"rel_error_pct": null' in out
+
+    def test_nan_closing_the_last_panel_is_an_nr_error_row(self, capsys):
+        argv = ["compare", "--expr", "sqrt(x)", "--lower", "0", "--upper", "1e-7", "--format", "json"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        doc = strict_json(out)
+        assert doc["rows"][0] == {
+            "method": "nr",
+            "error": "nonfinite value at x = -1.0000000000000002e-07 (f = nan, f' = nan)",
+            "settings": "tol_x=1e-06",
+        }
+        assert doc["nr_details"] is None
+        assert all("value" in row for row in doc["rows"][1:-1])  # simpson's n = 3 is odd
 
     def test_method_subset_and_order(self, capsys):
         code, out, _ = run(

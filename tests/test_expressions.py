@@ -1,6 +1,7 @@
 """Parser, evaluator, derivative, simplifier, and printer tests."""
 
 import math
+import operator
 import random
 import struct
 
@@ -22,6 +23,7 @@ from nrquad.expressions import (
     simplify,
     to_text,
     _Compiled,
+    _derivative,
 )
 from support import central_difference, random_polynomial, random_tree
 
@@ -220,6 +222,20 @@ class TestEvaluateMany:
         assert values == xs and values is not xs
 
 
+def any_tree(st):
+    """A hypothesis strategy for any expression tree with finite constants, up to 12 leaves."""
+    leaves = st.one_of(st.just(Var()), st.floats(allow_nan=False, allow_infinity=False).map(Const))
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.builds(Neg, children),
+            st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
+            st.builds(Call, st.sampled_from(sorted(FUNCTION_NAMES)), children),
+        ),
+        max_leaves=12,
+    )
+
+
 def compiled_bits(tree, points):
     at = _Compiled(tree).at
     return bits([at(x) for x in points])
@@ -244,19 +260,9 @@ class TestScalarClosures:
     def test_bit_identical_on_any_tree_and_point(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = hypothesis.strategies
-        leaves = st.one_of(st.just(Var()), st.floats(allow_nan=False, allow_infinity=False).map(Const))
-        trees = st.recursive(
-            leaves,
-            lambda children: st.one_of(
-                st.builds(Neg, children),
-                st.builds(BinOp, st.sampled_from("+-*/^"), children, children),
-                st.builds(Call, st.sampled_from(sorted(FUNCTION_NAMES)), children),
-            ),
-            max_leaves=12,
-        )
 
         @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
-        @hypothesis.given(trees, st.lists(st.floats(), min_size=1, max_size=4))
+        @hypothesis.given(any_tree(st), st.lists(st.floats(), min_size=1, max_size=4))
         def check(tree, points):
             assert compiled_bits(tree, points) == bits([evaluate(tree, x) for x in points])
 
@@ -301,6 +307,68 @@ class TestCompiledKernel:
             Call("sqrt", BinOp("/", Const(value), Var())),
         ):
             self.assert_matches_evaluate(tree, points)
+
+    @pytest.mark.parametrize("op", "+-*/^")
+    def test_constant_and_x_operands_on_either_side(self, op):
+        # a constant, or x beside a constant, is read in place; x beside a subtree takes the general path
+        other = Call("sin", Var())
+        for c in (0.0, -0.0, 2.5, -3.0, 1e308):
+            for tree in (
+                BinOp(op, Const(c), Var()),
+                BinOp(op, Var(), Const(c)),
+                BinOp(op, Const(c), other),
+                BinOp(op, other, Const(c)),
+                BinOp(op, Const(c), Const(-1.5)),
+            ):
+                self.assert_matches_evaluate(tree)
+        for left, right in ((Var(), other), (other, Var()), (Var(), Var()), (other, other)):
+            self.assert_matches_evaluate(BinOp(op, left, right))
+
+    def test_constant_over_signed_zero_x_is_nan(self):
+        tree = BinOp("/", Const(1.0), Var())
+        self.assert_matches_evaluate(tree, [0.0, -0.0])
+        assert all(math.isnan(_Compiled(tree).at(x)) for x in (0.0, -0.0))
+
+    def test_overflowing_power_of_x_is_nan(self):
+        tree = BinOp("^", Var(), Const(3.0))
+        self.assert_matches_evaluate(tree, [1e200, -1e200, 1e100])
+        assert math.isnan(_Compiled(tree).at(1e200))
+        # a product overflows to infinity without raising
+        self.assert_matches_evaluate(BinOp("*", Var(), Const(1e308)), [10.0, -10.0])
+
+    @pytest.mark.parametrize("name", sorted(FUNCTION_NAMES))
+    def test_each_function_of_x_at_a_domain_error(self, name):
+        # the closure of name(x) is the function itself, so its error must reach the root's handler
+        failing = {"sin": math.inf, "cos": -math.inf, "tan": math.inf, "exp": 1000.0, "ln": -1.0, "sqrt": -1.0}
+        point = failing.get(name, math.nan)  # abs raises for no float
+        for tree in (Call(name, Var()), BinOp("+", Call(name, Var()), Const(1.0)), Neg(Call(name, Var()))):
+            self.assert_matches_evaluate(tree, [point, *self.POINTS])
+            assert math.isnan(_Compiled(tree).at(point))
+
+    def test_negated_zero_constant_is_negative_zero(self):
+        for tree in (Neg(Const(0.0)), Neg(Var()), BinOp("*", Neg(Const(0.0)), Var())):
+            self.assert_matches_evaluate(tree)
+        assert struct.pack("<d", _Compiled(Neg(Const(0.0))).at(1.0)) == struct.pack("<d", -0.0)
+
+    def test_int_points_keep_the_type_evaluate_gives(self):
+        # Interval(0, 2) keeps int bounds, so the rule evaluates f at int points
+        points = [0, 1, 2, -3]
+        for tree in (
+            Var(),
+            Call("abs", Var()),
+            Neg(Var()),
+            BinOp("*", Var(), Var()),
+            BinOp("+", Const(1.0), Var()),
+            BinOp("-", Var(), Call("abs", Var())),
+            BinOp("/", Var(), Const(2.0)),
+            BinOp("^", Var(), Const(2.0)),
+            Call("sqrt", Var()),
+        ):
+            at = _Compiled(tree).at
+            values = [at(x) for x in points]
+            want = [evaluate(tree, x) for x in points]
+            assert bits(values) == bits(want), tree
+            assert [type(v) for v in values] == [type(v) for v in want], tree
 
     def test_equal_but_distinct_expressions_give_the_same_bits(self):
         first, second = parse("ln(x)/x + sqrt(x)^3"), parse("ln(x)/x + sqrt(x)^3")
@@ -428,6 +496,91 @@ class TestSimplify:
                 after = evaluate(s, x)
                 if math.isfinite(before) and math.isfinite(after):
                     assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
+
+
+def same_tree(first, second):
+    # repr spells every constant exactly, so this tells 0.0 from -0.0 where == does not
+    return first == second and repr(first) == repr(second)
+
+
+# the term templates of the benchmark's corpora, with a coefficient and a degree filled in
+CORPUS_TERMS = [
+    "1.3*x",
+    "0.7*x^2",
+    "2.25*x^3",
+    "1.1*(exp(x)-1)",
+    "0.4*ln(x+1)",
+    "2.9*(sqrt(x+1)-1)",
+    "1.7*sin(x/4)",
+    "0.2*x*sqrt(x)",
+]
+
+
+class TestOnePassDerivative:
+    """``_derivative(e)`` is ``simplify(differentiate(e))`` node for node."""
+
+    def test_equals_simplified_differentiate_on_random_trees(self):
+        rng = random.Random(7070)
+        for _ in range(20_000):
+            e = random_tree(rng, rng.randint(1, 5))
+            assert same_tree(_derivative(e), simplify(differentiate(e))), to_text(e)
+
+    def test_equals_on_the_corpus_terms_and_their_sums(self):
+        sums = [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS] + ["+".join(CORPUS_TERMS)]
+        for source in CORPUS_TERMS + sums:
+            e = parse(source)
+            assert same_tree(_derivative(e), simplify(differentiate(e))), source
+
+    def test_equals_on_any_tree(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(any_tree(hypothesis.strategies))
+        def check(tree):
+            assert same_tree(_derivative(tree), simplify(differentiate(tree)))
+
+        check()
+
+    def test_agrees_with_sympy(self):
+        # an independent oracle: sympy differentiates symbolically, lambdify evaluates with the math module
+        sympy = pytest.importorskip("sympy")
+        x = sympy.Symbol("x", real=True)
+        functions = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "exp": sympy.exp, "ln": sympy.log,
+                     "sqrt": sympy.sqrt, "abs": sympy.Abs}
+        operations = dict(zip("+-*/^", (operator.add, operator.sub, operator.mul, operator.truediv, operator.pow)))
+
+        def to_sympy(e):
+            match e:
+                case Const(value):
+                    return sympy.Float(value)
+                case Var():
+                    return x
+                case Neg(child):
+                    return -to_sympy(child)
+                case BinOp(op, left, right):
+                    return operations[op](to_sympy(left), to_sympy(right))
+                case Call(name, arg):
+                    return functions[name](to_sympy(arg))
+
+        rng = random.Random(8080)
+        compared = 0
+        for _ in range(400):
+            e = random_tree(rng, rng.randint(1, 4))
+            oracle = sympy.lambdify(x, sympy.diff(to_sympy(e), x), "math")
+            derivative = _derivative(e)
+            for point in (-2.3, -0.7, 0.4, 1.3, 2.9):
+                if not math.isfinite(evaluate(e, point)):
+                    continue  # no derivative where f is undefined
+                try:
+                    # sympy may leave re, im or a complex value where the tree is NaN
+                    want = float(oracle(point))
+                except (ArithmeticError, ValueError, TypeError, NameError):
+                    continue
+                got = evaluate(derivative, point)
+                if math.isfinite(want) and math.isfinite(got):
+                    compared += 1
+                    assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (to_text(e), point)
+        assert compared > 1_500
 
 
 class TestToText:

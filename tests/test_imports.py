@@ -2,7 +2,8 @@
 
 No linter ships with the toolchain, so this is a small ``ast`` check: a
 name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the same module, annotations included.
+read somewhere in the same module, annotations included.  A size check
+rides along: no module may be larger than ``MAX_MODULE_BYTES``.
 """
 
 import ast
@@ -44,3 +45,14 @@ def test_the_check_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_module_level_import_is_used(path):
     assert unused_imports(path.read_text(), RE_EXPORTED.get(path.name, frozenset())) == []
+
+
+# A process that compiles nrquad from source (no .pyc written) keeps memory in
+# proportion to its largest module (README, "Cost of integrate"), so the bound
+# is absolute: the size of cli.py, the largest module when it was set.
+MAX_MODULE_BYTES = 14_417
+
+
+def test_no_module_is_larger_than_the_bound():
+    sizes = {path.name: path.stat().st_size for path in MODULES}
+    assert {name: size for name, size in sizes.items() if size > MAX_MODULE_BYTES} == {}

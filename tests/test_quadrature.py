@@ -230,6 +230,25 @@ class TestNrIntegrate:
         )
         assert (caught.value.x, caught.value.f, caught.value.df) == (1.0, 1e300, 1e-11)
 
+    def test_nonfinite_value_closing_the_last_panel_raises(self):
+        # the step from b = 1e-7 lands at -1e-7, within tol_x of a = 0 but below it, where sqrt is NaN
+        with pytest.raises(NonfiniteValueError) as caught:
+            nr_integrate(parse("sqrt(x)"), Interval(0.0, 1e-7))
+        assert caught.value.x == -1.0000000000000002e-07
+        assert math.isnan(caught.value.f) and math.isnan(caught.value.df)
+        # a clamp onto a NaN f(a), which validation would have refused
+        with pytest.raises(NonfiniteValueError) as caught:
+            nr_integrate(parse("sqrt(x)"), Interval(-0.5, 2.0), NrQuadSettings(validate=False))
+        assert caught.value.x == -0.5 and math.isnan(caught.value.f)
+
+    def test_reaching_the_target_just_below_a_with_a_finite_value_is_a_result(self):
+        # reached-target is tested before the clamp, so this stops 1.7e-9 below a with a finite f there
+        f = parse("0.48*(exp(x)-1)+0.54*x+2.03*(sqrt(x+1)-1)+0.27*ln(x+1)")
+        result = nr_integrate(f, Interval(0.0, 1.395))
+        assert result.trace.termination is Termination.REACHED_TARGET
+        assert -1e-6 < result.trace.final_x < 0.0
+        assert result.status is QuadStatus.OK and math.isfinite(result.value)
+
     def test_settings_validation(self):
         with pytest.raises(ValueError):
             NrQuadSettings(tol_x=0.0)
