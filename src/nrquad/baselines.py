@@ -47,7 +47,7 @@ class ErrorStats(Frozen):
 
 
 CHUNK = 256
-"""Points per batch through the compiled kernel: the uniform rules' interior nodes
+"""Points per batch through the compiled integrand's ``many``: the uniform rules' interior nodes
 or midpoints (``CHUNK // 2`` of each when both are needed), or the
 reference's quarter points of ``CHUNK // 2`` panels.
 

@@ -212,7 +212,7 @@ def render(command: str, doc: dict[str, object], format: str) -> str:
 def _compare_doc(
     f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
 ) -> dict[str, object]:
-    f = _Compiled(f)  # one scalar closure and one kernel for the reference, the rules and nr
+    f = _Compiled(f)  # one scalar closure and one chain for the reference, the rules and nr
     reference = _reference_integral(f, interval, tol=REFERENCE_TOL)
     # the baseline methods, by the name of their rule, run in one pass over the grid
     rules = {method: method.replace("-", "_") for method in methods if method != "nr"}

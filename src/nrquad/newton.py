@@ -103,10 +103,11 @@ class StoppingCriteria(Frozen):
 
     ``tol_f = None`` resolves at iteration start to ``1e-9 * max(1, |f(x0)|)``
     so the residual test is scale-aware.  ``target``, when set, is the
-    point the iterates are expected to approach from above.
+    point the iterates are expected to approach from above.  A derivative
+    vanishes at ``|f'(x)| <= DERIVATIVE_EPSILON``, a module constant.
     """
 
-    __slots__ = ("target", "tol_x", "tol_f", "tol_step", "max_iter", "derivative_epsilon")
+    __slots__ = ("target", "tol_x", "tol_f", "tol_step", "max_iter")
 
     def __init__(
         self,
@@ -115,7 +116,6 @@ class StoppingCriteria(Frozen):
         tol_f: float | None = None,
         tol_step: float = 1e-12,
         max_iter: int = 100,
-        derivative_epsilon: float = DERIVATIVE_EPSILON,
     ) -> None:
         if target is not None and not math.isfinite(target):
             raise ValueError(f"target must be finite, got {target!r}")
@@ -127,39 +127,34 @@ class StoppingCriteria(Frozen):
             raise ValueError(f"tol_step must be positive, got {tol_step!r}")
         if max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-        if not derivative_epsilon > 0:
-            raise ValueError(f"derivative_epsilon must be positive, got {derivative_epsilon!r}")
         set_field(self, "target", target)
         set_field(self, "tol_x", tol_x)
         set_field(self, "tol_f", tol_f)
         set_field(self, "tol_step", tol_step)
         set_field(self, "max_iter", max_iter)
-        set_field(self, "derivative_epsilon", derivative_epsilon)
 
 
-def newton_step(f: Expression, df: Expression, x: float, derivative_epsilon: float = DERIVATIVE_EPSILON) -> NewtonStep:
+def newton_step(f: Expression, df: Expression, x: float) -> NewtonStep:
     """Take one Newton step from ``x``.
 
     The returned ``x_next`` is the x-intercept of the tangent drawn at
     ``(x, f(x))``, i.e. the solution of ``0 - f(x) = f'(x) * (x1 - x)``.
 
     Raises:
-        DerivativeVanishedError: if ``|f'(x)| <= derivative_epsilon``.
+        DerivativeVanishedError: if ``|f'(x)| <= DERIVATIVE_EPSILON``.
         NonfiniteValueError: if ``f(x)`` or ``f'(x)`` is NaN or infinite.
     """
-    return _step(_Compiled(f).at, _Compiled(df).at, x, derivative_epsilon)
+    return _step(_Compiled(f).at, _Compiled(df).at, x)
 
 
-def _step(
-    f: _Scalar, df: _Scalar, x: float, derivative_epsilon: float = DERIVATIVE_EPSILON, f_x: float | None = None
-) -> NewtonStep:
+def _step(f: _Scalar, df: _Scalar, x: float, f_x: float | None = None) -> NewtonStep:
     """:func:`newton_step` on scalar evaluators; a caller that already holds f(x) passes it as ``f_x``."""
     f_k = f(x) if f_x is None else f_x
     df_k = df(x)
     if not (math.isfinite(f_k) and math.isfinite(df_k)):
         raise NonfiniteValueError(x, f_k, df_k)
-    if abs(df_k) <= derivative_epsilon:
-        raise DerivativeVanishedError(x, df_k, derivative_epsilon)
+    if abs(df_k) <= DERIVATIVE_EPSILON:
+        raise DerivativeVanishedError(x, df_k, DERIVATIVE_EPSILON)
     step = f_k / df_k
     return NewtonStep(x_k=x, f_k=f_k, df_k=df_k, step=step, x_next=x - step)
 
@@ -186,8 +181,13 @@ def newton_iterate(f: Expression, df: Expression, x0: float, stop: StoppingCrite
 
 def _iterate(
     f: _Scalar, df: _Scalar, x0: float, stop: StoppingCriteria | None = None, first: NewtonStep | None = None
-) -> tuple[NewtonTrace, float | None]:
-    """:func:`newton_iterate` on scalar evaluators; also f(final_x) if it was evaluated, else None.
+) -> tuple[NewtonTrace, float | None, NewtonError | None]:
+    """:func:`newton_iterate` on scalar evaluators; also f(final_x) and the error that ended the iteration.
+
+    f(final_x) is None where the iteration did not evaluate it.  The error is
+    the one a nonfinite-value or derivative-vanished termination caught, or an
+    ``_OverflowedStepError`` when f and f' were finite but their step was not;
+    for every other termination it is None.
 
     A caller that has already taken the step from ``x0`` passes it as ``first``, and it is used as is.
     """
@@ -206,23 +206,23 @@ def _iterate(
     for _ in range(stop.max_iter):
         if step is None:
             try:
-                step = _step(f, df, x, stop.derivative_epsilon, f_x)
-            except NonfiniteValueError:
-                return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None
-            except DerivativeVanishedError:
-                return NewtonTrace(tuple(steps), Termination.DERIVATIVE_VANISHED, x), None
+                step = _step(f, df, x, f_x)
+            except NonfiniteValueError as error:
+                return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None, error
+            except DerivativeVanishedError as error:
+                return NewtonTrace(tuple(steps), Termination.DERIVATIVE_VANISHED, x), None, error
         steps.append(step)
-        if not math.isfinite(step.x_next):
-            return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None
+        if not math.isfinite(step.x_next):  # f and f' were finite at x
+            return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None, _OverflowedStepError(step)
         if stop.target is not None and abs(step.x_next - stop.target) <= stop.tol_x:
-            return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, step.x_next), None
+            return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, step.x_next), None, None
         f_x = f(step.x_next)
         if math.isfinite(f_x) and abs(f_x) <= tol_f:
-            return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next), f_x
+            return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next), f_x, None
         if abs(step.step) <= stop.tol_step:
-            return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next), f_x
+            return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next), f_x, None
         if descending and step.x_next < stop.target:
-            return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, stop.target), None
+            return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, stop.target), None, None
         x = step.x_next
         step = None
-    return NewtonTrace(tuple(steps), Termination.MAX_ITERATIONS, x), f_x
+    return NewtonTrace(tuple(steps), Termination.MAX_ITERATIONS, x), f_x, None

@@ -27,14 +27,11 @@ from enum import Enum
 from ._frozen import Frozen, set_field
 from .expressions import Expression, _Compiled, _derivative
 from .newton import (
-    DERIVATIVE_EPSILON,
-    DerivativeVanishedError,
     NewtonTrace,
     NonfiniteValueError,
     StoppingCriteria,
     Termination,
     _iterate,
-    _OverflowedStepError,
     _Scalar,
     _step,
 )
@@ -264,13 +261,9 @@ def _nr_integrate(f: _Compiled, interval: Interval, settings: NrQuadSettings | N
         tol_f=settings.tol_f,
         max_iter=settings.max_iter,
     )
-    trace, f_final = _iterate(f_at, df_at, b, stop, first)
-    if trace.termination is Termination.DERIVATIVE_VANISHED:
-        raise DerivativeVanishedError(trace.final_x, df_at(trace.final_x), DERIVATIVE_EPSILON)
-    if trace.termination is Termination.NONFINITE_VALUE:
-        if trace.steps and not math.isfinite(trace.steps[-1].x_next):  # f and f' were finite there
-            raise _OverflowedStepError(trace.steps[-1])
-        raise NonfiniteValueError(trace.final_x, f_at(trace.final_x), df_at(trace.final_x))
+    trace, f_final, error = _iterate(f_at, df_at, b, stop, first)
+    if error is not None:
+        raise error
 
     if f_final is None:  # the iteration stopped before evaluating f there; after a clamp, final_x is a
         f_final = f_at(trace.final_x)

@@ -8,7 +8,8 @@ integral, which sample through the scalar ``evaluate`` one point at a
 time, as the package did before it batched.
 
 The counting hooks wrap what the package compiles each integrand into:
-every scalar evaluator (``_Compiled.at``) and every batch kernel.
+every scalar evaluator (``_Compiled.at``) and every batch evaluator
+(``_Compiled.many``'s chain of ``map`` iterators).
 """
 
 from __future__ import annotations
@@ -235,23 +236,23 @@ def count_scalar_calls(monkeypatch) -> list[int]:
 
 
 def record_batches(monkeypatch, before_batch=None) -> list[int]:
-    """Records the size of each batch run through a kernel compiled from now on.
+    """Records the size of each batch run through a batch evaluator compiled from now on.
 
     ``before_batch``, if given, is called before each batch runs.
     """
     sizes: list[int] = []
-    compile_kernel = nrquad.expressions._compile_kernel
+    compile_batch = nrquad.expressions._compile_batch
 
-    def recording(e: Expression):
-        kernel = compile_kernel(e)
+    def recording(e: Expression, at):
+        many = compile_batch(e, at)
 
         def recorded(xs):
             if before_batch is not None:
                 before_batch()
             sizes.append(len(xs))
-            return kernel(xs)
+            return many(xs)
 
         return recorded
 
-    monkeypatch.setattr(nrquad.expressions, "_compile_kernel", recording)
+    monkeypatch.setattr(nrquad.expressions, "_compile_batch", recording)
     return sizes

@@ -539,22 +539,22 @@ class TestEntryPoints:
         assert code == nrquad.cli.EXIT_WRITE
         assert err == f"error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
-    def test_compare_compiles_one_kernel(self, capsys, monkeypatch):
+    def test_compare_compiles_one_batch_evaluator(self, capsys, monkeypatch):
         compiled = []
 
-        def counting(e):
+        def counting(e, at):
             compiled.append(e)
-            return compile_kernel(e)
+            return compile_batch(e, at)
 
-        compile_kernel = nrquad.expressions._compile_kernel
-        monkeypatch.setattr(nrquad.expressions, "_compile_kernel", counting)
+        compile_batch = nrquad.expressions._compile_batch
+        monkeypatch.setattr(nrquad.expressions, "_compile_batch", counting)
         code, out, _ = run(["compare", *EXAMPLE, "--panels", "64"], capsys)
         assert code == 0 and "simpson" in out
         assert len(compiled) == 1
 
-    def test_each_compare_compiles_one_kernel_in_threads(self, monkeypatch):
+    def test_each_compare_compiles_one_batch_evaluator_in_threads(self, monkeypatch):
         # nothing is kept between calls, so threads that alternate expressions
-        # share no kernel, and each comparison compiles its own once
+        # share no batch evaluator, and each comparison compiles its own once
         problems = [(parse("2*x^2+3*x+1"), Interval(-0.5, 1.0)), (parse("exp(x)-1"), Interval(0.0, 1.0))]
         settings = NrQuadSettings()
 
@@ -564,13 +564,13 @@ class TestEntryPoints:
 
         wants = [compare(j) for j in range(2)]
         compiled = Counter()
-        compile_kernel = nrquad.expressions._compile_kernel
+        compile_batch = nrquad.expressions._compile_batch
 
-        def counting(e):
+        def counting(e, at):
             compiled[threading.get_ident()] += 1
-            return compile_kernel(e)
+            return compile_batch(e, at)
 
-        monkeypatch.setattr(nrquad.expressions, "_compile_kernel", counting)
+        monkeypatch.setattr(nrquad.expressions, "_compile_batch", counting)
         start = threading.Barrier(2, timeout=60)
         wrong = [0, 0]
         runs = 50

@@ -183,7 +183,7 @@ def bits(values):
 
 
 class TestEvaluateMany:
-    """The compiled batch kernel, ``_Compiled(e).many``, against evaluate."""
+    """The compiled batch evaluator, ``_Compiled(e).many``, against evaluate."""
 
     # domain edges, signed zeros, overflow and nonfinite input among ordinary points
     POINTS = [-3.0, -1.0, -1e-300, -0.0, 0.0, 1e-8, 0.5, 1.0, 2.5, 1e308, math.inf, math.nan]
@@ -270,7 +270,7 @@ class TestScalarClosures:
 
 
 class TestCompiledKernel:
-    """Cases that only a code generator can get wrong, for the kernel and the closures."""
+    """Cases that only a code generator can get wrong, for the batch chain and the closures."""
 
     POINTS = TestEvaluateMany.POINTS
 
@@ -280,7 +280,7 @@ class TestCompiledKernel:
         assert compiled_bits(tree, points) == want
 
     def test_300_level_neg_chain(self):
-        # nested source would pass CPython's limit of 200 parentheses
+        # 300 nested maps, and 300 nested closures
         tree = Call("sin", Var())
         for _ in range(299):
             tree = Neg(tree)
@@ -484,6 +484,13 @@ class TestSimplify:
         # 1/0 folds to nothing (stays a division) because the result is not finite
         e = simplify(parse("1/0"))
         assert math.isnan(evaluate(e, 1.0))
+
+    @pytest.mark.parametrize("source", ["0*ln(x)", "ln(x)*0", "0/ln(x)", "ln(x)^0", "1^ln(x)"])
+    def test_zero_and_one_rewrites_define_what_was_undefined(self, source):
+        # simplify's documented exception: these rewrites shape the f' trees, so they stay
+        e = parse(source)
+        assert math.isnan(evaluate(e, -1.0))
+        assert evaluate(simplify(e), -1.0) == (1.0 if "^" in source else 0.0)
 
     def test_preserves_values_on_random_trees(self):
         rng = random.Random(99)

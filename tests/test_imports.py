@@ -2,8 +2,9 @@
 
 No linter ships with the toolchain, so this is a small ``ast`` check: a
 name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the same module, annotations included.  A size check
-rides along: no module may be larger than ``MAX_MODULE_BYTES``.
+read somewhere in the same module, annotations included.  Two checks ride
+along: no module may be larger than ``MAX_MODULE_BYTES``, and none runs
+generated code through the builtins ``exec``, ``eval`` or ``compile``.
 """
 
 import ast
@@ -56,3 +57,25 @@ MAX_MODULE_BYTES = 14_417
 def test_no_module_is_larger_than_the_bound():
     sizes = {path.name: path.stat().st_size for path in MODULES}
     assert {name: size for name, size in sizes.items() if size > MAX_MODULE_BYTES} == {}
+
+
+CODE_RUNNERS = {"exec", "eval", "compile"}
+
+
+def code_runner_calls(source: str) -> list[str]:
+    """Calls in ``source`` of the builtins that run generated code, by bare name; ``re.compile`` is not one."""
+    return [
+        f"{node.func.id}:{node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in CODE_RUNNERS
+    ]
+
+
+def test_the_check_finds_a_code_runner():
+    source = "import re\n_RE = re.compile('x')\nexec(compile(text, '<k>', 'exec'), names)\nv = eval(t)\n"
+    assert sorted(code_runner_calls(source)) == ["compile:3", "eval:4", "exec:3"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_module_runs_generated_code(path):
+    assert code_runner_calls(path.read_text()) == []

@@ -211,7 +211,7 @@ class TestCarriedValues:
         stop = StoppingCriteria(target=-0.5, tol_x=0.01)
         first = _step(f, df, 1.0)
         calls[0] = 0
-        trace, _ = _iterate(f, df, 1.0, stop, first)
+        trace, _, _ = _iterate(f, df, 1.0, stop, first)
         assert calls[0] == 2 * (len(trace.steps) - 1)
         assert trace.steps[0] is first
         assert trace == newton_iterate(f_expr, df_expr, 1.0, stop)
@@ -226,7 +226,6 @@ class TestStoppingCriteria:
             {"tol_f": 0.0},
             {"tol_step": -1e-9},
             {"max_iter": 0},
-            {"derivative_epsilon": 0.0},
             {"target": math.inf},
         ],
     )

@@ -305,6 +305,33 @@ class TestEvaluationCounts:
         assert result.trace.termination is termination
         assert calls[0] == 2 * len(result.trace.steps) + 1 == expected
 
+    # the error raised is the one that ended the iteration, with no evaluation
+    # at the last point to build it again: 75 and 6 when the rule rebuilt it
+    @pytest.mark.parametrize(
+        "source, error, message, expected",
+        [
+            (
+                "x^3",
+                DerivativeVanishedError,
+                "derivative vanished at x = 4.5784099211821645e-07 (|f'(x)| = 6.288551221913782e-13 <= 1e-12)",
+                74,
+            ),
+            (
+                "x^3+1e-6*sqrt(x-0.9)",
+                NonfiniteValueError,
+                "nonfinite value at x = 0.6666667369394665 (f = nan, f' = nan)",
+                4,
+            ),
+        ],
+    )
+    def test_a_failed_step_is_raised_without_evaluating_again(self, calls, source, error, message, expected):
+        settings = NrQuadSettings(tol_x=1e-30, tol_f=1e-300, max_iter=1000, validate=False)
+        with pytest.raises(error) as caught:
+            nr_integrate(parse(source), Interval(0.0, 1.0), settings)
+        assert type(caught.value) is error
+        assert str(caught.value) == message
+        assert calls[0] == expected
+
 
 class TestInterval:
     @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.inf)])

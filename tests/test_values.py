@@ -57,10 +57,9 @@ CASES = [
     ),
     (
         StoppingCriteria(),
-        StoppingCriteria(None, 1e-6, None, 1e-12, 100, 1e-12),
+        StoppingCriteria(None, 1e-6, None, 1e-12, 100),
         StoppingCriteria(target=0.0),
-        "StoppingCriteria(target=None, tol_x=1e-06, tol_f=None, tol_step=1e-12, max_iter=100, "
-        "derivative_epsilon=1e-12)",
+        "StoppingCriteria(target=None, tol_x=1e-06, tol_f=None, tol_step=1e-12, max_iter=100)",
     ),
     (Interval(-0.5, 1.0), Interval(a=-0.5, b=1.0), Interval(-0.5, 2.0), "Interval(a=-0.5, b=1.0)"),
     (
