@@ -126,87 +126,74 @@ _TOKEN_RE = re.compile(
       | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<op>[-+*/^(),])
       | (?P<ws>\s+)
+      | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
-_END = "end of input"
 
-
-class _Token(Frozen):
-    __slots__ = ("kind", "text", "offset")
-
-    def __init__(self, kind: str, text: str, offset: int) -> None:
-        set_field(self, "kind", kind)  # "num" | "name" | "op" | "end"
-        set_field(self, "text", text)
-        set_field(self, "offset", offset)
-
-
-def _tokenize(source: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN_RE.match(source, pos)
-        if match is None:
-            raise ParseError(f"unexpected character {source[pos]!r}", pos)
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    # (kind, text, offset) tuples; the catch-all "bad" group makes the matches cover the source
+    tokens = []
+    for match in _TOKEN_RE.finditer(source):
         kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
         if kind != "ws":
-            tokens.append(_Token(kind, match.group(), pos))
-        pos = match.end()
-    tokens.append(_Token("end", _END, len(source)))
+            tokens.append((kind, match.group(), match.start()))
+    tokens.append(("end", "end of input", len(source)))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]) -> None:
+    def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
         self._tokens = tokens
         self._index = 0
         self._nesting = 0
 
-    def _peek(self) -> _Token:
+    def _peek(self) -> tuple[str, str, int]:
         return self._tokens[self._index]
 
-    def _advance(self) -> _Token:
-        token = self._tokens[self._index]
-        self._index += 1
-        return token
+    def _peek_op(self) -> str | None:
+        """The next token's text if it is an operator or punctuation, else None."""
+        kind, text, _ = self._tokens[self._index]
+        return text if kind == "op" else None
 
     def _expect_op(self, op: str, context: str) -> None:
-        token = self._peek()
-        if token.kind == "op" and token.text == op:
-            self._advance()
+        if self._peek_op() == op:
+            self._index += 1
             return
-        raise ParseError(f"expected {op!r} {context}, found {token.text!r}", token.offset)
+        _, text, offset = self._peek()
+        raise ParseError(f"expected {op!r} {context}, found {text!r}", offset)
 
     def parse(self) -> Expression:
         expr = self._expr()
-        token = self._peek()
-        if token.kind != "end":
-            raise ParseError(f"unexpected {token.text!r} after a complete expression", token.offset)
+        kind, text, offset = self._peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r} after a complete expression", offset)
         return expr
 
     def _expr(self) -> Expression:
         left = self._term()
-        while self._peek().kind == "op" and self._peek().text in "+-":
-            op = self._advance().text
+        while (op := self._peek_op()) in ("+", "-"):
+            self._index += 1
             left = BinOp(op, left, self._term())
         return left
 
     def _term(self) -> Expression:
         left = self._unary()
-        while self._peek().kind == "op" and self._peek().text in "*/":
-            op = self._advance().text
+        while (op := self._peek_op()) in ("*", "/"):
+            self._index += 1
             left = BinOp(op, left, self._unary())
         return left
 
     def _unary(self) -> Expression:
         # every nested operand passes here: parenthesised, argument, negated or exponent
-        token = self._peek()
         self._nesting += 1
         if self._nesting > _MAX_NESTING:
-            raise ParseError(_TOO_DEEP, token.offset)
-        if token.kind == "op" and token.text == "-":
-            self._advance()
+            raise ParseError(_TOO_DEEP, self._peek()[2])
+        if self._peek_op() == "-":
+            self._index += 1
             expr: Expression = Neg(self._unary())
         else:
             expr = self._power()
@@ -215,34 +202,36 @@ class _Parser:
 
     def _power(self) -> Expression:
         base = self._atom()
-        token = self._peek()
-        if token.kind == "op" and token.text == "^":
-            self._advance()
+        if self._peek_op() == "^":
+            self._index += 1
             return BinOp("^", base, self._unary())
         return base
 
     def _atom(self) -> Expression:
-        token = self._advance()
-        if token.kind == "num":
-            return Const(float(token.text))
-        if token.kind == "name":
-            if token.text == VARIABLE_NAME:
+        kind, text, offset = self._peek()
+        self._index += 1
+        if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is too large for a float", offset)
+            return Const(value)
+        if kind == "name":
+            if text == VARIABLE_NAME:
                 return Var()
-            if token.text in FUNCTION_NAMES:
-                return self._call(token.text)
-            raise ParseError(f"unknown identifier {token.text!r}", token.offset)
-        if token.kind == "op" and token.text == "(":
+            if text in FUNCTION_NAMES:
+                return self._call(text)
+            raise ParseError(f"unknown identifier {text!r}", offset)
+        if kind == "op" and text == "(":
             expr = self._expr()
             self._expect_op(")", "to close the parenthesised expression")
             return expr
-        raise ParseError(f"expected a number, {VARIABLE_NAME!r}, or '(', found {token.text!r}", token.offset)
+        raise ParseError(f"expected a number, {VARIABLE_NAME!r}, or '(', found {text!r}", offset)
 
     def _call(self, name: str) -> Expression:
         self._expect_op("(", f"after function name {name!r}")
         arg = self._expr()
-        token = self._peek()
-        if token.kind == "op" and token.text == ",":
-            raise ParseError(f"function {name!r} takes exactly one argument", token.offset)
+        if self._peek_op() == ",":
+            raise ParseError(f"function {name!r} takes exactly one argument", self._peek()[2])
         self._expect_op(")", f"to close the argument of {name!r}")
         return Call(name, arg)
 

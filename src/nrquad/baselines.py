@@ -13,12 +13,14 @@ relative error against such a reference.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from itertools import cycle
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, _Compiled
+from .expressions import Expression, _compile_batch
 from .quadrature import Interval
+
+_Batch = Callable[[Sequence[float]], list[float]]  # a batch evaluator, as _compile_batch builds
 
 
 class NonfiniteSampleError(ValueError):
@@ -47,14 +49,14 @@ class ErrorStats(Frozen):
 
 
 CHUNK = 256
-"""Points per batch through the compiled integrand's ``many``: the uniform rules' interior nodes
-or midpoints (``CHUNK // 2`` of each when both are needed), or the
-reference's quarter points of ``CHUNK // 2`` panels.
+"""Points per call of the batch evaluator that ``_compile_batch`` builds: the
+uniform rules' interior nodes or midpoints (``CHUNK // 2`` of each when both
+are needed), or the reference's quarter points of ``CHUNK // 2`` panels.
 
 No list a rule builds is longer, so its memory is bounded for any ``n``."""
 
 
-def _grid_rules(f: _Compiled, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
+def _grid_rules(f: _Batch, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
     """The named uniform rules on ``n`` subintervals, from one pass over the grid.
 
     Maps each name in ``rules`` (``left_riemann``, ``right_riemann``,
@@ -94,7 +96,7 @@ def _grid_rules(f: _Compiled, interval: Interval, n: int, rules: Iterable[str]) 
         ends["last"] = a + n * h
     if totals.keys() & {"trapezoid", "simpson"}:
         ends["a"], ends["b"] = a, b
-    f_end = dict(zip(ends, f.many(list(ends.values())))) if ends else {}
+    f_end = dict(zip(ends, f(list(ends.values())))) if ends else {}
     if "left_riemann" in totals and not failed(["left_riemann"], [ends["first"]], [f_end["first"]]):
         totals["left_riemann"] += f_end["first"]
     for rule in totals.keys() & {"trapezoid", "simpson"}:
@@ -113,7 +115,7 @@ def _grid_rules(f: _Compiled, interval: Interval, n: int, rules: Iterable[str]) 
         hi = min(lo + step, n)
         interior = [a + i * h for i in range(max(lo, 1), hi)] if interior_rules else []
         mids = [a + (i + 0.5) * h for i in range(lo, hi)] if mid_rules else []
-        values = f.many(interior + mids)
+        values = f(interior + mids)
         streams = (interior_rules, interior, values[: len(interior)]), (mid_rules, mids, values[len(interior) :])
         for names, xs, samples in streams:
             if xs and failed(names, xs, samples):
@@ -136,7 +138,7 @@ def _grid_rules(f: _Compiled, interval: Interval, n: int, rules: Iterable[str]) 
 
 
 def _rule(name: str, f: Expression, interval: Interval, n: int) -> float:
-    outcome = _grid_rules(_Compiled(f), interval, n, [name])[name]
+    outcome = _grid_rules(_compile_batch(f), interval, n, [name])[name]
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome
@@ -191,16 +193,16 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
         DepthLimitError: if the cap is hit, which is what NaN regions or
             non-smooth pathologies turn into.
     """
-    return _reference_integral(_Compiled(f), interval, tol)
+    return _reference_integral(_compile_batch(f), interval, tol)
 
 
-def _reference_integral(f: _Compiled, interval: Interval, tol: float = 1e-10) -> float:
-    """:func:`reference_integral` on a compiled integrand."""
+def _reference_integral(f: _Batch, interval: Interval, tol: float = 1e-10) -> float:
+    """:func:`reference_integral` on a batch evaluator."""
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = interval.a, interval.b
     m = 0.5 * (a + b)
-    fa, fb, fm = f.many([a, b, m])
+    fa, fb, fm = f([a, b, m])
     # a panel: depth, node, a, b, f(a), f(mid), f(b), Simpson estimate, tol; the
     # node numbers the bisection tree from 1 at the root, and node n's halves are 2n and 2n + 1
     pending = [(0, 1, a, b, fa, fm, fb, _simpson_estimate(fa, fm, fb, b - a), tol)]
@@ -215,7 +217,7 @@ def _reference_integral(f: _Compiled, interval: Interval, tol: float = 1e-10) ->
             a, b = panel[2], panel[3]
             m = 0.5 * (a + b)
             xs += (0.5 * (a + m), 0.5 * (m + b))
-        quarters = f.many(xs)
+        quarters = f(xs)
         children = []
         for (depth, node, a, b, fa, fm, fb, whole, tol), flm, frm in zip(batch, quarters[::2], quarters[1::2]):
             m = 0.5 * (a + b)

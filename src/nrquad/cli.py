@@ -29,9 +29,9 @@ import sys
 from collections.abc import Sequence
 
 from .baselines import DepthLimitError, _grid_rules, _reference_integral, error_stats
-from .expressions import Expression, _Compiled, parse
+from .expressions import Expression, _compile_batch, parse
 from .newton import NewtonError
-from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, _nr_integrate, nr_integrate
+from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, nr_integrate
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -212,11 +212,11 @@ def render(command: str, doc: dict[str, object], format: str) -> str:
 def _compare_doc(
     f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
 ) -> dict[str, object]:
-    f = _Compiled(f)  # one scalar closure and one chain for the reference, the rules and nr
-    reference = _reference_integral(f, interval, tol=REFERENCE_TOL)
+    many = _compile_batch(f)  # one batch evaluator for the reference and the rules
+    reference = _reference_integral(many, interval, tol=REFERENCE_TOL)
     # the baseline methods, by the name of their rule, run in one pass over the grid
     rules = {method: method.replace("-", "_") for method in methods if method != "nr"}
-    outcomes = _grid_rules(f, interval, panels, rules.values())
+    outcomes = _grid_rules(many, interval, panels, rules.values())
     rows: list[dict[str, object]] = []
     nr_details = None
     # method names are unique within a report; keep first occurrences
@@ -226,7 +226,7 @@ def _compare_doc(
             if settings.closing_triangle:
                 summary += " closing-triangle"
             try:
-                result = _nr_integrate(f, interval, settings)
+                result = nr_integrate(f, interval, settings)
             except (ValidationError, NewtonError) as exc:
                 rows.append({"method": method, "error": str(exc), "settings": summary})
                 continue

@@ -6,11 +6,12 @@ types, the source syntax, :func:`parse` and :func:`to_text` live in
 
 Evaluation is total: domain violations (``ln`` of a negative, division by
 zero, ...) yield NaN instead of raising, and callers are expected to check
-finiteness.  ``evaluate`` walks the tree.  Inside the package each integrand
-is compiled once into a ``_Compiled``: closures for single points (``at``),
-which read constant and ``x`` operands in place, and a chain of lazy ``map``
-iterators, one per node, for batches (``many``), each with the bits of
-``evaluate``.
+finiteness.  ``evaluate`` walks the tree.  Inside the package each
+computation compiles its integrand once into the evaluator it uses, each
+with the bits of ``evaluate``: ``_compile_scalar`` gives one closure per
+node for single points, reading constant and ``x`` operands in place, and
+``_compile_batch`` gives a chain of lazy ``map`` iterators, one per node,
+for batches.
 """
 
 from __future__ import annotations
@@ -75,31 +76,6 @@ def _eval(e: Expression, x: float) -> float:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-class _Compiled:
-    """An expression compiled once for the calls of one computation.
-
-    ``at(x)`` is a scalar closure, built now.  ``many(xs)`` is
-    ``[evaluate(e, x) for x in xs]`` through a chain of ``map`` iterators,
-    one per node, built on the first batch.  Both give the bits of
-    :func:`evaluate`, the same operations in the same order.  A batch in
-    which some point raises is evaluated again one point at a time through
-    ``at``, so that point is NaN, as with :func:`evaluate` (also where NaN
-    would not reach the root: ``pow(nan, 0) == 1``).
-    """
-
-    __slots__ = ("expression", "at", "_many")
-
-    def __init__(self, e: Expression) -> None:
-        self.expression = e
-        self.at = _compile_scalar(e)
-        self._many: Callable[[Sequence[float]], list[float]] | None = None
-
-    def many(self, xs: Sequence[float]) -> list[float]:
-        if self._many is None:
-            self._many = _compile_batch(self.expression, self.at)
-        return self._many(xs)
-
-
 def _compile_scalar(e: Expression) -> Callable[[float], float]:
     node = _closure(e)
 
@@ -112,13 +88,24 @@ def _compile_scalar(e: Expression) -> Callable[[float], float]:
     return at
 
 
-def _compile_batch(e: Expression, at: Callable[[float], float]) -> Callable[[Sequence[float]], list[float]]:
+def _compile_batch(e: Expression) -> Callable[[Sequence[float]], list[float]]:
+    """``[evaluate(e, x) for x in xs]`` as a function of ``xs``, through a chain of ``map`` iterators.
+
+    A batch in which some point raises is evaluated again one point at a
+    time through ``_compile_scalar(e)``, built on the first such batch, so
+    that point is NaN, as with :func:`evaluate` (also where NaN would not
+    reach the root: ``pow(nan, 0) == 1``).
+    """
     chain = _chain(e)
+    at = None
 
     def many(xs: Sequence[float]) -> list[float]:
+        nonlocal at
         try:
             return list(chain(xs))
         except (ArithmeticError, ValueError):
+            if at is None:
+                at = _compile_scalar(e)
             return [at(x) for x in xs]
 
     return many

@@ -16,11 +16,11 @@ from collections.abc import Callable
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, _Compiled
+from .expressions import Expression, _compile_scalar
 
 DERIVATIVE_EPSILON = 1e-12
 
-_Scalar = Callable[[float], float]  # a compiled evaluator: _Compiled.at
+_Scalar = Callable[[float], float]  # a scalar evaluator, as _compile_scalar builds
 
 
 class Termination(str, Enum):
@@ -144,7 +144,7 @@ def newton_step(f: Expression, df: Expression, x: float) -> NewtonStep:
         DerivativeVanishedError: if ``|f'(x)| <= DERIVATIVE_EPSILON``.
         NonfiniteValueError: if ``f(x)`` or ``f'(x)`` is NaN or infinite.
     """
-    return _step(_Compiled(f).at, _Compiled(df).at, x)
+    return _step(_compile_scalar(f), _compile_scalar(df), x)
 
 
 def _step(f: _Scalar, df: _Scalar, x: float, f_x: float | None = None) -> NewtonStep:
@@ -176,7 +176,7 @@ def newton_iterate(f: Expression, df: Expression, x0: float, stop: StoppingCrite
     All failure modes are reported as terminations on the returned trace;
     this function does not raise.
     """
-    return _iterate(_Compiled(f).at, _Compiled(df).at, x0, stop)[0]
+    return _iterate(_compile_scalar(f), _compile_scalar(df), x0, stop)[0]
 
 
 def _iterate(

@@ -25,7 +25,7 @@ import math
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, _Compiled, _derivative
+from .expressions import Expression, _compile_scalar, _derivative
 from .newton import (
     NewtonTrace,
     NonfiniteValueError,
@@ -168,9 +168,9 @@ def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     relative to |f(b)|, and whether f'(b) > 0.  Findings are returned,
     never raised.
     """
-    f_at = _Compiled(f).at
+    f_at = _compile_scalar(f)
     b = interval.b
-    return _validate(f_at, interval, f_at(b), _Compiled(_derivative(f)).at(b))
+    return _validate(f_at, interval, f_at(b), _compile_scalar(_derivative(f))(b))
 
 
 def _validate(f: _Scalar, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
@@ -238,15 +238,10 @@ def nr_integrate(
     Running out of iterations is not an error: the result then carries
     status ``budget-exhausted``.
     """
-    return _nr_integrate(_Compiled(f), interval, settings)
-
-
-def _nr_integrate(f: _Compiled, interval: Interval, settings: NrQuadSettings | None = None) -> QuadResult:
-    """:func:`nr_integrate` on a compiled integrand."""
     settings = settings if settings is not None else NrQuadSettings()
     a, b = interval.a, interval.b
-    f_at = f.at
-    df_at = _Compiled(_derivative(f.expression)).at
+    f_at = _compile_scalar(f)
+    df_at = _compile_scalar(_derivative(f))
     # the first step checks f(b) and f'(b) before validation; validation and the iteration reuse it
     first = _step(f_at, df_at, b)
 

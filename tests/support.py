@@ -8,14 +8,17 @@ integral, which sample through the scalar ``evaluate`` one point at a
 time, as the package did before it batched.
 
 The counting hooks wrap what the package compiles each integrand into:
-every scalar evaluator (``_Compiled.at``) and every batch evaluator
-(``_Compiled.many``'s chain of ``map`` iterators).
+every scalar evaluator (what ``_compile_scalar`` returns, one closure per
+node) and every batch evaluator (what ``_compile_batch`` returns, a chain of
+``map`` iterators).  The package imports both compilers by name, so a hook
+replaces the name in every ``nrquad`` module that binds it.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import sys
 
 import nrquad.expressions
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
@@ -217,13 +220,27 @@ def _adaptive(
     )
 
 
-def count_scalar_calls(monkeypatch) -> list[int]:
-    """Counts, in its one item, the calls of every scalar evaluator compiled from now on."""
-    count = [0]
-    compile_scalar = nrquad.expressions._compile_scalar
+def patch_compiler(monkeypatch, name: str, wrap) -> None:
+    """Makes the compiler ``name`` return ``wrap(e, evaluator)`` for each evaluator it builds from ``e``.
 
-    def counting(e: Expression):
-        at = compile_scalar(e)
+    The compiler is replaced in every ``nrquad`` module that binds it.
+    """
+    compiler = getattr(nrquad.expressions, name)
+
+    def patched(e: Expression):
+        return wrap(e, compiler(e))
+
+    for module_name, module in list(sys.modules.items()):
+        if module_name.partition(".")[0] == "nrquad" and getattr(module, name, None) is compiler:
+            monkeypatch.setattr(module, name, patched)
+
+
+def count_scalar_calls(monkeypatch) -> list[int]:
+    """Counts the calls of every scalar evaluator compiled from now on, and in a second item the evaluators built."""
+    count = [0, 0]
+
+    def counting(e: Expression, at):
+        count[1] += 1
 
         def counted(x: float) -> float:
             count[0] += 1
@@ -231,7 +248,7 @@ def count_scalar_calls(monkeypatch) -> list[int]:
 
         return counted
 
-    monkeypatch.setattr(nrquad.expressions, "_compile_scalar", counting)
+    patch_compiler(monkeypatch, "_compile_scalar", counting)
     return count
 
 
@@ -241,11 +258,8 @@ def record_batches(monkeypatch, before_batch=None) -> list[int]:
     ``before_batch``, if given, is called before each batch runs.
     """
     sizes: list[int] = []
-    compile_batch = nrquad.expressions._compile_batch
 
-    def recording(e: Expression, at):
-        many = compile_batch(e, at)
-
+    def recording(e: Expression, many):
         def recorded(xs):
             if before_batch is not None:
                 before_batch()
@@ -254,5 +268,5 @@ def record_batches(monkeypatch, before_batch=None) -> list[int]:
 
         return recorded
 
-    monkeypatch.setattr(nrquad.expressions, "_compile_batch", recording)
+    patch_compiler(monkeypatch, "_compile_batch", recording)
     return sizes

@@ -10,6 +10,7 @@ import pytest
 
 import nrquad.baselines
 import nrquad.cli
+import nrquad.expressions
 import support
 from nrquad.baselines import (
     CHUNK,
@@ -25,7 +26,7 @@ from nrquad.baselines import (
     trapezoid,
 )
 from nrquad.cli import main
-from nrquad.expressions import _Compiled, evaluate, parse, to_text
+from nrquad.expressions import _compile_batch, evaluate, parse, to_text
 from nrquad.quadrature import Interval
 from support import (
     SCALAR_RULES,
@@ -263,9 +264,9 @@ class TestGridRulesMatchScalarOracle:
     def check(self, f, interval, n):
         """Compares every subset; returns the oracle's outcomes."""
         expected = {name: outcome(oracle, f, interval, n) for name, oracle in SCALAR_RULES.items()}
-        compiled = _Compiled(f)
+        many = _compile_batch(f)
         for names in self.SUBSETS:
-            results = _grid_rules(compiled, interval, n, names)
+            results = _grid_rules(many, interval, n, names)
             assert {name: as_outcome(result) for name, result in results.items()} == {
                 name: expected[name] for name in names
             }, (names, n)
@@ -330,7 +331,7 @@ class TestChunking:
         # n - 1 interior nodes, n midpoints, a + 0*h, a + n*h, a and b; the
         # rules one at a time take 5n + 2 between them
         n = 3 * CHUNK + 2
-        _grid_rules(_Compiled(QUAD), QUAD_INTERVAL, n, list(SCALAR_RULES))
+        _grid_rules(nrquad.expressions._compile_batch(QUAD), QUAD_INTERVAL, n, list(SCALAR_RULES))  # the hooked compiler
         assert max(batches) <= CHUNK
         assert sum(batches) == 2 * n + 3
 
@@ -365,7 +366,17 @@ class TestScalarEvaluationCounts:
             rule(QUAD, QUAD_INTERVAL)
         else:
             rule(QUAD, QUAD_INTERVAL, 64)
-        assert calls[0] == 0
+        assert calls == [0, 0]  # no batch raised, so no scalar evaluator was built either
+
+    def test_reference_builds_one_scalar_evaluator_however_many_batches_raise(self, calls, monkeypatch):
+        built_before = []
+        batches = record_batches(monkeypatch, lambda: built_before.append(calls[1]))
+        with pytest.raises(DepthLimitError):
+            reference_integral(parse("ln(x)"), Interval(-1.0, 1.0))
+        # every batch holds a point at or left of 0, where ln raises, and is evaluated again
+        # point by point; the first of them builds the scalar evaluator and the rest reuse it
+        assert len(batches) > 40 and calls[0] == sum(batches)
+        assert built_before[0] == 0 and calls[1] == 1
 
     def test_compare_calls_come_from_reference_and_nr_only(self, calls, capsys):
         # none for the reference, which batches its points, and the pinned

@@ -15,11 +15,11 @@ import pytest
 
 import nrquad
 import nrquad.cli
-import nrquad.expressions
 from nrquad.baselines import error_stats, left_riemann, midpoint, reference_integral, right_riemann, trapezoid
 from nrquad.cli import MAX_COUNT, main, render
 from nrquad.expressions import parse
 from nrquad.quadrature import Interval, NrQuadSettings, nr_integrate
+from support import patch_compiler
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "compare_worked_example.txt"
@@ -542,12 +542,11 @@ class TestEntryPoints:
     def test_compare_compiles_one_batch_evaluator(self, capsys, monkeypatch):
         compiled = []
 
-        def counting(e, at):
+        def counting(e, many):
             compiled.append(e)
-            return compile_batch(e, at)
+            return many
 
-        compile_batch = nrquad.expressions._compile_batch
-        monkeypatch.setattr(nrquad.expressions, "_compile_batch", counting)
+        patch_compiler(monkeypatch, "_compile_batch", counting)
         code, out, _ = run(["compare", *EXAMPLE, "--panels", "64"], capsys)
         assert code == 0 and "simpson" in out
         assert len(compiled) == 1
@@ -564,13 +563,12 @@ class TestEntryPoints:
 
         wants = [compare(j) for j in range(2)]
         compiled = Counter()
-        compile_batch = nrquad.expressions._compile_batch
 
-        def counting(e, at):
+        def counting(e, many):
             compiled[threading.get_ident()] += 1
-            return compile_batch(e, at)
+            return many
 
-        monkeypatch.setattr(nrquad.expressions, "_compile_batch", counting)
+        patch_compiler(monkeypatch, "_compile_batch", counting)
         start = threading.Barrier(2, timeout=60)
         wrong = [0, 0]
         runs = 50

@@ -22,7 +22,8 @@ from nrquad.expressions import (
     parse,
     simplify,
     to_text,
-    _Compiled,
+    _compile_batch,
+    _compile_scalar,
     _derivative,
 )
 from support import central_difference, random_polynomial, random_tree
@@ -93,6 +94,16 @@ class TestParse:
     def test_function_arity(self):
         with pytest.raises(ParseError, match="exactly one argument"):
             parse("sin(x, 1)")
+
+    @pytest.mark.parametrize("source, offset", [("x+1e999", 2), ("2*x^1e400", 4)])
+    def test_overflowing_number_is_a_parse_error_at_its_offset(self, source, offset):
+        with pytest.raises(ParseError, match=f"number '{source[offset:]}' is too large for a float") as err:
+            parse(source)
+        assert err.value.offset == offset
+        # a constant built directly still checks its value with a plain ValueError
+        with pytest.raises(ValueError, match="constants must be finite, got inf") as err:
+            Const(math.inf)
+        assert not isinstance(err.value, ParseError)
 
 
 def _nest(template, times):
@@ -183,7 +194,7 @@ def bits(values):
 
 
 class TestEvaluateMany:
-    """The compiled batch evaluator, ``_Compiled(e).many``, against evaluate."""
+    """The batch evaluator, ``_compile_batch(e)``, against evaluate."""
 
     # domain edges, signed zeros, overflow and nonfinite input among ordinary points
     POINTS = [-3.0, -1.0, -1e-300, -0.0, 0.0, 1e-8, 0.5, 1.0, 2.5, 1e308, math.inf, math.nan]
@@ -194,7 +205,7 @@ class TestEvaluateMany:
         for _ in range(15_000):
             e = random_tree(rng, rng.randint(1, 5))
             for tree in (e, simplify(differentiate(e))):
-                values = _Compiled(tree).many(self.POINTS)
+                values = _compile_batch(tree)(self.POINTS)
                 assert bits(values) == bits([evaluate(tree, x) for x in self.POINTS]), to_text(tree)
                 nan_count += sum(map(math.isnan, values))
         # the corpus must keep exercising the NaN paths
@@ -206,19 +217,19 @@ class TestEvaluateMany:
         xs[size // 2] = 0.0
         for source in ("sin(x)/x", "ln(x)*sqrt(x)", "x^(-2)+exp(x)", "(1/x)^2"):
             f = parse(source)
-            assert bits(_Compiled(f).many(xs)) == bits([evaluate(f, x) for x in xs]), source
+            assert bits(_compile_batch(f)(xs)) == bits([evaluate(f, x) for x in xs]), source
 
     def test_failure_is_nan_even_where_nan_does_not_propagate(self):
         # ln(-1) fails, and pow(nan, 0) == 1 would hide it
         f = BinOp("^", Call("ln", Var()), Const(0.0))
-        values = _Compiled(f).many([-1.0, 1.0])
+        values = _compile_batch(f)([-1.0, 1.0])
         assert math.isnan(values[0]) and math.isnan(evaluate(f, -1.0))
         assert values[1] == 1.0
 
     def test_returns_a_new_list(self):
-        assert _Compiled(parse(QUAD)).many([]) == []
+        assert _compile_batch(parse(QUAD))([]) == []
         xs = [0.25, -1.0]
-        values = _Compiled(Var()).many(xs)
+        values = _compile_batch(Var())(xs)
         assert values == xs and values is not xs
 
 
@@ -237,7 +248,7 @@ def any_tree(st):
 
 
 def compiled_bits(tree, points):
-    at = _Compiled(tree).at
+    at = _compile_scalar(tree)
     return bits([at(x) for x in points])
 
 
@@ -276,7 +287,7 @@ class TestCompiledKernel:
 
     def assert_matches_evaluate(self, tree, points=POINTS):
         want = bits([evaluate(tree, x) for x in points])
-        assert bits(_Compiled(tree).many(points)) == want
+        assert bits(_compile_batch(tree)(points)) == want
         assert compiled_bits(tree, points) == want
 
     def test_300_level_neg_chain(self):
@@ -284,7 +295,7 @@ class TestCompiledKernel:
         tree = Call("sin", Var())
         for _ in range(299):
             tree = Neg(tree)
-        assert _Compiled(tree).many([1.0]) == [-math.sin(1.0)]
+        assert _compile_batch(tree)([1.0]) == [-math.sin(1.0)]
         self.assert_matches_evaluate(tree)
 
     def test_300_level_left_leaning_binop_chain(self):
@@ -297,8 +308,8 @@ class TestCompiledKernel:
     @pytest.mark.parametrize("value", [-0.0, 1e308, 5e-324], ids=["-0.0", "1e308", "5e-324"])
     def test_extreme_constants_keep_their_bits(self, value):
         points = [-1.0, 0.0, 1.0, math.nan]
-        at = _Compiled(Const(value)).at
-        for root in (_Compiled(Const(value)).many(points), [at(x) for x in points]):
+        at = _compile_scalar(Const(value))
+        for root in (_compile_batch(Const(value))(points), [at(x) for x in points]):
             assert [struct.pack("<d", v) for v in root] == [struct.pack("<d", value)] * len(points)
         for tree in (
             BinOp("*", Var(), Const(value)),
@@ -327,12 +338,12 @@ class TestCompiledKernel:
     def test_constant_over_signed_zero_x_is_nan(self):
         tree = BinOp("/", Const(1.0), Var())
         self.assert_matches_evaluate(tree, [0.0, -0.0])
-        assert all(math.isnan(_Compiled(tree).at(x)) for x in (0.0, -0.0))
+        assert all(math.isnan(_compile_scalar(tree)(x)) for x in (0.0, -0.0))
 
     def test_overflowing_power_of_x_is_nan(self):
         tree = BinOp("^", Var(), Const(3.0))
         self.assert_matches_evaluate(tree, [1e200, -1e200, 1e100])
-        assert math.isnan(_Compiled(tree).at(1e200))
+        assert math.isnan(_compile_scalar(tree)(1e200))
         # a product overflows to infinity without raising
         self.assert_matches_evaluate(BinOp("*", Var(), Const(1e308)), [10.0, -10.0])
 
@@ -343,12 +354,12 @@ class TestCompiledKernel:
         point = failing.get(name, math.nan)  # abs raises for no float
         for tree in (Call(name, Var()), BinOp("+", Call(name, Var()), Const(1.0)), Neg(Call(name, Var()))):
             self.assert_matches_evaluate(tree, [point, *self.POINTS])
-            assert math.isnan(_Compiled(tree).at(point))
+            assert math.isnan(_compile_scalar(tree)(point))
 
     def test_negated_zero_constant_is_negative_zero(self):
         for tree in (Neg(Const(0.0)), Neg(Var()), BinOp("*", Neg(Const(0.0)), Var())):
             self.assert_matches_evaluate(tree)
-        assert struct.pack("<d", _Compiled(Neg(Const(0.0))).at(1.0)) == struct.pack("<d", -0.0)
+        assert struct.pack("<d", _compile_scalar(Neg(Const(0.0)))(1.0)) == struct.pack("<d", -0.0)
 
     def test_int_points_keep_the_type_evaluate_gives(self):
         # Interval(0, 2) keeps int bounds, so the rule evaluates f at int points
@@ -364,7 +375,7 @@ class TestCompiledKernel:
             BinOp("^", Var(), Const(2.0)),
             Call("sqrt", Var()),
         ):
-            at = _Compiled(tree).at
+            at = _compile_scalar(tree)
             values = [at(x) for x in points]
             want = [evaluate(tree, x) for x in points]
             assert bits(values) == bits(want), tree
@@ -373,9 +384,9 @@ class TestCompiledKernel:
     def test_equal_but_distinct_expressions_give_the_same_bits(self):
         first, second = parse("ln(x)/x + sqrt(x)^3"), parse("ln(x)/x + sqrt(x)^3")
         assert first == second and first is not second
-        want = bits(_Compiled(first).many(self.POINTS))
-        assert bits(_Compiled(second).many(self.POINTS)) == want
-        assert bits(_Compiled(first).many(self.POINTS)) == want
+        want = bits(_compile_batch(first)(self.POINTS))
+        assert bits(_compile_batch(second)(self.POINTS)) == want
+        assert bits(_compile_batch(first)(self.POINTS)) == want
 
 
 class TestDifferentiate:
@@ -591,6 +602,37 @@ class TestOnePassDerivative:
 
 
 class TestToText:
+    # the grammar's characters, with the function names and an overflowing number as whole pieces
+    PIECES = [*"0123456789.eE+-*/^(),x \t", *sorted(FUNCTION_NAMES), "9e999"]
+
+    def test_printed_text_of_any_tree_parses_to_the_same_text_and_bits(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(any_tree(st), st.lists(st.floats(), min_size=1, max_size=4))
+        def check(tree, points):
+            text = to_text(tree)
+            reparsed = parse(text)
+            assert to_text(reparsed) == text
+            assert bits([evaluate(reparsed, x) for x in points]) == bits([evaluate(tree, x) for x in points])
+
+        check()
+
+    def test_text_over_the_grammar_parses_or_raises_parse_error(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(st.lists(st.sampled_from(self.PIECES), max_size=24).map("".join))
+        def check(source):
+            try:
+                parse(source)
+            except ParseError:
+                pass
+
+        check()
+
     def test_variable(self):
         assert to_text(Var()) == "x"
 

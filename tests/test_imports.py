@@ -2,9 +2,10 @@
 
 No linter ships with the toolchain, so this is a small ``ast`` check: a
 name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the same module, annotations included.  Two checks ride
-along: no module may be larger than ``MAX_MODULE_BYTES``, and none runs
-generated code through the builtins ``exec``, ``eval`` or ``compile``.
+read somewhere in the same module, annotations included.  Three checks ride
+along: no module may be larger than ``MAX_MODULE_BYTES``, none runs
+generated code through the builtins ``exec``, ``eval`` or ``compile``, and
+the package reads every private module-level name it defines.
 """
 
 import ast
@@ -79,3 +80,55 @@ def test_the_check_finds_a_code_runner():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_no_module_runs_generated_code(path):
     assert code_runner_calls(path.read_text()) == []
+
+
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """Private module-level functions, classes and constants that no module of ``sources`` reads.
+
+    ``sources`` maps each module's name to its text.  A read inside the
+    definition itself, such as a recursive call, does not count; a read in
+    another module counts through its ``from .module import name``.
+    """
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    imported = {}  # (module, local name) -> (module, name) it was imported from
+    defined = {}  # (module, name) -> the lines of its definition
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    imported[module, alias.asname or alias.name] = (node.module, alias.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[module, name] = range(node.lineno, node.end_lineno + 1)
+    read = set()
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                key = (module, node.id)
+                while key in imported:
+                    key = imported[key]
+                if key[0] != module or node.lineno not in defined.get(key, ()):
+                    read.add(key)
+    return sorted(f"{module}.{name}" for module, name in defined.keys() - read)
+
+
+def test_the_check_finds_an_unread_private_name():
+    sources = {
+        "a": "def _used():\n    return _C\n\n\ndef _recursive(n):\n    return _recursive(n - 1)\n\n\n"
+        "_C = 1\n_SELF: int = _SELF if False else 0\n_IMPORTED = 2\n__all__ = []\n",
+        "b": "from .a import _IMPORTED, _used as use\n\nuse()\n_used = 3\n",
+        "c": "from .b import use\n\nuse()\n",
+    }
+    assert unread_private_names(sources) == ["a._IMPORTED", "a._SELF", "a._recursive", "b._used"]
+
+
+def test_the_package_reads_every_private_module_level_name():
+    sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
+    assert unread_private_names(sources) == []

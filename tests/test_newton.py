@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from nrquad.expressions import _Compiled, differentiate, evaluate, parse, simplify
+import nrquad.expressions
+from nrquad.expressions import differentiate, evaluate, parse, simplify
 from nrquad.newton import (
     DerivativeVanishedError,
     NonfiniteValueError,
@@ -191,7 +192,7 @@ class TestCarriedValues:
         return count_scalar_calls(monkeypatch)
 
     def test_step_uses_a_given_f_value(self, calls):
-        f, df = (_Compiled(e).at for e in _fdf(QUAD))
+        f, df = map(nrquad.expressions._compile_scalar, _fdf(QUAD))  # the hooked compiler
         assert _step(f, df, 1.0, f_x=6.0) == _step(f, df, 1.0)
         assert calls[0] == 3
         step = _step(f, df, 1.0, f_x=3.5)
@@ -207,7 +208,7 @@ class TestCarriedValues:
 
     def test_a_given_first_step_is_reused(self, calls):
         f_expr, df_expr = _fdf(QUAD)
-        f, df = _Compiled(f_expr).at, _Compiled(df_expr).at
+        f, df = map(nrquad.expressions._compile_scalar, (f_expr, df_expr))
         stop = StoppingCriteria(target=-0.5, tol_x=0.01)
         first = _step(f, df, 1.0)
         calls[0] = 0

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from nrquad.baselines import reference_integral
-from nrquad.expressions import _Compiled, differentiate, evaluate, parse, simplify
+from nrquad.expressions import _compile_scalar, differentiate, evaluate, parse, simplify
 from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, Termination, newton_step
 from nrquad.quadrature import (
     Interval,
@@ -78,7 +78,7 @@ class TestValidateProblem:
         f = parse(source)
         first = newton_step(f, simplify(differentiate(f)), b)
         interval = Interval(a, b)
-        assert _validate(_Compiled(f).at, interval, first.f_k, first.df_k) == validate_problem(f, interval)
+        assert _validate(_compile_scalar(f), interval, first.f_k, first.df_k) == validate_problem(f, interval)
 
 
 class TestNrIntegrate:
