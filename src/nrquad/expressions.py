@@ -122,58 +122,61 @@ _OPERATORS: dict[str, Callable[[float, float], float]] = {
 
 def _closure(e: Expression) -> Callable[[float], float]:
     # _eval's operations in _eval's order; a constant or x operand is read in place, not called
-    match e:
-        case Const(value):
-            return lambda x: value
-        case Var():
-            return lambda x: x
-        case Neg(child):
-            inner = _closure(child)
-            return lambda x: -inner(x)
-        case BinOp(op, left, right):
-            fn = _OPERATORS[op]
-            if isinstance(left, Const):
-                c = left.value
-                if isinstance(right, Var):
-                    return lambda x: fn(c, x)
-                r = _closure(right)
-                return lambda x: fn(c, r(x))
-            if isinstance(right, Const):
-                c = right.value
-                if isinstance(left, Var):
-                    return lambda x: fn(x, c)
-                l = _closure(left)
-                return lambda x: fn(l(x), c)
-            l, r = _closure(left), _closure(right)
-            return lambda x: fn(l(x), r(x))
-        case Call(name, arg):
-            fn = _FUNCTIONS[name]
-            if isinstance(arg, Var):
-                return fn
-            inner = _closure(arg)
-            return lambda x: fn(inner(x))
+    kind = type(e)
+    if kind is BinOp:
+        fn = _OPERATORS[e.op]
+        left, right = e.left, e.right
+        if type(left) is Const:
+            c = left.value
+            if type(right) is Var:
+                return lambda x: fn(c, x)
+            r = _closure(right)
+            return lambda x: fn(c, r(x))
+        if type(right) is Const:
+            c = right.value
+            if type(left) is Var:
+                return lambda x: fn(x, c)
+            l = _closure(left)
+            return lambda x: fn(l(x), c)
+        l, r = _closure(left), _closure(right)
+        return lambda x: fn(l(x), r(x))
+    if kind is Const:
+        value = e.value
+        return lambda x: value
+    if kind is Var:
+        return lambda x: x
+    if kind is Call:
+        fn = _FUNCTIONS[e.name]
+        if type(e.arg) is Var:
+            return fn
+        inner = _closure(e.arg)
+        return lambda x: fn(inner(x))
+    if kind is Neg:
+        inner = _closure(e.child)
+        return lambda x: -inner(x)
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
     # _eval's operations in _eval's order, one point at a time as list() pulls it through the maps;
     # a constant repeats len(xs) times, since an endless repeat under a constant subtree never stops
-    match e:
-        case Const(value):
-            return lambda xs: repeat(value, len(xs))
-        case Var():
-            return lambda xs: xs
-        case Neg(child):
-            inner = _chain(child)
-            return lambda xs: map(operator.neg, inner(xs))
-        case BinOp(op, left, right):
-            fn = _OPERATORS[op]
-            l, r = _chain(left), _chain(right)
-            return lambda xs: map(fn, l(xs), r(xs))
-        case Call(name, arg):
-            fn = _FUNCTIONS[name]
-            inner = _chain(arg)
-            return lambda xs: map(fn, inner(xs))
+    kind = type(e)
+    if kind is BinOp:
+        fn = _OPERATORS[e.op]
+        l, r = _chain(e.left), _chain(e.right)
+        return lambda xs: map(fn, l(xs), r(xs))
+    if kind is Const:
+        value = e.value
+        return lambda xs: repeat(value, len(xs))
+    if kind is Var:
+        return lambda xs: xs
+    if kind is Call:
+        fn = _FUNCTIONS[e.name]
+        inner = _chain(e.arg)
+        return lambda xs: map(fn, inner(xs))
+    if kind is Neg:
+        inner = _chain(e.child)
+        return lambda xs: map(operator.neg, inner(xs))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -202,34 +205,37 @@ def _derivative(e: Expression) -> Expression:
 def _derive(e: Expression, build: tuple) -> Expression:
     # build = (binop, neg, call, reuse): the node constructors, and what a rule makes of a subtree of e it reuses
     binop, neg, call, reuse = build
-    match e:
-        case Const(_):
-            return Const(0.0)
-        case Var():
-            return Const(1.0)
-        case Neg(child):
-            return neg(_derive(child, build))
-        case BinOp("+" | "-" as op, left, right):
+    kind = type(e)
+    if kind is BinOp:
+        op, left, right = e.op, e.left, e.right
+        if op == "+" or op == "-":
             return binop(op, _derive(left, build), _derive(right, build))
-        case BinOp("*", left, right):
+        if op == "*":
             du_v = binop("*", _derive(left, build), reuse(right))
             return binop("+", du_v, binop("*", reuse(left), _derive(right, build)))
-        case BinOp("/", left, right):
+        if op == "/":
             v = reuse(right)
             du_v = binop("*", _derive(left, build), v)
             numerator = binop("-", du_v, binop("*", reuse(left), _derive(right, build)))
             return binop("/", numerator, binop("^", v, Const(2.0)))
-        case BinOp("^", base, Const(c)):
-            scaled = binop("*", Const(c), binop("^", reuse(base), Const(c - 1.0)))
-            return binop("*", scaled, _derive(base, build))
-        case BinOp("^", base, exponent):
+        if op == "^" and type(right) is Const:
+            c = right.value
+            scaled = binop("*", Const(c), binop("^", reuse(left), Const(c - 1.0)))
+            return binop("*", scaled, _derive(left, build))
+        if op == "^":
             # u^v = exp(v*ln(u)):  (u^v)' = u^v * (v'*ln(u) + v*u'/u)
-            u, v = reuse(base), reuse(exponent)
-            dv_ln_u = binop("*", _derive(exponent, build), call("ln", u))
-            inner = binop("+", dv_ln_u, binop("*", v, binop("/", _derive(base, build), u)))
+            u, v = reuse(left), reuse(right)
+            dv_ln_u = binop("*", _derive(right, build), call("ln", u))
+            inner = binop("+", dv_ln_u, binop("*", v, binop("/", _derive(left, build), u)))
             return binop("*", binop("^", u, v), inner)
-        case Call(name, arg):
-            return binop("*", _outer_derivative(name, reuse(arg), build), _derive(arg, build))
+    if kind is Const:
+        return Const(0.0)
+    if kind is Var:
+        return Const(1.0)
+    if kind is Call:
+        return binop("*", _outer_derivative(e.name, reuse(e.arg), build), _derive(e.arg, build))
+    if kind is Neg:
+        return neg(_derive(e.child, build))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -262,29 +268,29 @@ def simplify(e: Expression) -> Expression:
     ``simplify(parse("0*ln(x)"))`` is 0 at ``x = -1``, where ``0*ln(x)`` is
     NaN.  No other domain-changing rewrite, such as ``e/e -> 1``, is made.
     """
-    match e:
-        case Const(_) | Var():
-            return e
-        case Neg(child):
-            return _simplify_neg(simplify(child))
-        case BinOp(op, left, right):
-            return _simplify_binop(op, simplify(left), simplify(right))
-        case Call(name, arg):
-            return _simplify_call(name, simplify(arg))
+    kind = type(e)
+    if kind is BinOp:
+        return _simplify_binop(e.op, simplify(e.left), simplify(e.right))
+    if kind is Const or kind is Var:
+        return e
+    if kind is Call:
+        return _simplify_call(e.name, simplify(e.arg))
+    if kind is Neg:
+        return _simplify_neg(simplify(e.child))
     raise TypeError(f"not an expression node: {e!r}")
 
 
 def _simplify_neg(child: Expression) -> Expression:
-    match child:
-        case Const(value):
-            return Const(-value)
-        case Neg(grandchild):
-            return grandchild
+    kind = type(child)
+    if kind is Const:
+        return Const(-child.value)
+    if kind is Neg:
+        return child.child
     return Neg(child)
 
 
 def _simplify_call(name: str, arg: Expression) -> Expression:
-    if isinstance(arg, Const):
+    if type(arg) is Const:
         folded = _fold(_FUNCTIONS[name], arg.value)
         if folded is not None:
             return folded
@@ -301,8 +307,8 @@ def _fold(fn: Callable[..., float], *values: float) -> Const | None:
 
 
 def _simplify_binop(op: str, left: Expression, right: Expression) -> Expression:
-    l = left.value if isinstance(left, Const) else None
-    r = right.value if isinstance(right, Const) else None
+    l = left.value if type(left) is Const else None
+    r = right.value if type(right) is Const else None
     if l is not None and r is not None:
         folded = _fold(_OPERATORS[op], l, r)
         if folded is not None:
