@@ -33,7 +33,7 @@ class NonfiniteSampleError(ValueError):
 
 
 class DepthLimitError(RuntimeError):
-    """Adaptive bisection hit its depth cap; the input looks pathological."""
+    """Adaptive bisection hit its depth cap or its point budget; the input looks pathological."""
 
 
 class ErrorStats(Frozen):
@@ -178,7 +178,8 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
 
     A panel is accepted when |S_whole - S_left - S_right| <= 15*tol (with
     the usual S/15 correction added); otherwise it splits, halving the
-    tolerance, down to a depth cap of 50.
+    tolerance, down to a depth cap of 50.  It evaluates at most 2**20
+    points.
 
     Pending panels wait on a stack with the leftmost on top.  Each round
     takes up to ``CHUNK // 2`` of the leftmost and evaluates their quarter
@@ -191,7 +192,9 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
 
     Raises:
         DepthLimitError: if the cap is hit, which is what NaN regions or
-            non-smooth pathologies turn into.
+            non-smooth pathologies turn into, or if the next batch would
+            take the points past 2**20, which is what an integrand
+            oscillating ever faster turns into.
     """
     return _reference_integral(_compile_batch(f), interval, tol)
 
@@ -208,10 +211,17 @@ def _reference_integral(f: _Batch, interval: Interval, tol: float = 1e-10) -> fl
     pending = [(0, 1, a, b, fa, fm, fb, _simpson_estimate(fa, fm, fb, b - a), tol)]
     # values of finished panels whose sibling is not finished yet, by node
     accepted: dict[int, float] = {}
+    points = 3
     while pending:
         batch = pending[-(CHUNK // 2) :]
         del pending[-(CHUNK // 2) :]
         batch.reverse()  # the stack's top is the list's end; work left to right
+        points += 2 * len(batch)
+        if points > _MAX_POINTS:
+            raise DepthLimitError(
+                f"adaptive bisection exceeded its budget of {_MAX_POINTS} points "
+                f"on [{batch[0][2]!r}, {batch[-1][3]!r}]; the integrand looks too irregular to integrate there"
+            )
         xs = []
         for panel in batch:
             a, b = panel[2], panel[3]
@@ -249,6 +259,11 @@ def _reference_integral(f: _Batch, interval: Interval, tol: float = 1e-10) -> fl
 
 
 _MAX_DEPTH = 50
+
+# the most points the reference evaluates: the benchmark's inputs take at most a few thousand, and an input
+# that fails at the depth cap at most 51 * 256 + 3; at about a million points a second, one that never
+# finishes stops in about a second
+_MAX_POINTS = 2**20
 
 
 def _simpson_estimate(fa: float, fm: float, fb: float, width: float) -> float:

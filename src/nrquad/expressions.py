@@ -12,6 +12,11 @@ with the bits of ``evaluate``: ``_compile_scalar`` gives one closure per
 node for single points, reading constant and ``x`` operands in place, and
 ``_compile_batch`` gives a chain of lazy ``map`` iterators, one per node,
 for batches.
+
+The walks that run once per integrand, ``_derive``, ``simplify``,
+``_closure`` and ``_chain``, dispatch on ``type(e) is ...`` tests with the
+most frequent node type first, not on class patterns, which each cost an
+``isinstance`` check and field reads per case tried.
 """
 
 from __future__ import annotations
@@ -183,7 +188,8 @@ def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
 def differentiate(e: Expression) -> Expression:
     """Return the derivative of ``e`` with respect to ``x``.
 
-    Applies the sum, product, quotient, chain and power rules.  A power
+    Applies the sum, product, quotient, chain and power rules; the
+    derivative of ``u/c`` for a constant ``c`` is ``u'/c``.  A power
     with a non-constant exponent is handled through the ``exp(v*ln(u))``
     rewrite, so evaluating its derivative at points with a non-positive
     base yields NaN.  The result is not simplified; pass it through
@@ -213,6 +219,9 @@ def _derive(e: Expression, build: tuple) -> Expression:
         if op == "*":
             du_v = binop("*", _derive(left, build), reuse(right))
             return binop("+", du_v, binop("*", reuse(left), _derive(right, build)))
+        if op == "/" and type(right) is Const:
+            # u'/c: the quotient rule's c^2 overflows for |c| past about 1e154
+            return binop("/", _derive(left, build), right)
         if op == "/":
             v = reuse(right)
             du_v = binop("*", _derive(left, build), v)

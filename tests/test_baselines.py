@@ -117,6 +117,23 @@ class TestOrderingInvariants:
         assert midpoint(f, interval, n) <= exact <= trapezoid(f, interval, n)
 
 
+    def test_rules_bracket_the_reference_on_seeded_increasing_sums(self):
+        # positive sums of increasing terms on [0, b], b <= 3: each left sample is below and each
+        # right sample above its panel, and trapezoid, midpoint and Simpson average between them
+        rng = random.Random(1616)
+        terms = ["{c}*x^{k}", "{c}*(exp(x)-1)", "{c}*ln(x+1)", "{c}*(sqrt(x+1)-1)", "{c}*sin(x/4)"]
+        for _ in range(40):
+            chosen = rng.sample(terms, rng.randint(1, 4))
+            f = parse("+".join(t.format(c=round(rng.uniform(0.2, 3.0), 2), k=rng.randint(1, 3)) for t in chosen))
+            interval = Interval(0.0, round(rng.uniform(0.5, 3.0), 3))
+            exact = reference_integral(f, interval)
+            for n in (2, 4, 10, 64):
+                lo, hi = left_riemann(f, interval, n), right_riemann(f, interval, n)
+                assert lo <= exact <= hi, (to_text(f), interval, n)
+                for rule in trapezoid, midpoint, simpson:
+                    assert lo <= rule(f, interval, n) <= hi, (rule.__name__, to_text(f), interval, n)
+
+
 class TestConvergenceOrders:
     def test_second_order_rules_quarter_their_error(self):
         exact = math.e - 1.0
@@ -480,7 +497,7 @@ class TestReferenceBatches:
 
     def test_memory_stays_bounded_on_an_input_that_does_not_finish(self, monkeypatch):
         # sin(tan(0.616-x)) on [-1, 1] resolves ever faster oscillations
-        # towards its pole and runs for minutes; stopped after 100 batches
+        # towards its pole until the point budget stops it; stopped after 100 batches
         # (about 25,000 points), it must not hold a value per accepted panel:
         # that took 1.2 MB there
         class Stop(Exception):
@@ -499,6 +516,11 @@ class TestReferenceBatches:
         finally:
             tracemalloc.stop()
         assert peak < 640_000
+
+    def test_an_input_that_does_not_finish_stops_at_the_point_budget(self, batches):
+        with pytest.raises(DepthLimitError, match="exceeded its budget of 1048576 points"):
+            reference_integral(parse("sin(tan(0.616-x))"), Interval(-1.0, 1.0))
+        assert 2**20 - CHUNK < sum(batches) <= 2**20
 
     def test_extra_work_on_a_failing_input_is_bounded(self, batches):
         # the recursion takes 105 points; the batches reach the cap down the

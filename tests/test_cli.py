@@ -148,6 +148,26 @@ class TestExitStatuses:
         assert out == ""
         assert err == "error: nonfinite value at x = -1.0000000000000002e-07 (f = nan, f' = nan)\n"
 
+    def test_quotient_by_a_huge_constant_integrates(self, capsys):
+        code, out, err = run(["integrate", "--expr", "1e200*x/1e160", "--lower", "0", "--upper", "1"], capsys)
+        assert (code, err) == (0, "")
+        assert "value:        4.9999999999999995e+39\n" in out
+
+    def test_quotient_by_a_huge_constant_has_a_finite_derivative(self, capsys):
+        # f' is 1e-155, not the quotient rule's NaN, so the rule stops on its vanishing-derivative check
+        code, out, err = run(["integrate", "--expr", "x/1e155", "--lower", "0", "--upper", "1"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: derivative vanished at x = 1.0 (|f'(x)| = 1e-155 <= 1e-12)\n"
+
+    def test_reference_past_its_point_budget_exits_3(self):
+        # oscillating ever faster towards the pole of tan, this never finished before the budget;
+        # a child process, so that a hang fails the test instead of stopping the suite
+        argv = ["compare", "--expr", "sin(tan(0.616-x))", "--lower", "-1", "--upper", "1", "--no-validate"]
+        proc = subprocess.run([sys.executable, "-m", "nrquad", *argv], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: adaptive bisection exceeded its budget of 1048576 points on [")
+
     def test_no_validate_skips_checks(self, capsys):
         code, out, _ = run(
             ["integrate", "--expr", "0-x", "--lower", "0", "--upper", "1", "--no-validate"], capsys

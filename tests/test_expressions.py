@@ -456,6 +456,21 @@ class TestDifferentiate:
             assert abs(sym - fd_half) <= 1e-5 * max(abs(sym), abs(fd_half))
             checked += 1
 
+    @pytest.mark.parametrize("source", ["x/1e155", "x^2/1e160", "(exp(x)-1)/1e160", "1e200*x/1e160"])
+    def test_quotient_by_a_huge_constant_is_finite(self, source):
+        # the quotient rule's c^2 overflows to NaN; d(u/c) = u'/c does not
+        e = parse(source)
+        c = e.right.value
+        for df in differentiate(e), _derivative(e):
+            value = evaluate(df, 1.0)
+            assert math.isfinite(value) and value != 0.0
+            assert value == evaluate(_derivative(e.left), 1.0) / c
+
+    def test_quotient_by_a_constant_is_u_prime_over_c(self):
+        assert differentiate(parse("sin(x)/3")) == BinOp("/", differentiate(parse("sin(x)")), Const(3.0))
+        assert _derivative(parse("x^2/1e160")) == parse("2*x/1e160")
+        assert _derivative(parse("sin(x/4)")) == parse("cos(x/4)*0.25")
+
     def test_linearity(self):
         rng = random.Random(7)
         for _ in range(50):
@@ -469,6 +484,17 @@ class TestDifferentiate:
             rhs = alpha * evaluate(differentiate(f), x) + beta * evaluate(differentiate(g), x)
             if math.isfinite(lhs) and math.isfinite(rhs):
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
+
+
+NOT_NODES = [object(), BinOp("+", Var(), object())]
+WALKS = [differentiate, simplify, _derivative, _compile_scalar, _compile_batch]
+
+
+@pytest.mark.parametrize("walk", WALKS, ids=lambda walk: walk.__name__)
+@pytest.mark.parametrize("e", NOT_NODES, ids=["object", "binop-over-object"])
+def test_every_walk_rejects_a_non_node(walk, e):
+    with pytest.raises(TypeError, match="not an expression node"):
+        walk(e)
 
 
 class TestSimplify:

@@ -2,10 +2,11 @@
 
 No linter ships with the toolchain, so this is a small ``ast`` check: a
 name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the same module, annotations included.  Three checks ride
+read somewhere in the same module, annotations included.  Four checks ride
 along: no module may be larger than ``MAX_MODULE_BYTES``, none runs
-generated code through the builtins ``exec``, ``eval`` or ``compile``, and
-the package reads every private module-level name it defines.
+generated code through the builtins ``exec``, ``eval`` or ``compile``, the
+package reads every private module-level name it defines, and the tree walks
+that run on every integrand dispatch without ``match``.
 """
 
 import ast
@@ -132,3 +133,34 @@ def test_the_check_finds_an_unread_private_name():
 def test_the_package_reads_every_private_module_level_name():
     sources = {path.stem: path.read_text() for path in PACKAGE.glob("*.py")}
     assert unread_private_names(sources) == []
+
+
+# The walks that run on every integrand dispatch on ``type(e) is ...`` chains: a
+# class pattern costs an isinstance test and attribute reads per case tried, and
+# the chains took the benchmark's integrate workload from about 6.2x to 5.1x plain
+# Python (README, "Cost of integrate"). Bringing ``match`` back gives that up.
+HOT_WALKS = {"expressions.py": {"_closure", "_chain", "_derive", "simplify", "_simplify_neg"}}
+
+
+def functions_with_match(source: str, names: set[str]) -> list[str]:
+    """The module-level functions of ``source`` among ``names`` that contain a ``match`` statement."""
+    return [
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in names
+        and any(isinstance(inner, ast.Match) for inner in ast.walk(node))
+    ]
+
+
+def test_the_check_finds_a_match_statement():
+    source = "def f(e):\n    match e:\n        case _:\n            return 1\n\n\ndef g(e):\n    return type(e)\n"
+    assert functions_with_match(source, {"f", "g"}) == ["f"]
+
+
+@pytest.mark.parametrize("module", HOT_WALKS)
+def test_the_per_integrand_walks_have_no_match_statement(module):
+    source = (PACKAGE / module).read_text()
+    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
+    assert HOT_WALKS[module] <= defined
+    assert functions_with_match(source, HOT_WALKS[module]) == []
