@@ -160,8 +160,8 @@ class TestExitStatuses:
         assert err == "error: derivative vanished at x = 1.0 (|f'(x)| = 1e-155 <= 1e-12)\n"
 
     def test_reference_past_its_point_budget_exits_3(self):
-        # oscillating ever faster towards the pole of tan, this never finished before the budget;
-        # a child process, so that a hang fails the test instead of stopping the suite
+        # the oscillations grow ever faster towards the pole of tan, so only the point budget ends
+        # the reference; a child process, so that a hang fails the test instead of stopping the suite
         argv = ["compare", "--expr", "sin(tan(0.616-x))", "--lower", "-1", "--upper", "1", "--no-validate"]
         proc = subprocess.run([sys.executable, "-m", "nrquad", *argv], capture_output=True, text=True, timeout=120)
         assert (proc.returncode, proc.stdout) == (3, "")
