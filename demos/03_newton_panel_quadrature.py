@@ -28,8 +28,8 @@ print()
 result = nr_integrate(f, INTERVAL, NrQuadSettings(tol_x=0.01))
 print("Panels at tol_x = 0.01 (stop once an iterate is within 0.01 of a):")
 print(f"  {'k':>2}  {'x_k':>12}  {'width':>12}  {'area':>12}")
-for k, panel in enumerate(result.panels):
-    print(f"  {k:>2}  {panel.x_k:>12.6f}  {panel.width:>12.6f}  {panel.area:>12.6f}")
+for k, (step, area) in enumerate(zip(result.trace.steps, result.areas)):
+    print(f"  {k:>2}  {step.x_k:>12.6f}  {step.step:>12.6f}  {area:>12.6f}")
 print(f"  value        = {result.value:.6f}")
 print(f"  residual gap = {result.residual_gap:.6f}  (sliver left of the last iterate)")
 print(f"  status       = {result.status.value}")
@@ -46,9 +46,9 @@ print()
 print(f"  {'tol_x':>8}  {'panels':>6}  {'value':>10}  {'gap':>9}  {'value - reference':>18}")
 for tol in (0.1, 0.01, 1e-4, 1e-6, 1e-8):
     r = nr_integrate(f, INTERVAL, NrQuadSettings(tol_x=tol, closing_triangle=True))
-    print(f"  {tol:>8.0e}  {len(r.panels):>6}  {r.value:>10.6f}  {r.residual_gap:>9.2e}  {r.value - reference:>18.6f}")
+    print(f"  {tol:>8.0e}  {len(r.areas):>6}  {r.value:>10.6f}  {r.residual_gap:>9.2e}  {r.value - reference:>18.6f}")
 print()
 
 print("Where the rule is exact: straight lines through the root")
 r = nr_integrate(parse("3*x"), Interval(0.0, 2.0), NrQuadSettings(closing_triangle=True))
-print(f"  f(x) = 3*x on [0, 2]: value = {r.value} (exact 6.0) in {len(r.panels)} panel")
+print(f"  f(x) = 3*x on [0, 2]: value = {r.value} (exact 6.0) in {len(r.areas)} panel")

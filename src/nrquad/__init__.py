@@ -54,7 +54,6 @@ from .newton import (
 from .quadrature import (
     Interval,
     NrQuadSettings,
-    Panel,
     QuadResult,
     QuadStatus,
     ValidationError,
@@ -81,7 +80,6 @@ __all__ = [
     "NonfiniteSampleError",
     "NonfiniteValueError",
     "NrQuadSettings",
-    "Panel",
     "ParseError",
     "QuadResult",
     "QuadStatus",

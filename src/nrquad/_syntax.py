@@ -68,20 +68,26 @@ class BinOp(Expression):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
+        if op not in _OPERATOR_SYMBOLS:
+            raise ValueError(f"unknown operator {op!r}; expected one of + - * / ^")
         set_field(self, "op", op)
         set_field(self, "left", left)
         set_field(self, "right", right)
 
 
 class Call(Expression):
-    """Application of a named function to exactly one argument."""
+    """Application of a named function to exactly one argument; ``name`` is in ``FUNCTION_NAMES``."""
 
     __slots__ = ("name", "arg")
 
     def __init__(self, name: str, arg: Expression) -> None:
+        if name not in _FUNCTIONS:
+            raise ValueError(f"unknown function {name!r}; expected one of {', '.join(_FUNCTIONS)}")
         set_field(self, "name", name)
         set_field(self, "arg", arg)
 
+
+_OPERATOR_SYMBOLS = frozenset("+-*/^")
 
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,

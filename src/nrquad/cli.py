@@ -41,8 +41,6 @@ EXIT_WRITE = 4
 
 METHODS = ("nr", "midpoint", "trapezoid", "left-riemann", "right-riemann", "simpson")
 
-REFERENCE_TOL = 1e-10
-
 MAX_COUNT = 1_000_000
 """Largest ``--panels`` and ``--max-iter`` the CLI accepts; larger ones would run for seconds."""
 
@@ -213,7 +211,7 @@ def _compare_doc(
     f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
 ) -> dict[str, object]:
     many = _compile_batch(f)  # one batch evaluator for the reference and the rules
-    reference = _reference_integral(many, interval, tol=REFERENCE_TOL)
+    reference = _reference_integral(many, interval)
     # the baseline methods, by the name of their rule, run in one pass over the grid
     rules = {method: method.replace("-", "_") for method in methods if method != "nr"}
     outcomes = _grid_rules(many, interval, panels, rules.values())
@@ -232,7 +230,7 @@ def _compare_doc(
                 continue
             value = result.value
             nr_details = {
-                "panel_count": len(result.panels),
+                "panel_count": len(result.areas),
                 "residual_gap": result.residual_gap,
                 "termination": result.trace.termination.value,
             }
@@ -255,18 +253,19 @@ def _compare_doc(
 
 
 def _integrate_doc(expr_text: str, interval: Interval, result: QuadResult) -> dict[str, object]:
+    steps = result.trace.steps
     return {
         "expression": expr_text,
         "interval": [interval.a, interval.b],
         "value": result.value,
-        "panels": [{"x_k": p.x_k, "width": p.width, "area": p.area} for p in result.panels],
+        "panels": [{"x_k": s.x_k, "width": s.step, "area": area} for s, area in zip(steps, result.areas)],
         "closing_area": result.closing_area,
         "residual_gap": result.residual_gap,
         "status": result.status.value,
         "trace": {
             "steps": [
                 {"x_k": s.x_k, "f_k": s.f_k, "df_k": s.df_k, "step": s.step, "x_next": s.x_next}
-                for s in result.trace.steps
+                for s in steps
             ],
             "termination": result.trace.termination.value,
             "final_x": result.trace.final_x,
@@ -279,8 +278,8 @@ def _trace_doc(expr_text: str, interval: Interval, result: QuadResult) -> dict[s
         "expression": expr_text,
         "interval": [interval.a, interval.b],
         "steps": [
-            {"index": i, "x_k": s.x_k, "f_k": s.f_k, "df_k": s.df_k, "step": s.step, "area": panel.area}
-            for i, (s, panel) in enumerate(zip(result.trace.steps, result.panels))
+            {"index": i, "x_k": s.x_k, "f_k": s.f_k, "df_k": s.df_k, "step": s.step, "area": area}
+            for i, (s, area) in enumerate(zip(result.trace.steps, result.areas))
         ],
         "termination": result.trace.termination.value,
     }

@@ -231,12 +231,11 @@ def _derive(e: Expression, build: tuple) -> Expression:
             c = right.value
             scaled = binop("*", Const(c), binop("^", reuse(left), Const(c - 1.0)))
             return binop("*", scaled, _derive(left, build))
-        if op == "^":
-            # u^v = exp(v*ln(u)):  (u^v)' = u^v * (v'*ln(u) + v*u'/u)
-            u, v = reuse(left), reuse(right)
-            dv_ln_u = binop("*", _derive(right, build), call("ln", u))
-            inner = binop("+", dv_ln_u, binop("*", v, binop("/", _derive(left, build), u)))
-            return binop("*", binop("^", u, v), inner)
+        # "^" (BinOp allows no other operator), u^v = exp(v*ln(u)):  (u^v)' = u^v * (v'*ln(u) + v*u'/u)
+        u, v = reuse(left), reuse(right)
+        dv_ln_u = binop("*", _derive(right, build), call("ln", u))
+        inner = binop("+", dv_ln_u, binop("*", v, binop("/", _derive(left, build), u)))
+        return binop("*", binop("^", u, v), inner)
     if kind is Const:
         return Const(0.0)
     if kind is Var:

@@ -90,32 +90,26 @@ class NrQuadSettings(Frozen):
         set_field(self, "validate", validate)
 
 
-class Panel(Frozen):
-    """One trapezoid panel anchored at the iterate ``x_k``."""
-
-    __slots__ = ("x_k", "width", "area")
-
-    def __init__(self, x_k: float, width: float, area: float) -> None:
-        set_field(self, "x_k", x_k)
-        set_field(self, "width", width)
-        set_field(self, "area", area)
+_DEFAULT_SETTINGS = NrQuadSettings()  # frozen, so every call without settings shares it
 
 
 class QuadResult(Frozen):
     """Outcome of :func:`nr_integrate`.
 
-    ``value`` is the panel areas plus ``closing_area``, summed in
-    construction order.  ``residual_gap`` is ``|x_last - a|``, the width
-    of the uncovered sliver (zero after a clamp).
+    ``areas[k]`` is the area of the panel under ``trace.steps[k]``, whose
+    width is that step.  ``value`` is the areas plus ``closing_area``,
+    added one at a time in that order.  ``residual_gap`` is
+    ``|x_last - a|``, the width of the uncovered sliver (zero after a
+    clamp).
     """
 
-    __slots__ = ("value", "panels", "closing_area", "residual_gap", "trace")
+    __slots__ = ("value", "areas", "closing_area", "residual_gap", "trace")
 
     def __init__(
-        self, value: float, panels: tuple[Panel, ...], closing_area: float, residual_gap: float, trace: NewtonTrace
+        self, value: float, areas: tuple[float, ...], closing_area: float, residual_gap: float, trace: NewtonTrace
     ) -> None:
         set_field(self, "value", value)
-        set_field(self, "panels", panels)
+        set_field(self, "areas", areas)
         set_field(self, "closing_area", closing_area)
         set_field(self, "residual_gap", residual_gap)
         set_field(self, "trace", trace)
@@ -238,7 +232,7 @@ def nr_integrate(
     Running out of iterations is not an error: the result then carries
     status ``budget-exhausted``.
     """
-    settings = settings if settings is not None else NrQuadSettings()
+    settings = settings if settings is not None else _DEFAULT_SETTINGS
     a, b = interval.a, interval.b
     f_at = _compile_scalar(f)
     df_at = _compile_scalar(_derivative(f))
@@ -265,12 +259,12 @@ def nr_integrate(
     if not math.isfinite(f_final):  # it closes the last panel
         raise NonfiniteValueError(trace.final_x, f_final, df_at(trace.final_x))
 
-    panels: list[Panel] = []
-    value = 0.0
+    areas: list[float] = []
+    value = 0.0  # added one at a time, not by sum(), whose float algorithm changed in Python 3.12
     for i, step in enumerate(trace.steps):
         f_next = trace.steps[i + 1].f_k if i + 1 < len(trace.steps) else f_final
         area = panel_area(step.f_k, step.df_k, f_next)
-        panels.append(Panel(x_k=step.x_k, width=step.step, area=area))
+        areas.append(area)
         value += area
 
     closing_area = 0.0
@@ -280,7 +274,7 @@ def nr_integrate(
 
     return QuadResult(
         value=value,
-        panels=tuple(panels),
+        areas=tuple(areas),
         closing_area=closing_area,
         residual_gap=abs(trace.final_x - a),
         trace=trace,

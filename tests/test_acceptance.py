@@ -100,7 +100,7 @@ def test_criterion_03_worked_example_chain():
     result = nr_integrate(QUAD, QUAD_INTERVAL, NrQuadSettings(tol_x=0.01))
     iterates = [step.x_next for step in result.trace.steps]
     printed = [0.142, -0.26, -0.44, -0.49]
-    panel_ok = len(result.panels) == 4
+    panel_ok = len(result.areas) == 4
     chain_ok = panel_ok and all(
         abs(x - p) <= 0.01 for x, p in zip(iterates, printed, strict=True)
     )
@@ -108,7 +108,7 @@ def test_criterion_03_worked_example_chain():
     report(
         3,
         panel_ok and chain_ok and value_ok,
-        f"panels = {len(result.panels)}, value = {result.value:.6f} (target 3.6100 +/- 0.005)",
+        f"panels = {len(result.areas)}, value = {result.value:.6f} (target 3.6100 +/- 0.005)",
     )
     assert panel_ok
     assert chain_ok
@@ -127,7 +127,7 @@ def test_criterion_04_affine_exactness():
         exact = m * b * b / 2.0
         rel = abs(result.value - exact) / exact
         worst = max(worst, rel)
-        if len(result.panels) != 1 or rel > 1e-12:
+        if len(result.areas) != 1 or rel > 1e-12:
             ok = False
     report(4, ok, f"100 random (m, b); worst relative deviation {worst:.2e}; 1 panel each")
     assert ok
@@ -253,19 +253,19 @@ def test_criterion_09_guarded_limitations(capsys):
         code_constant == 3
         and code_decreasing == 2
         and result.status is QuadStatus.BUDGET_EXHAUSTED
-        and len(result.panels) == 1
+        and len(result.areas) == 1
     )
     with capsys.disabled():
         report(
             9,
             ok,
             f"constant -> exit {code_constant}; non-monotone -> exit {code_decreasing}; "
-            f"max_iter=1 -> {result.status.value} with {len(result.panels)} panel",
+            f"max_iter=1 -> {result.status.value} with {len(result.areas)} panel",
         )
     assert code_constant == 3
     assert code_decreasing == 2
     assert result.status is QuadStatus.BUDGET_EXHAUSTED
-    assert len(result.panels) == 1
+    assert len(result.areas) == 1
 
 
 def test_criterion_10_golden_cli_outputs(capsys):

@@ -273,11 +273,29 @@ class TestIntegrateFormats:
         assert doc["value"] == result.value
         assert doc["residual_gap"] == result.residual_gap
         assert doc["status"] == "ok"
-        assert [p["area"] for p in doc["panels"]] == [p.area for p in result.panels]
+        assert [p["area"] for p in doc["panels"]] == list(result.areas)
         assert doc["trace"]["termination"] == "reached-target"
         assert [s["x_next"] for s in doc["trace"]["steps"]] == [s.x_next for s in result.trace.steps]
         # re-serialising reproduces the document exactly
         assert json.loads(json.dumps(doc)) == doc
+
+    # the worked example, a clamp, a budget run out and a closing triangle
+    @pytest.mark.parametrize(
+        "argv, source, interval, settings",
+        [
+            (EXAMPLE, "2*x^2+3*x+1", Interval(-0.5, 1.0), NrQuadSettings()),
+            (["--expr", "ln(x+1)", "--lower", "0", "--upper", "2"], "ln(x+1)", Interval(0.0, 2.0), NrQuadSettings()),
+            ([*EXAMPLE, "--max-iter", "1"], "2*x^2+3*x+1", Interval(-0.5, 1.0), NrQuadSettings(max_iter=1)),
+            ([*EXAMPLE, "--closing-triangle"], "2*x^2+3*x+1", Interval(-0.5, 1.0), NrQuadSettings(closing_triangle=True)),
+        ],
+        ids=["worked-example", "clamped", "budget-exhausted", "closing-triangle"],
+    )
+    def test_json_panels_are_the_steps_and_their_areas(self, capsys, argv, source, interval, settings):
+        code, out, _ = run(["integrate", *argv, "--format", "json"], capsys)
+        assert code == 0
+        result = nr_integrate(parse(source), interval, settings)
+        expected = [(s.x_k, s.step, area) for s, area in zip(result.trace.steps, result.areas, strict=True)]
+        assert [(p["x_k"], p["width"], p["area"]) for p in json.loads(out)["panels"]] == expected
 
 
 class TestTrace:

@@ -2,11 +2,12 @@
 
 No linter ships with the toolchain, so this is a small ``ast`` check: a
 name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the same module, annotations included.  Four checks ride
+read somewhere in the same module, annotations included.  Five checks ride
 along: no module may be larger than ``MAX_MODULE_BYTES``, none runs
 generated code through the builtins ``exec``, ``eval`` or ``compile``, the
-package reads every private module-level name it defines, and the tree walks
-that run on every integrand dispatch without ``match``.
+package reads every private module-level name it defines, the tree walks
+that run on every integrand dispatch without ``match``, and ``nrquad.__all__``
+lists exactly the names ``__init__.py`` imports.
 """
 
 import ast
@@ -161,3 +162,30 @@ def test_the_per_integrand_walks_have_no_match_statement():
     defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
     assert HOT_WALKS <= defined
     assert HOT_WALKS.isdisjoint(functions_with_match(source))
+
+
+# The public API: every name __init__.py imports from a submodule, once, sorted.
+PUBLIC_NAMES = 39
+
+
+def imported_from_submodules(source: str) -> list[str]:
+    """The names that the module-level ``from .module import ...`` statements of ``source`` bind."""
+    return [
+        alias.asname or alias.name
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+
+
+def test_the_check_reads_the_submodule_imports():
+    source = "from __future__ import annotations\nimport os\nfrom .a import b, c as d\nfrom .e import f\n"
+    assert imported_from_submodules(source) == ["b", "d", "f"]
+
+
+def test_all_lists_each_imported_name_once_in_order():
+    names = nrquad.__all__
+    assert names == sorted(set(names))
+    assert set(names) == set(imported_from_submodules((PACKAGE / "__init__.py").read_text()))
+    assert [name for name in names if not hasattr(nrquad, name)] == []
+    assert len(names) == PUBLIC_NAMES

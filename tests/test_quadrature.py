@@ -7,7 +7,7 @@ import pytest
 
 from nrquad.baselines import reference_integral
 from nrquad.expressions import _compile_scalar, differentiate, evaluate, parse, simplify
-from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, Termination, newton_step
+from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, StoppingCriteria, Termination, newton_step
 from nrquad.quadrature import (
     Interval,
     NrQuadSettings,
@@ -22,6 +22,15 @@ from support import brute_force_rule, count_scalar_calls
 
 QUAD = "2*x^2+3*x+1"
 QUAD_INTERVAL = Interval(-0.5, 1.0)
+
+# (source, interval, settings, status): the worked example, a clamp, a budget run out and a closing triangle
+BOOKKEEPING_CASES = [
+    (QUAD, QUAD_INTERVAL, NrQuadSettings(tol_x=1e-6), QuadStatus.OK),
+    ("ln(x+1)", Interval(0.0, 2.0), NrQuadSettings(), QuadStatus.CLAMPED),
+    (QUAD, QUAD_INTERVAL, NrQuadSettings(tol_x=0.01, max_iter=1), QuadStatus.BUDGET_EXHAUSTED),
+    (QUAD, QUAD_INTERVAL, NrQuadSettings(tol_x=1e-6, closing_triangle=True), QuadStatus.OK),
+]
+BOOKKEEPING_IDS = ["worked-example", "clamped", "budget-exhausted", "closing-triangle"]
 
 
 class TestPanelArea:
@@ -85,7 +94,7 @@ class TestNrIntegrate:
     def test_worked_example_at_coarse_tolerance(self):
         f = parse(QUAD)
         result = nr_integrate(f, QUAD_INTERVAL, NrQuadSettings(tol_x=0.01))
-        assert len(result.panels) == 4
+        assert len(result.areas) == 4
         assert result.status is QuadStatus.OK
         assert result.trace.termination is Termination.REACHED_TARGET
         assert abs(result.value - 3.6100) <= 0.005
@@ -102,7 +111,7 @@ class TestNrIntegrate:
     def test_identity_is_exact_in_one_panel(self):
         result = nr_integrate(parse("x"), Interval(0.0, 1.0))
         assert result.value == 0.5
-        assert len(result.panels) == 1
+        assert len(result.areas) == 1
         assert result.trace.termination is Termination.REACHED_TARGET
         assert result.residual_gap == 0.0
 
@@ -117,9 +126,9 @@ class TestNrIntegrate:
             return (2.0 / 3.0) * x**3 + 1.5 * x**2 + x
 
         excess = 0.0
-        xs = [p.x_k for p in result.panels] + [result.trace.final_x]
-        for panel, x_hi, x_lo in zip(result.panels, xs, xs[1:]):
-            excess += panel.area - (F(x_hi) - F(x_lo))
+        xs = [step.x_k for step in result.trace.steps] + [result.trace.final_x]
+        for area, x_hi, x_lo in zip(result.areas, xs, xs[1:]):
+            excess += area - (F(x_hi) - F(x_lo))
         excess += result.closing_area - (F(result.trace.final_x) - F(-0.5))
         assert result.value == pytest.approx(3.375 + excess, abs=2e-4)
 
@@ -131,7 +140,7 @@ class TestNrIntegrate:
             f = parse(f"{m!r}*x")
             result = nr_integrate(f, Interval(0.0, b), NrQuadSettings(closing_triangle=True))
             exact = m * b * b / 2.0
-            assert len(result.panels) == 1
+            assert len(result.areas) == 1
             assert abs(result.value - exact) <= 4.0 * math.ulp(exact)
 
     @pytest.mark.parametrize(
@@ -149,25 +158,25 @@ class TestNrIntegrate:
         reference = reference_integral(f, interval)
         assert result.value >= reference - 1e-12 * abs(result.value)
 
-    def test_bookkeeping_identity(self):
-        f = parse(QUAD)
-        for closing in (False, True):
-            settings = NrQuadSettings(tol_x=1e-6, closing_triangle=closing)
-            result = nr_integrate(f, QUAD_INTERVAL, settings)
-            total = 0.0
-            for panel in result.panels:
-                total += panel.area
-            total += result.closing_area
-            assert result.value == total
-            if not closing:
-                assert result.closing_area == 0.0
+    @pytest.mark.parametrize("source, interval, settings, status", BOOKKEEPING_CASES, ids=BOOKKEEPING_IDS)
+    def test_bookkeeping_identity(self, source, interval, settings, status):
+        result = nr_integrate(parse(source), interval, settings)
+        assert result.status is status
+        # one area per Newton step, and the value is the areas, then the closing triangle, added one at a time
+        assert len(result.areas) == len(result.trace.steps)
+        total = 0.0
+        for area in result.areas:
+            total += area
+        total += result.closing_area
+        assert result.value.hex() == total.hex()
+        if not settings.closing_triangle:
+            assert result.closing_area == 0.0
 
     def test_width_identity(self):
         f = parse(QUAD)
         result = nr_integrate(f, QUAD_INTERVAL, NrQuadSettings(tol_x=1e-8))
-        for panel, step in zip(result.panels, result.trace.steps, strict=True):
-            assert panel.width == step.step
-            assert abs(panel.width * step.df_k - step.f_k) <= 1e-12 * abs(step.f_k)
+        for step in result.trace.steps:
+            assert abs(step.step * step.df_k - step.f_k) <= 1e-12 * abs(step.f_k)
 
     def test_residual_gap_shrinks_with_tolerance(self):
         f = parse(QUAD)
@@ -183,7 +192,7 @@ class TestNrIntegrate:
         f = parse(QUAD)
         result = nr_integrate(f, QUAD_INTERVAL, NrQuadSettings(tol_x=0.01, max_iter=1))
         assert result.status is QuadStatus.BUDGET_EXHAUSTED
-        assert len(result.panels) == 1
+        assert len(result.areas) == 1
         assert result.trace.termination is Termination.MAX_ITERATIONS
 
     def test_concave_integrand_clamps_to_lower_limit(self):
@@ -209,7 +218,24 @@ class TestNrIntegrate:
     def test_validation_off_runs_as_written(self):
         result = nr_integrate(parse("0-x"), Interval(0.0, 1.0), NrQuadSettings(validate=False))
         assert result.value == -0.5
-        assert len(result.panels) == 1
+        assert len(result.areas) == 1
+
+    def test_a_call_without_settings_builds_only_its_stopping_criteria(self, monkeypatch):
+        built = []
+
+        def counted(init):
+            def counting_init(self, *args, **kwargs):
+                built.append(type(self))
+                init(self, *args, **kwargs)
+
+            return counting_init
+
+        for cls in (NrQuadSettings, StoppingCriteria):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
+        default = nr_integrate(parse(QUAD), QUAD_INTERVAL)
+        assert built == [StoppingCriteria]
+        monkeypatch.undo()
+        assert default == nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings())
 
     def test_vanished_derivative_wins_over_validation(self):
         # constant integrand: both the derivative guard and validation
@@ -289,7 +315,7 @@ class TestEvaluationCounts:
     @pytest.mark.parametrize("validate, expected", [(True, 76), (False, 13)])
     def test_worked_example(self, calls, validate, expected):
         result = nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(validate=validate))
-        assert len(result.panels) == 6
+        assert len(result.areas) == 6
         assert result.trace.termination is Termination.REACHED_TARGET
         assert calls[0] == expected
 

@@ -17,7 +17,6 @@ from nrquad import (
     NewtonStep,
     NewtonTrace,
     NrQuadSettings,
-    Panel,
     QuadResult,
     QuadStatus,
     StoppingCriteria,
@@ -26,6 +25,7 @@ from nrquad import (
     Var,
     parse,
 )
+from nrquad.expressions import FUNCTION_NAMES
 
 STEP = NewtonStep(x_k=1.0, f_k=6.0, df_k=7.0, step=6.0 / 7.0, x_next=1.0 - 6.0 / 7.0)
 TRACE = NewtonTrace((STEP,), Termination.REACHED_TARGET, STEP.x_next)
@@ -68,13 +68,11 @@ CASES = [
         NrQuadSettings(tol_x=0.01, validate=False),
         "NrQuadSettings(tol_x=0.01, tol_f=None, max_iter=100, closing_triangle=False, validate=True)",
     ),
-    (Panel(1.0, 0.5, 0.25), Panel(x_k=1.0, width=0.5, area=0.25), Panel(1.0, 0.5, 0.5), "Panel(x_k=1.0, width=0.5, area=0.25)"),
     (
-        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, TRACE),
-        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, TRACE),
-        QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, NewtonTrace((STEP,), Termination.OVERSHOOT_CLAMPED, 0.5)),
-        f"QuadResult(value=0.5, panels=(Panel(x_k=1.0, width=1.0, area=0.5),), closing_area=0.0, "
-        f"residual_gap=0.0, trace={TRACE!r})",
+        QuadResult(0.5, (0.5,), 0.0, 0.0, TRACE),
+        QuadResult(value=0.5, areas=(0.5,), closing_area=0.0, residual_gap=0.0, trace=TRACE),
+        QuadResult(0.5, (0.5,), 0.0, 0.0, NewtonTrace((STEP,), Termination.OVERSHOOT_CLAMPED, 0.5)),
+        f"QuadResult(value=0.5, areas=(0.5,), closing_area=0.0, residual_gap=0.0, trace={TRACE!r})",
     ),
     (
         ValidationReport(True, True, False, ("f'(b) = 0.0 is not positive",)),
@@ -161,14 +159,14 @@ def test_quad_status_follows_the_termination():
         Termination.MAX_ITERATIONS: QuadStatus.BUDGET_EXHAUSTED,
     }
     for termination, status in expected.items():
-        result = QuadResult(0.5, (Panel(1.0, 1.0, 0.5),), 0.0, 0.0, NewtonTrace((STEP,), termination, STEP.x_next))
+        result = QuadResult(0.5, (0.5,), 0.0, 0.0, NewtonTrace((STEP,), termination, STEP.x_next))
         assert result.status is status, termination
     with pytest.raises(AttributeError):
         result.status = QuadStatus.OK
 
 
 def test_equality_needs_the_same_class():
-    assert Panel(1.0, 0.5, 0.25) != (1.0, 0.5, 0.25)
+    assert Interval(-0.5, 1.0) != (-0.5, 1.0)
     assert Var() != Neg(Var())
     assert Const(1.0).__eq__(1.0) is NotImplemented
 
@@ -188,3 +186,16 @@ def test_constructors_keep_their_validation_messages():
         StoppingCriteria(max_iter=0)
     with pytest.raises(TypeError):
         Var(1.0)
+
+
+def test_nodes_hold_only_operators_and_functions_every_walk_supports():
+    with pytest.raises(ValueError, match=r"^unknown operator '%'; expected one of \+ - \* / \^$"):
+        BinOp("%", Var(), Const(2.0))
+    with pytest.raises(ValueError, match="unknown operator ''"):
+        BinOp("", Var(), Const(2.0))
+    with pytest.raises(ValueError, match=r"^unknown function 'foo'; expected one of sin, cos, tan, exp, ln, sqrt, abs$"):
+        Call("foo", Var())
+    nodes = [BinOp(op, Var(), Const(2.0)) for op in "+-*/^"] + [Call(name, Var()) for name in sorted(FUNCTION_NAMES)]
+    for node in nodes:
+        for twin in (copy.copy(node), copy.deepcopy(node), pickle.loads(pickle.dumps(node))):
+            assert type(twin) is type(node) and twin == node
