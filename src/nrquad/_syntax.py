@@ -16,13 +16,15 @@ decimal literals with optional fraction and exponent (``2``, ``0.5``,
 The recognised functions are sin, cos, tan, exp, ln, sqrt and abs, each
 taking exactly one argument; any other identifier is a parse error.
 
-:mod:`nrquad.expressions` re-exports every public name here, and is where
+:mod:`nrquad.expressions` re-exports every public name here but
+``VARIABLE_NAME``, which only the parser and printer read, and is where
 callers import them from.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections.abc import Callable
 
@@ -68,8 +70,8 @@ class BinOp(Expression):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
-        if op not in _OPERATOR_SYMBOLS:
-            raise ValueError(f"unknown operator {op!r}; expected one of + - * / ^")
+        if op not in _OPERATORS:
+            raise ValueError(f"unknown operator {op!r}; expected one of {' '.join(_OPERATORS)}")
         set_field(self, "op", op)
         set_field(self, "left", left)
         set_field(self, "right", right)
@@ -87,7 +89,13 @@ class Call(Expression):
         set_field(self, "arg", arg)
 
 
-_OPERATOR_SYMBOLS = frozenset("+-*/^")
+_OPERATORS: dict[str, Callable[[float, float], float]] = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": math.pow,
+}
 
 _FUNCTIONS: dict[str, Callable[[float], float]] = {
     "sin": math.sin,

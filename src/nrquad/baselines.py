@@ -13,6 +13,7 @@ relative error against such a reference.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable, Iterable, Sequence
 from itertools import cycle
 
@@ -70,6 +71,10 @@ def _grid_rules(f: _Batch, interval: Interval, n: int, rules: Iterable[str]) -> 
     its own node order and fails at the first one that is not finite.
     """
     rules = set(rules)
+    try:
+        operator.index(n)
+    except TypeError:
+        return {rule: ValueError(f"subinterval count must be an integer, got {n!r}") for rule in rules}
     if n < 1:
         return {rule: ValueError(f"subinterval count must be at least 1, got {n!r}") for rule in rules}
     outcomes: dict[str, float | ValueError] = {}

@@ -6,17 +6,17 @@ types, the source syntax, :func:`parse` and :func:`to_text` live in
 
 Evaluation is total: domain violations (``ln`` of a negative, division by
 zero, ...) yield NaN instead of raising, and callers are expected to check
-finiteness.  ``evaluate`` walks the tree.  Inside the package each
-computation compiles its integrand once into the evaluator it uses, each
-with the bits of ``evaluate``: ``_compile_scalar`` gives one closure per
-node for single points, reading constant and ``x`` operands in place, and
-``_compile_batch`` gives a chain of lazy ``map`` iterators, one per node,
-for batches.
+finiteness.  Every evaluation runs through one of two compilers, and each
+computation in the package compiles its integrand once into the evaluator
+it uses.  ``_compile_scalar`` gives one closure per node for single points,
+reading constant and ``x`` operands in place; ``evaluate`` builds one and
+calls it once.  ``_compile_batch`` gives a chain of lazy ``map`` iterators,
+one per node, for batches, with the closures' bits.
 
-The walks that run once per integrand, ``_derive``, ``simplify``,
-``_closure`` and ``_chain``, dispatch on ``type(e) is ...`` tests with the
-most frequent node type first, not on class patterns, which each cost an
-``isinstance`` check and field reads per case tried.
+The walks ``_derive``, ``simplify``, ``_closure`` and ``_chain`` dispatch
+on ``type(e) is ...`` tests with the most frequent node type first, not on
+class patterns, which each cost an ``isinstance`` check and field reads per
+case tried.
 """
 
 from __future__ import annotations
@@ -28,9 +28,9 @@ from itertools import repeat
 
 from ._syntax import (  # noqa: F401 - re-exported
     _FUNCTIONS,
+    _OPERATORS,
     FUNCTION_NAMES,
     MAX_DEPTH,
-    VARIABLE_NAME,
     BinOp,
     Call,
     Const,
@@ -50,35 +50,7 @@ def evaluate(e: Expression, x: float) -> float:
     zero come back as NaN, overflow as NaN or infinity.  A nonfinite
     result signals that ``e`` is not defined (as a real) at ``x``.
     """
-    try:
-        return _eval(e, x)
-    except (ArithmeticError, ValueError):
-        return math.nan
-
-
-def _eval(e: Expression, x: float) -> float:
-    match e:
-        case Const(value):
-            return value
-        case Var():
-            return x
-        case Neg(child):
-            return -_eval(child, x)
-        case BinOp(op, left, right):
-            lv = _eval(left, x)
-            rv = _eval(right, x)
-            if op == "+":
-                return lv + rv
-            if op == "-":
-                return lv - rv
-            if op == "*":
-                return lv * rv
-            if op == "/":
-                return lv / rv
-            return math.pow(lv, rv)
-        case Call(name, arg):
-            return _FUNCTIONS[name](_eval(arg, x))
-    raise TypeError(f"not an expression node: {e!r}")
+    return _compile_scalar(e)(x)
 
 
 def _compile_scalar(e: Expression) -> Callable[[float], float]:
@@ -116,17 +88,8 @@ def _compile_batch(e: Expression) -> Callable[[Sequence[float]], list[float]]:
     return many
 
 
-_OPERATORS: dict[str, Callable[[float, float], float]] = {
-    "+": operator.add,
-    "-": operator.sub,
-    "*": operator.mul,
-    "/": operator.truediv,
-    "^": math.pow,
-}
-
-
 def _closure(e: Expression) -> Callable[[float], float]:
-    # _eval's operations in _eval's order; a constant or x operand is read in place, not called
+    # each node's operation, left operand before right; a constant or x operand is read in place, not called
     kind = type(e)
     if kind is BinOp:
         fn = _OPERATORS[e.op]
@@ -163,7 +126,7 @@ def _closure(e: Expression) -> Callable[[float], float]:
 
 
 def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
-    # _eval's operations in _eval's order, one point at a time as list() pulls it through the maps;
+    # _closure's operations in its order, one point at a time as list() pulls it through the maps;
     # a constant repeats len(xs) times, since an endless repeat under a constant subtree never stops
     kind = type(e)
     if kind is BinOp:

@@ -12,6 +12,7 @@ values.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Callable
 from enum import Enum
 
@@ -125,6 +126,10 @@ class StoppingCriteria(Frozen):
             raise ValueError(f"tol_f must be positive, got {tol_f!r}")
         if not tol_step > 0:
             raise ValueError(f"tol_step must be positive, got {tol_step!r}")
+        try:
+            operator.index(max_iter)
+        except TypeError:
+            raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
         if max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
         set_field(self, "target", target)

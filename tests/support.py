@@ -1,11 +1,10 @@
 """Shared generators and oracles for the test suite.
 
 The oracles here deliberately avoid the package's evaluation path: they
-work on plain coefficient lists, Python callables and Python floats so
-the tests compare two independent routes to the same numbers.  The
-exceptions are the scalar oracles for the uniform rules and the reference
-integral, which sample through the scalar ``evaluate`` one point at a
-time, as the package did before it batched.
+work on plain coefficient lists, Python callables, Python floats and
+``tree_value``, a walk over the expression tree that the package's
+compiled evaluators must match bit for bit, so the tests compare two
+independent routes to the same numbers.
 
 The counting hooks wrap what the package compiles each integrand into:
 every scalar evaluator (what ``_compile_scalar`` returns, one closure per
@@ -22,7 +21,7 @@ import sys
 
 import nrquad.expressions
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
-from nrquad.expressions import BinOp, Call, Const, Expression, Neg, Var, evaluate
+from nrquad.expressions import _FUNCTIONS, BinOp, Call, Const, Expression, Neg, Var
 from nrquad.quadrature import Interval
 
 FUNCTION_POOL = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -67,8 +66,45 @@ def random_tree(rng: random.Random, depth: int) -> Expression:
     return Call(rng.choice(FUNCTION_POOL), random_tree(rng, depth - 1))
 
 
+def tree_value(e: Expression, x: float) -> float:
+    """The value of ``e`` at ``x`` by walking the tree, NaN where an operation raises.
+
+    This is the oracle of the compiled evaluators: it shares no code with
+    them but the function table, and gives every value ``evaluate`` must give.
+    """
+    try:
+        return _walk(e, x)
+    except (ArithmeticError, ValueError):
+        return math.nan
+
+
+def _walk(e: Expression, x: float) -> float:
+    match e:
+        case Const(value):
+            return value
+        case Var():
+            return x
+        case Neg(child):
+            return -_walk(child, x)
+        case BinOp(op, left, right):
+            lv = _walk(left, x)
+            rv = _walk(right, x)
+            if op == "+":
+                return lv + rv
+            if op == "-":
+                return lv - rv
+            if op == "*":
+                return lv * rv
+            if op == "/":
+                return lv / rv
+            return math.pow(lv, rv)
+        case Call(name, arg):
+            return _FUNCTIONS[name](_walk(arg, x))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def central_difference(e: Expression, x: float, h: float) -> float:
-    return (evaluate(e, x + h) - evaluate(e, x - h)) / (2.0 * h)
+    return (tree_value(e, x + h) - tree_value(e, x - h)) / (2.0 * h)
 
 
 def brute_force_rule(f, df, a, b, tol_x, max_iter=100):
@@ -86,7 +122,7 @@ def brute_force_rule(f, df, a, b, tol_x, max_iter=100):
 
 
 def _sample(f, x):
-    value = evaluate(f, x)
+    value = tree_value(f, x)
     if not math.isfinite(value):
         raise NonfiniteSampleError(x, value)
     return value
@@ -156,11 +192,11 @@ SCALAR_RULES = {
     "trapezoid": scalar_trapezoid,
     "simpson": scalar_simpson,
 }
-"""The uniform rules as one scalar ``evaluate`` per node, keyed by rule name."""
+"""The uniform rules as one ``tree_value`` per node, keyed by rule name."""
 
 
 def scalar_reference(f: Expression, interval: Interval, tol: float = 1e-10) -> float:
-    """``reference_integral`` as the depth-first recursion it replaced, one evaluate per point.
+    """``reference_integral`` as the depth-first recursion it replaced, one ``tree_value`` per point.
 
     A panel is accepted when |S_whole - S_left - S_right| <= 15*tol (with
     the usual S/15 correction added); otherwise it splits, halving the
@@ -173,10 +209,10 @@ def scalar_reference(f: Expression, interval: Interval, tol: float = 1e-10) -> f
     if not tol > 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = interval.a, interval.b
-    fa = evaluate(f, a)
-    fb = evaluate(f, b)
+    fa = tree_value(f, a)
+    fb = tree_value(f, b)
     m = 0.5 * (a + b)
-    fm = evaluate(f, m)
+    fm = tree_value(f, m)
     whole = _simpson_estimate(fa, fm, fb, b - a)
     return _adaptive(f, a, b, fa, fm, fb, whole, tol, depth=0)
 
@@ -202,8 +238,8 @@ def _adaptive(
     m = 0.5 * (a + b)
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
-    flm = evaluate(f, lm)
-    frm = evaluate(f, rm)
+    flm = tree_value(f, lm)
+    frm = tree_value(f, rm)
     left = _simpson_estimate(fa, flm, fm, m - a)
     right = _simpson_estimate(fm, frm, fb, b - m)
     delta = left + right - whole

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import struct
 import tracemalloc
 
@@ -26,7 +27,7 @@ from nrquad.baselines import (
     trapezoid,
 )
 from nrquad.cli import main
-from nrquad.expressions import _compile_batch, evaluate, parse, to_text
+from nrquad.expressions import _compile_batch, parse, to_text
 from nrquad.quadrature import Interval
 from support import (
     SCALAR_RULES,
@@ -36,6 +37,7 @@ from support import (
     random_tree,
     record_batches,
     scalar_reference,
+    tree_value,
 )
 
 QUAD = parse("2*x^2+3*x+1")
@@ -94,6 +96,26 @@ class TestFixedRules:
     def test_rejects_nonpositive_counts(self, rule):
         with pytest.raises(ValueError):
             rule(QUAD, QUAD_INTERVAL, 0)
+
+    @pytest.mark.parametrize("n", [2.5, 4.0, "4", None], ids=repr)
+    @pytest.mark.parametrize("rule", [left_riemann, right_riemann, midpoint, trapezoid, simpson])
+    def test_rejects_a_count_that_is_not_an_integer(self, rule, n):
+        with pytest.raises(ValueError, match=rf"^subinterval count must be an integer, got {re.escape(repr(n))}$"):
+            rule(QUAD, QUAD_INTERVAL, n)
+
+    def test_a_count_that_is_not_an_integer_fails_each_rule_of_one_pass(self):
+        names = ["left_riemann", "right_riemann", "midpoint", "trapezoid", "simpson"]
+        outcomes = nrquad.baselines._grid_rules(_compile_batch(QUAD), QUAD_INTERVAL, 2.5, names)
+        assert sorted(outcomes) == sorted(names)
+        assert {type(error) for error in outcomes.values()} == {ValueError}
+        assert {str(error) for error in outcomes.values()} == {"subinterval count must be an integer, got 2.5"}
+
+    @pytest.mark.parametrize("rule", [left_riemann, right_riemann, midpoint, trapezoid, simpson])
+    def test_integer_types_pass_as_counts(self, rule):
+        numpy = pytest.importorskip("numpy")
+        want = rule(QUAD, QUAD_INTERVAL, 4)
+        assert rule(QUAD, QUAD_INTERVAL, numpy.int64(4)) == want
+        assert rule(QUAD, QUAD_INTERVAL, numpy.int32(4)) == want
 
     def test_nonfinite_sample_names_the_point(self):
         with pytest.raises(NonfiniteSampleError) as err:
@@ -248,7 +270,7 @@ NONFINITE_CASES = [
 
 
 class TestBatchedRulesMatchScalarOracle:
-    """Each rule against the scalar loop it replaced, one evaluate per node."""
+    """Each rule against the scalar loop it replaced, one tree_value per node."""
 
     # node counts of a chunk minus one, a chunk and a chunk plus one, for
     # rules with n nodes and for those with n - 1 interior nodes
@@ -458,9 +480,9 @@ class TestReferenceMatchesScalarOracle:
             budget[0] -= 1
             if budget[0] < 0:
                 raise OverBudget
-            return evaluate(e, x)
+            return tree_value(e, x)
 
-        monkeypatch.setattr(support, "evaluate", budgeted)
+        monkeypatch.setattr(support, "tree_value", budgeted)
         intervals = [Interval(0.0, 1.0), Interval(-1.0, 1.0), Interval(-2.5, 0.5), Interval(0.1, 3.0)]
         rng = random.Random(7)
         compared = raised = 0

@@ -26,7 +26,7 @@ from nrquad.expressions import (
     _compile_scalar,
     _derivative,
 )
-from support import central_difference, random_polynomial, random_tree
+from support import central_difference, count_scalar_calls, random_polynomial, random_tree, tree_value
 
 QUAD = "2*x^2+3*x+1"
 QUINTIC = "5*x^5+4*x^4-3*x^3+2*x^2+4*x+1"
@@ -184,29 +184,34 @@ class TestEvaluate:
     def test_nan_input_propagates(self):
         assert math.isnan(evaluate(parse(QUAD), math.nan))
 
+    def test_builds_one_scalar_evaluator_and_calls_it_once(self, monkeypatch):
+        count = count_scalar_calls(monkeypatch)
+        assert evaluate(parse(QUAD), 1.0) == 6.0
+        assert count == [1, 1]
+
 
 def bits(values):
     # Every NaN counts as one value.  Where two NaNs of opposite sign meet in
-    # a + or *, CPython returns either operand's, and scalar evaluate itself
+    # a + or *, CPython returns either operand's, and the tree walk itself
     # differs between its first call and later ones: on (-x)+x at x = nan the
     # first call returns +nan and the later ones -nan.
     return ["nan" if math.isnan(v) else struct.pack("<d", v) for v in values]
 
 
 class TestEvaluateMany:
-    """The batch evaluator, ``_compile_batch(e)``, against evaluate."""
+    """The batch evaluator, ``_compile_batch(e)``, against the tree walk ``tree_value``."""
 
     # domain edges, signed zeros, overflow and nonfinite input among ordinary points
     POINTS = [-3.0, -1.0, -1e-300, -0.0, 0.0, 1e-8, 0.5, 1.0, 2.5, 1e308, math.inf, math.nan]
 
-    def test_bit_identical_to_scalar_evaluate_on_random_trees(self):
+    def test_bit_identical_to_the_tree_walk_on_random_trees(self):
         rng = random.Random(6060)
         nan_count = 0
         for _ in range(15_000):
             e = random_tree(rng, rng.randint(1, 5))
             for tree in (e, simplify(differentiate(e))):
                 values = _compile_batch(tree)(self.POINTS)
-                assert bits(values) == bits([evaluate(tree, x) for x in self.POINTS]), to_text(tree)
+                assert bits(values) == bits([tree_value(tree, x) for x in self.POINTS]), to_text(tree)
                 nan_count += sum(map(math.isnan, values))
         # the corpus must keep exercising the NaN paths
         assert nan_count > 30_000
@@ -217,13 +222,13 @@ class TestEvaluateMany:
         xs[size // 2] = 0.0
         for source in ("sin(x)/x", "ln(x)*sqrt(x)", "x^(-2)+exp(x)", "(1/x)^2"):
             f = parse(source)
-            assert bits(_compile_batch(f)(xs)) == bits([evaluate(f, x) for x in xs]), source
+            assert bits(_compile_batch(f)(xs)) == bits([tree_value(f, x) for x in xs]), source
 
     def test_failure_is_nan_even_where_nan_does_not_propagate(self):
         # ln(-1) fails, and pow(nan, 0) == 1 would hide it
         f = BinOp("^", Call("ln", Var()), Const(0.0))
         values = _compile_batch(f)([-1.0, 1.0])
-        assert math.isnan(values[0]) and math.isnan(evaluate(f, -1.0))
+        assert math.isnan(values[0]) and math.isnan(tree_value(f, -1.0))
         assert values[1] == 1.0
 
     def test_returns_a_new_list(self):
@@ -253,18 +258,19 @@ def compiled_bits(tree, points):
 
 
 class TestScalarClosures:
-    """The compiled scalar evaluator, one closure per node, against evaluate."""
+    """The compiled scalar evaluator, one closure per node, and evaluate, which runs it, against the tree walk."""
 
     POINTS = TestEvaluateMany.POINTS
 
-    def test_bit_identical_to_scalar_evaluate_on_random_trees(self):
+    def test_bit_identical_to_the_tree_walk_on_random_trees(self):
         rng = random.Random(6061)
         nan_count = 0
         for _ in range(15_000):
             e = random_tree(rng, rng.randint(1, 5))
             for tree in (e, simplify(differentiate(e))):
-                want = bits([evaluate(tree, x) for x in self.POINTS])
+                want = bits([tree_value(tree, x) for x in self.POINTS])
                 assert compiled_bits(tree, self.POINTS) == want, to_text(tree)
+                assert bits([evaluate(tree, x) for x in self.POINTS]) == want, to_text(tree)
                 nan_count += want.count("nan")
         assert nan_count > 30_000
 
@@ -275,7 +281,9 @@ class TestScalarClosures:
         @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
         @hypothesis.given(any_tree(st), st.lists(st.floats(), min_size=1, max_size=4))
         def check(tree, points):
-            assert compiled_bits(tree, points) == bits([evaluate(tree, x) for x in points])
+            want = bits([tree_value(tree, x) for x in points])
+            assert compiled_bits(tree, points) == want
+            assert bits([evaluate(tree, x) for x in points]) == want
 
         check()
 
@@ -285,8 +293,8 @@ class TestCompiledKernel:
 
     POINTS = TestEvaluateMany.POINTS
 
-    def assert_matches_evaluate(self, tree, points=POINTS):
-        want = bits([evaluate(tree, x) for x in points])
+    def assert_matches_tree_value(self, tree, points=POINTS):
+        want = bits([tree_value(tree, x) for x in points])
         assert bits(_compile_batch(tree)(points)) == want
         assert compiled_bits(tree, points) == want
 
@@ -296,14 +304,14 @@ class TestCompiledKernel:
         for _ in range(299):
             tree = Neg(tree)
         assert _compile_batch(tree)([1.0]) == [-math.sin(1.0)]
-        self.assert_matches_evaluate(tree)
+        self.assert_matches_tree_value(tree)
 
     def test_300_level_left_leaning_binop_chain(self):
         tree = Var()
         for level in range(300):
             op = "+-*/^"[level % 5]
             tree = BinOp(op, tree, Const(1.0 if op == "^" else 1.0 + level / 1000.0))
-        self.assert_matches_evaluate(tree)
+        self.assert_matches_tree_value(tree)
 
     @pytest.mark.parametrize("value", [-0.0, 1e308, 5e-324], ids=["-0.0", "1e308", "5e-324"])
     def test_extreme_constants_keep_their_bits(self, value):
@@ -317,7 +325,7 @@ class TestCompiledKernel:
             Neg(Const(value)),
             Call("sqrt", BinOp("/", Const(value), Var())),
         ):
-            self.assert_matches_evaluate(tree, points)
+            self.assert_matches_tree_value(tree, points)
 
     @pytest.mark.parametrize("op", "+-*/^")
     def test_constant_and_x_operands_on_either_side(self, op):
@@ -331,21 +339,21 @@ class TestCompiledKernel:
                 BinOp(op, other, Const(c)),
                 BinOp(op, Const(c), Const(-1.5)),
             ):
-                self.assert_matches_evaluate(tree)
+                self.assert_matches_tree_value(tree)
         for left, right in ((Var(), other), (other, Var()), (Var(), Var()), (other, other)):
-            self.assert_matches_evaluate(BinOp(op, left, right))
+            self.assert_matches_tree_value(BinOp(op, left, right))
 
     def test_constant_over_signed_zero_x_is_nan(self):
         tree = BinOp("/", Const(1.0), Var())
-        self.assert_matches_evaluate(tree, [0.0, -0.0])
+        self.assert_matches_tree_value(tree, [0.0, -0.0])
         assert all(math.isnan(_compile_scalar(tree)(x)) for x in (0.0, -0.0))
 
     def test_overflowing_power_of_x_is_nan(self):
         tree = BinOp("^", Var(), Const(3.0))
-        self.assert_matches_evaluate(tree, [1e200, -1e200, 1e100])
+        self.assert_matches_tree_value(tree, [1e200, -1e200, 1e100])
         assert math.isnan(_compile_scalar(tree)(1e200))
         # a product overflows to infinity without raising
-        self.assert_matches_evaluate(BinOp("*", Var(), Const(1e308)), [10.0, -10.0])
+        self.assert_matches_tree_value(BinOp("*", Var(), Const(1e308)), [10.0, -10.0])
 
     @pytest.mark.parametrize("name", sorted(FUNCTION_NAMES))
     def test_each_function_of_x_at_a_domain_error(self, name):
@@ -353,15 +361,15 @@ class TestCompiledKernel:
         failing = {"sin": math.inf, "cos": -math.inf, "tan": math.inf, "exp": 1000.0, "ln": -1.0, "sqrt": -1.0}
         point = failing.get(name, math.nan)  # abs raises for no float
         for tree in (Call(name, Var()), BinOp("+", Call(name, Var()), Const(1.0)), Neg(Call(name, Var()))):
-            self.assert_matches_evaluate(tree, [point, *self.POINTS])
+            self.assert_matches_tree_value(tree, [point, *self.POINTS])
             assert math.isnan(_compile_scalar(tree)(point))
 
     def test_negated_zero_constant_is_negative_zero(self):
         for tree in (Neg(Const(0.0)), Neg(Var()), BinOp("*", Neg(Const(0.0)), Var())):
-            self.assert_matches_evaluate(tree)
+            self.assert_matches_tree_value(tree)
         assert struct.pack("<d", _compile_scalar(Neg(Const(0.0)))(1.0)) == struct.pack("<d", -0.0)
 
-    def test_int_points_keep_the_type_evaluate_gives(self):
+    def test_int_points_keep_the_type_the_tree_walk_gives(self):
         # Interval(0, 2) keeps int bounds, so the rule evaluates f at int points
         points = [0, 1, 2, -3]
         for tree in (
@@ -377,7 +385,7 @@ class TestCompiledKernel:
         ):
             at = _compile_scalar(tree)
             values = [at(x) for x in points]
-            want = [evaluate(tree, x) for x in points]
+            want = [tree_value(tree, x) for x in points]
             assert bits(values) == bits(want), tree
             assert [type(v) for v in values] == [type(v) for v in want], tree
 
@@ -392,7 +400,7 @@ class TestCompiledKernel:
 class TestDifferentiate:
     def test_quadratic_derivative_at_one(self):
         df = differentiate(parse(QUAD))
-        assert evaluate(df, 1.0) == 7.0
+        assert tree_value(df, 1.0) == 7.0
 
     def test_variable(self):
         assert differentiate(parse("x")) == Const(1.0)
@@ -403,9 +411,9 @@ class TestDifferentiate:
         df = differentiate(f)
         x = 1.0
         for _ in range(2):
-            x = x - evaluate(f, x) / evaluate(df, x)
-        assert evaluate(df, x) == pytest.approx(4 * x + 3, rel=1e-15)
-        assert abs(evaluate(df, x) - 1.925714) < 1e-6
+            x = x - tree_value(f, x) / tree_value(df, x)
+        assert tree_value(df, x) == pytest.approx(4 * x + 3, rel=1e-15)
+        assert abs(tree_value(df, x) - 1.925714) < 1e-6
 
     @pytest.mark.parametrize(
         "source, point, expected",
@@ -421,15 +429,15 @@ class TestDifferentiate:
     )
     def test_rules_against_analytic(self, source, point, expected):
         df = differentiate(parse(source))
-        assert evaluate(df, point) == pytest.approx(expected, rel=1e-12)
+        assert tree_value(df, point) == pytest.approx(expected, rel=1e-12)
 
     def test_general_power_via_exp_ln(self):
         # d/dx x^x = x^x * (ln x + 1)
         df = differentiate(parse("x^x"))
         x = 1.5
-        assert evaluate(df, x) == pytest.approx(x**x * (math.log(x) + 1.0), rel=1e-12)
+        assert tree_value(df, x) == pytest.approx(x**x * (math.log(x) + 1.0), rel=1e-12)
         # non-positive base evaluates to NaN under the exp/ln rewrite
-        assert math.isnan(evaluate(df, -1.0))
+        assert math.isnan(tree_value(df, -1.0))
 
     def test_matches_central_differences(self):
         rng = random.Random(20240811)
@@ -438,10 +446,10 @@ class TestDifferentiate:
             e = random_tree(rng, rng.randint(1, 5))
             x = rng.uniform(-2.0, 2.0)
             h = 1e-6 * max(1.0, abs(x))
-            values = [evaluate(e, x + d) for d in (-h, -h / 2, 0.0, h / 2, h)]
+            values = [tree_value(e, x + d) for d in (-h, -h / 2, 0.0, h / 2, h)]
             if not all(math.isfinite(v) and abs(v) < 1e8 for v in values):
                 continue
-            sym = evaluate(differentiate(e), x)
+            sym = tree_value(differentiate(e), x)
             if not math.isfinite(sym):
                 continue
             fd_h = central_difference(e, x, h)
@@ -462,9 +470,9 @@ class TestDifferentiate:
         e = parse(source)
         c = e.right.value
         for df in differentiate(e), _derivative(e):
-            value = evaluate(df, 1.0)
+            value = tree_value(df, 1.0)
             assert math.isfinite(value) and value != 0.0
-            assert value == evaluate(_derivative(e.left), 1.0) / c
+            assert value == tree_value(_derivative(e.left), 1.0) / c
 
     def test_quotient_by_a_constant_is_u_prime_over_c(self):
         assert differentiate(parse("sin(x)/3")) == BinOp("/", differentiate(parse("sin(x)")), Const(3.0))
@@ -480,17 +488,24 @@ class TestDifferentiate:
             beta = round(rng.uniform(-2, 2), 3)
             combined = BinOp("+", BinOp("*", Const(alpha), f), BinOp("*", Const(beta), g))
             x = rng.uniform(-3, 3)
-            lhs = evaluate(differentiate(combined), x)
-            rhs = alpha * evaluate(differentiate(f), x) + beta * evaluate(differentiate(g), x)
+            lhs = tree_value(differentiate(combined), x)
+            rhs = alpha * tree_value(differentiate(f), x) + beta * tree_value(differentiate(g), x)
             if math.isfinite(lhs) and math.isfinite(rhs):
                 assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-12)
 
 
 NOT_NODES = [object(), BinOp("+", Var(), object())]
-WALKS = [differentiate, simplify, _derivative, _compile_scalar, _compile_batch]
+WALKS = {
+    "differentiate": differentiate,
+    "simplify": simplify,
+    "_derivative": _derivative,
+    "_compile_scalar": _compile_scalar,
+    "_compile_batch": _compile_batch,
+    "evaluate": lambda e: evaluate(e, 0.5),
+}
 
 
-@pytest.mark.parametrize("walk", WALKS, ids=lambda walk: walk.__name__)
+@pytest.mark.parametrize("walk", WALKS.values(), ids=list(WALKS))
 @pytest.mark.parametrize("e", NOT_NODES, ids=["object", "binop-over-object"])
 def test_every_walk_rejects_a_non_node(walk, e):
     with pytest.raises(TypeError, match="not an expression node"):
@@ -517,17 +532,17 @@ class TestSimplify:
     def test_no_domain_changing_rewrites(self):
         # x/x must stay: it is undefined at 0
         e = simplify(parse("x/x"))
-        assert math.isnan(evaluate(e, 0.0))
+        assert math.isnan(tree_value(e, 0.0))
         # 1/0 folds to nothing (stays a division) because the result is not finite
         e = simplify(parse("1/0"))
-        assert math.isnan(evaluate(e, 1.0))
+        assert math.isnan(tree_value(e, 1.0))
 
     @pytest.mark.parametrize("source", ["0*ln(x)", "ln(x)*0", "0/ln(x)", "ln(x)^0", "1^ln(x)"])
     def test_zero_and_one_rewrites_define_what_was_undefined(self, source):
         # simplify's documented exception: these rewrites shape the f' trees, so they stay
         e = parse(source)
-        assert math.isnan(evaluate(e, -1.0))
-        assert evaluate(simplify(e), -1.0) == (1.0 if "^" in source else 0.0)
+        assert math.isnan(tree_value(e, -1.0))
+        assert tree_value(simplify(e), -1.0) == (1.0 if "^" in source else 0.0)
 
     def test_preserves_values_on_random_trees(self):
         rng = random.Random(99)
@@ -536,8 +551,8 @@ class TestSimplify:
             s = simplify(e)
             for _ in range(4):
                 x = rng.uniform(-3, 3)
-                before = evaluate(e, x)
-                after = evaluate(s, x)
+                before = tree_value(e, x)
+                after = tree_value(s, x)
                 if math.isfinite(before) and math.isfinite(after):
                     assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
 
@@ -613,14 +628,14 @@ class TestOnePassDerivative:
             oracle = sympy.lambdify(x, sympy.diff(to_sympy(e), x), "math")
             derivative = _derivative(e)
             for point in (-2.3, -0.7, 0.4, 1.3, 2.9):
-                if not math.isfinite(evaluate(e, point)):
+                if not math.isfinite(tree_value(e, point)):
                     continue  # no derivative where f is undefined
                 try:
                     # sympy may leave re, im or a complex value where the tree is NaN
                     want = float(oracle(point))
                 except (ArithmeticError, ValueError, TypeError, NameError):
                     continue
-                got = evaluate(derivative, point)
+                got = tree_value(derivative, point)
                 if math.isfinite(want) and math.isfinite(got):
                     compared += 1
                     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (to_text(e), point)
@@ -641,7 +656,7 @@ class TestToText:
             text = to_text(tree)
             reparsed = parse(text)
             assert to_text(reparsed) == text
-            assert bits([evaluate(reparsed, x) for x in points]) == bits([evaluate(tree, x) for x in points])
+            assert bits([tree_value(reparsed, x) for x in points]) == bits([tree_value(tree, x) for x in points])
 
         check()
 
@@ -668,13 +683,13 @@ class TestToText:
     def test_negative_constant_reparses_correctly(self):
         # without parentheses (-3)^2 would re-parse as -(3^2)
         e = BinOp("^", Const(-3.0), Const(2.0))
-        assert evaluate(parse(to_text(e)), 0.0) == 9.0
+        assert tree_value(parse(to_text(e)), 0.0) == 9.0
 
     def test_quadratic_round_trip(self):
         f = parse(QUAD)
         g = parse(to_text(f))
         for x in (-1.0, -0.5, 0.0, 0.3, 1.0, 10.0):
-            assert evaluate(g, x) == evaluate(f, x)
+            assert tree_value(g, x) == tree_value(f, x)
 
     def test_round_trip_is_exact_on_random_trees(self):
         rng = random.Random(1234)
@@ -683,6 +698,6 @@ class TestToText:
             reparsed = parse(to_text(e))
             for _ in range(3):
                 x = rng.uniform(-4, 4)
-                v = evaluate(e, x)
+                v = tree_value(e, x)
                 if math.isfinite(v):
-                    assert evaluate(reparsed, x) == v
+                    assert tree_value(reparsed, x) == v

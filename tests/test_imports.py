@@ -2,15 +2,17 @@
 
 No linter ships with the toolchain, so this is a small ``ast`` check: a
 name bound by a module-level ``import`` or ``from ... import`` must be
-read somewhere in the same module, annotations included.  Five checks ride
+read somewhere in the same module, annotations included.  Six checks ride
 along: no module may be larger than ``MAX_MODULE_BYTES``, none runs
 generated code through the builtins ``exec``, ``eval`` or ``compile``, the
-package reads every private module-level name it defines, the tree walks
-that run on every integrand dispatch without ``match``, and ``nrquad.__all__``
-lists exactly the names ``__init__.py`` imports.
+package reads every private module-level name it defines, no function of
+``expressions.py`` has a ``match`` statement, ``nrquad.__all__`` lists
+exactly the names ``__init__.py`` imports, and the ``test`` extra of
+``pyproject.toml`` names every module the tests ``importorskip``.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -136,11 +138,11 @@ def test_the_package_reads_every_private_module_level_name():
     assert unread_private_names(sources) == []
 
 
-# The walks that run on every integrand dispatch on ``type(e) is ...`` chains: a
-# class pattern costs an isinstance test and attribute reads per case tried, and
-# the chains took the benchmark's integrate workload from about 6.2x to 5.1x plain
-# Python (README, "Cost of integrate"). Bringing ``match`` back gives that up.
-HOT_WALKS = {"_closure", "_chain", "_derive", "simplify", "_simplify_neg"}
+# The walks of expressions.py run on every integrand and dispatch on ``type(e) is
+# ...`` chains: a class pattern costs an isinstance test and attribute reads per
+# case tried, and the chains took the benchmark's integrate workload from about
+# 6.2x to 5.1x plain Python (README, "Cost of integrate"). Bringing ``match``
+# back gives that up.
 
 
 def functions_with_match(source: str) -> list[str]:
@@ -157,11 +159,8 @@ def test_the_check_finds_a_match_statement():
     assert functions_with_match(source) == ["f"]
 
 
-def test_the_per_integrand_walks_have_no_match_statement():
-    source = (PACKAGE / "expressions.py").read_text()
-    defined = {node.name for node in ast.parse(source).body if isinstance(node, ast.FunctionDef)}
-    assert HOT_WALKS <= defined
-    assert HOT_WALKS.isdisjoint(functions_with_match(source))
+def test_no_function_in_expressions_has_a_match_statement():
+    assert functions_with_match((PACKAGE / "expressions.py").read_text()) == []
 
 
 # The public API: every name __init__.py imports from a submodule, once, sorted.
@@ -189,3 +188,43 @@ def test_all_lists_each_imported_name_once_in_order():
     assert set(names) == set(imported_from_submodules((PACKAGE / "__init__.py").read_text()))
     assert [name for name in names if not hasattr(nrquad, name)] == []
     assert len(names) == PUBLIC_NAMES
+
+
+# A module a test passes to pytest.importorskip is an oracle that is skipped
+# where it is missing, so an install of the test extra must bring it.
+TESTS = Path(__file__).parent
+
+
+def importorskip_modules(source: str) -> set[str]:
+    """The top-level modules that ``source`` passes to ``pytest.importorskip`` by a string literal."""
+    return {
+        node.args[0].value.partition(".")[0]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "importorskip"
+        and node.args
+        and isinstance(node.args[0], ast.Constant)
+    }
+
+
+def extra_requirements(pyproject: str, extra: str) -> set[str]:
+    """The distribution names that ``extra`` lists in the text of a ``pyproject.toml``, without versions.
+
+    The file is read as text: ``tomllib`` is missing on Python 3.10.
+    """
+    listed = re.search(rf"^{extra} = \[(.*)\]$", pyproject, re.MULTILINE).group(1)
+    return {re.match(r"[\w.-]+", requirement).group() for requirement in re.findall(r'"([^"]+)"', listed)}
+
+
+def test_the_check_finds_the_skipped_modules_and_the_extra():
+    source = "import pytest\nnp = pytest.importorskip('numpy')\ndef f():\n    pytest.importorskip(\"scipy.special\")\n"
+    assert importorskip_modules(source) == {"numpy", "scipy"}
+    pyproject = '[project.optional-dependencies]\ndocs = ["sphinx"]\ntest = ["pytest>=7", "mpmath"]\n'
+    assert extra_requirements(pyproject, "test") == {"pytest", "mpmath"}
+
+
+def test_the_test_extra_names_every_module_the_tests_skip_without():
+    skipped = set().union(*(importorskip_modules(path.read_text()) for path in TESTS.glob("*.py")))
+    assert "sympy" in skipped
+    assert skipped - extra_requirements((TESTS.parent / "pyproject.toml").read_text(), "test") == set()

@@ -4,6 +4,7 @@ import copy
 import inspect
 import math
 import pickle
+import re
 
 import pytest
 
@@ -23,6 +24,7 @@ from nrquad import (
     Termination,
     ValidationReport,
     Var,
+    nr_integrate,
     parse,
 )
 from nrquad.expressions import FUNCTION_NAMES
@@ -186,6 +188,22 @@ def test_constructors_keep_their_validation_messages():
         StoppingCriteria(max_iter=0)
     with pytest.raises(TypeError):
         Var(1.0)
+
+
+@pytest.mark.parametrize("max_iter", [2.5, 1e9, "3", None], ids=repr)
+def test_a_budget_that_is_not_an_integer_is_one_value_error(max_iter):
+    for build in (StoppingCriteria, NrQuadSettings):
+        with pytest.raises(ValueError, match=rf"^max_iter must be an integer, got {re.escape(repr(max_iter))}$"):
+            build(max_iter=max_iter)
+
+
+def test_integer_types_pass_as_budgets():
+    numpy = pytest.importorskip("numpy")
+    f, interval = parse("2*x^2+3*x+1"), Interval(-0.5, 1.0)
+    want = nr_integrate(f, interval, NrQuadSettings(max_iter=3))
+    for max_iter in (numpy.int64(3), numpy.int32(3)):
+        assert StoppingCriteria(max_iter=max_iter).max_iter == 3
+        assert nr_integrate(f, interval, NrQuadSettings(max_iter=max_iter)) == want
 
 
 def test_nodes_hold_only_operators_and_functions_every_walk_supports():
