@@ -3,12 +3,12 @@
 Run:  python demos/02_root_finding_trace.py
 """
 
-from nrquad import StoppingCriteria, differentiate, newton_iterate, parse, simplify
+from nrquad import StoppingCriteria, differentiate, newton_iterate, parse
 
 
 def run_trace(source, x0, stop=None):
     f = parse(source)
-    df = simplify(differentiate(f))
+    df = differentiate(f)
     trace = newton_iterate(f, df, x0, stop)
     print(f"f(x) = {source},  x0 = {x0}")
     print(f"  {'k':>2}  {'x_k':>12}  {'f(x_k)':>12}  {'f_prime(x_k)':>12}  {'step':>12}")

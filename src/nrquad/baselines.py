@@ -19,6 +19,7 @@ from itertools import cycle
 
 from ._frozen import Frozen, set_field
 from .expressions import Expression, _compile_batch
+from .newton import _positive
 from .quadrature import Interval
 
 _Batch = Callable[[Sequence[float]], list[float]]  # a batch evaluator, as _compile_batch builds
@@ -206,7 +207,7 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
 
 def _reference_integral(f: _Batch, interval: Interval, tol: float = 1e-10) -> float:
     """:func:`reference_integral` on a batch evaluator."""
-    if not tol > 0:
+    if not _positive(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
     a, b = interval.a, interval.b
     m = 0.5 * (a + b)

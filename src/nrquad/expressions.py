@@ -13,7 +13,7 @@ reading constant and ``x`` operands in place; ``evaluate`` builds one and
 calls it once.  ``_compile_batch`` gives a chain of lazy ``map`` iterators,
 one per node, for batches, with the closures' bits.
 
-The walks ``_derive``, ``simplify``, ``_closure`` and ``_chain`` dispatch
+The walks ``differentiate``, ``simplify``, ``_closure`` and ``_chain`` dispatch
 on ``type(e) is ...`` tests with the most frequent node type first, not on
 class patterns, which each cost an ``isinstance`` check and field reads per
 case tried.
@@ -149,83 +149,67 @@ def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
 
 
 def differentiate(e: Expression) -> Expression:
-    """Return the derivative of ``e`` with respect to ``x``.
+    """Return the derivative of ``e`` with respect to ``x``, simplified.
 
     Applies the sum, product, quotient, chain and power rules; the
     derivative of ``u/c`` for a constant ``c`` is ``u'/c``.  A power
     with a non-constant exponent is handled through the ``exp(v*ln(u))``
     rewrite, so evaluating its derivative at points with a non-positive
-    base yields NaN.  The result is not simplified; pass it through
-    :func:`simplify` for a tidier tree.
+    base yields NaN.  The result is simplified: each node is built through
+    :func:`simplify`'s rules, and each subtree of ``e`` a rule reuses is
+    simplified, so the unsimplified derivative is never built.
     """
-    return _derive(e, _RAW)
-
-
-def _derivative(e: Expression) -> Expression:
-    """``simplify(differentiate(e))``, built in one pass.
-
-    ``simplify`` rewrites bottom-up, so building each node of the derivative
-    through its rules, with every reused subtree of ``e`` simplified, gives
-    the same tree without building the unsimplified one.
-    """
-    return _derive(e, _SIMPLIFIED)
-
-
-def _derive(e: Expression, build: tuple) -> Expression:
-    # build = (binop, neg, call, reuse): the node constructors, and what a rule makes of a subtree of e it reuses
-    binop, neg, call, reuse = build
     kind = type(e)
     if kind is BinOp:
         op, left, right = e.op, e.left, e.right
         if op == "+" or op == "-":
-            return binop(op, _derive(left, build), _derive(right, build))
+            return _simplify_binop(op, differentiate(left), differentiate(right))
         if op == "*":
-            du_v = binop("*", _derive(left, build), reuse(right))
-            return binop("+", du_v, binop("*", reuse(left), _derive(right, build)))
+            du_v = _simplify_binop("*", differentiate(left), simplify(right))
+            return _simplify_binop("+", du_v, _simplify_binop("*", simplify(left), differentiate(right)))
         if op == "/" and type(right) is Const:
             # u'/c: the quotient rule's c^2 overflows for |c| past about 1e154
-            return binop("/", _derive(left, build), right)
+            return _simplify_binop("/", differentiate(left), right)
         if op == "/":
-            v = reuse(right)
-            du_v = binop("*", _derive(left, build), v)
-            numerator = binop("-", du_v, binop("*", reuse(left), _derive(right, build)))
-            return binop("/", numerator, binop("^", v, Const(2.0)))
+            v = simplify(right)
+            du_v = _simplify_binop("*", differentiate(left), v)
+            numerator = _simplify_binop("-", du_v, _simplify_binop("*", simplify(left), differentiate(right)))
+            return _simplify_binop("/", numerator, _simplify_binop("^", v, Const(2.0)))
         if op == "^" and type(right) is Const:
             c = right.value
-            scaled = binop("*", Const(c), binop("^", reuse(left), Const(c - 1.0)))
-            return binop("*", scaled, _derive(left, build))
+            scaled = _simplify_binop("*", Const(c), _simplify_binop("^", simplify(left), Const(c - 1.0)))
+            return _simplify_binop("*", scaled, differentiate(left))
         # "^" (BinOp allows no other operator), u^v = exp(v*ln(u)):  (u^v)' = u^v * (v'*ln(u) + v*u'/u)
-        u, v = reuse(left), reuse(right)
-        dv_ln_u = binop("*", _derive(right, build), call("ln", u))
-        inner = binop("+", dv_ln_u, binop("*", v, binop("/", _derive(left, build), u)))
-        return binop("*", binop("^", u, v), inner)
+        u, v = simplify(left), simplify(right)
+        dv_ln_u = _simplify_binop("*", differentiate(right), _simplify_call("ln", u))
+        inner = _simplify_binop("+", dv_ln_u, _simplify_binop("*", v, _simplify_binop("/", differentiate(left), u)))
+        return _simplify_binop("*", _simplify_binop("^", u, v), inner)
     if kind is Const:
         return Const(0.0)
     if kind is Var:
         return Const(1.0)
     if kind is Call:
-        return binop("*", _outer_derivative(e.name, reuse(e.arg), build), _derive(e.arg, build))
+        return _simplify_binop("*", _outer_derivative(e.name, simplify(e.arg)), differentiate(e.arg))
     if kind is Neg:
-        return neg(_derive(e.child, build))
+        return _simplify_neg(differentiate(e.child))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _outer_derivative(name: str, u: Expression, build: tuple) -> Expression:
-    binop, neg, call, _ = build
+def _outer_derivative(name: str, u: Expression) -> Expression:
     if name == "sin":
-        return call("cos", u)
+        return _simplify_call("cos", u)
     if name == "cos":
-        return neg(call("sin", u))
+        return _simplify_neg(_simplify_call("sin", u))
     if name == "tan":
-        return binop("/", Const(1.0), binop("^", call("cos", u), Const(2.0)))
+        return _simplify_binop("/", Const(1.0), _simplify_binop("^", _simplify_call("cos", u), Const(2.0)))
     if name == "exp":
-        return call("exp", u)
+        return _simplify_call("exp", u)
     if name == "ln":
-        return binop("/", Const(1.0), u)
+        return _simplify_binop("/", Const(1.0), u)
     if name == "sqrt":
-        return binop("/", Const(1.0), binop("*", Const(2.0), call("sqrt", u)))
+        return _simplify_binop("/", Const(1.0), _simplify_binop("*", Const(2.0), _simplify_call("sqrt", u)))
     # abs: the sign of the argument, undefined (NaN) at zero
-    return binop("/", u, call("abs", u))
+    return _simplify_binop("/", u, _simplify_call("abs", u))
 
 
 def simplify(e: Expression) -> Expression:
@@ -293,7 +277,7 @@ def _simplify_binop(op: str, left: Expression, right: Expression) -> Expression:
         if r == 0.0:
             return left
         if l == 0.0:
-            return Neg(right)
+            return _simplify_neg(right)
     elif op == "*":
         if l == 1.0:
             return right
@@ -314,6 +298,3 @@ def _simplify_binop(op: str, left: Expression, right: Expression) -> Expression:
             return Const(1.0)
     return BinOp(op, left, right)
 
-
-_RAW = (BinOp, Neg, Call, lambda e: e)
-_SIMPLIFIED = (_simplify_binop, _simplify_neg, _simplify_call, simplify)

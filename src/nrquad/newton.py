@@ -24,6 +24,22 @@ DERIVATIVE_EPSILON = 1e-12
 _Scalar = Callable[[float], float]  # a scalar evaluator, as _compile_scalar builds
 
 
+def _positive(value: object) -> bool:
+    """``value > 0``, and False for a value that is not a number, such as None or a string."""
+    try:
+        return value > 0  # type: ignore[operator]
+    except TypeError:
+        return False
+
+
+def _finite(value: object) -> bool:
+    """``math.isfinite(value)``, and False for a value that is not a number."""
+    try:
+        return math.isfinite(value)  # type: ignore[arg-type]
+    except TypeError:
+        return False
+
+
 class Termination(str, Enum):
     """Why an iteration stopped, in priority order of detection."""
 
@@ -118,13 +134,13 @@ class StoppingCriteria(Frozen):
         tol_step: float = 1e-12,
         max_iter: int = 100,
     ) -> None:
-        if target is not None and not math.isfinite(target):
+        if target is not None and not _finite(target):
             raise ValueError(f"target must be finite, got {target!r}")
-        if not tol_x > 0:
+        if not _positive(tol_x):
             raise ValueError(f"tol_x must be positive, got {tol_x!r}")
-        if tol_f is not None and not tol_f > 0:
+        if tol_f is not None and not _positive(tol_f):
             raise ValueError(f"tol_f must be positive, got {tol_f!r}")
-        if not tol_step > 0:
+        if not _positive(tol_step):
             raise ValueError(f"tol_step must be positive, got {tol_step!r}")
         try:
             operator.index(max_iter)

@@ -25,12 +25,13 @@ import math
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, _compile_scalar, _derivative
+from .expressions import Expression, _compile_scalar, differentiate
 from .newton import (
     NewtonTrace,
     NonfiniteValueError,
     StoppingCriteria,
     Termination,
+    _finite,
     _iterate,
     _Scalar,
     _step,
@@ -55,7 +56,7 @@ class Interval(Frozen):
     __slots__ = ("a", "b")
 
     def __init__(self, a: float, b: float) -> None:
-        if not (math.isfinite(a) and math.isfinite(b)):
+        if not (_finite(a) and _finite(b)):
             raise ValueError(f"interval bounds must be finite, got [{a!r}, {b!r}]")
         if not a < b:
             raise ValueError(f"interval requires a < b, got [{a!r}, {b!r}]")
@@ -164,7 +165,7 @@ def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     """
     f_at = _compile_scalar(f)
     b = interval.b
-    return _validate(f_at, interval, f_at(b), _compile_scalar(_derivative(f))(b))
+    return _validate(f_at, interval, f_at(b), _compile_scalar(differentiate(f))(b))
 
 
 def _validate(f: _Scalar, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
@@ -235,7 +236,7 @@ def nr_integrate(
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     a, b = interval.a, interval.b
     f_at = _compile_scalar(f)
-    df_at = _compile_scalar(_derivative(f))
+    df_at = _compile_scalar(differentiate(f))
     # the first step checks f(b) and f'(b) before validation; validation and the iteration reuse it
     first = _step(f_at, df_at, b)
 

@@ -4,7 +4,8 @@ The oracles here deliberately avoid the package's evaluation path: they
 work on plain coefficient lists, Python callables, Python floats and
 ``tree_value``, a walk over the expression tree that the package's
 compiled evaluators must match bit for bit, so the tests compare two
-independent routes to the same numbers.
+independent routes to the same numbers.  ``textbook_derivative`` is the
+derivative's oracle in the same way: the textbook rules, unsimplified.
 
 The counting hooks wrap what the package compiles each integrand into:
 every scalar evaluator (what ``_compile_scalar`` returns, one closure per
@@ -101,6 +102,55 @@ def _walk(e: Expression, x: float) -> float:
         case Call(name, arg):
             return _FUNCTIONS[name](_walk(arg, x))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def textbook_derivative(e: Expression) -> Expression:
+    """The derivative of ``e`` by the textbook rules, unsimplified.
+
+    This is the oracle of ``differentiate``: it builds every node directly
+    and shares no code with it, and ``differentiate(e)`` must equal
+    ``simplify(textbook_derivative(e))`` node for node.  The rules are the
+    package's: ``(u/c)' = u'/c`` for a constant ``c``, and a power with a
+    non-constant exponent goes through ``u^v = exp(v*ln(u))``.
+    """
+    match e:
+        case Const():
+            return Const(0.0)
+        case Var():
+            return Const(1.0)
+        case Neg(child):
+            return Neg(textbook_derivative(child))
+        case BinOp("+" | "-" as op, u, v):
+            return BinOp(op, textbook_derivative(u), textbook_derivative(v))
+        case BinOp("*", u, v):
+            return BinOp("+", BinOp("*", textbook_derivative(u), v), BinOp("*", u, textbook_derivative(v)))
+        case BinOp("/", u, Const() as c):
+            return BinOp("/", textbook_derivative(u), c)
+        case BinOp("/", u, v):
+            numerator = BinOp("-", BinOp("*", textbook_derivative(u), v), BinOp("*", u, textbook_derivative(v)))
+            return BinOp("/", numerator, BinOp("^", v, Const(2.0)))
+        case BinOp("^", u, Const(c)):
+            return BinOp("*", BinOp("*", Const(c), BinOp("^", u, Const(c - 1.0))), textbook_derivative(u))
+        case BinOp("^", u, v):
+            # (u^v)' = u^v * (v'*ln(u) + v*u'/u)
+            du_over_u = BinOp("/", textbook_derivative(u), u)
+            inner = BinOp("+", BinOp("*", textbook_derivative(v), Call("ln", u)), BinOp("*", v, du_over_u))
+            return BinOp("*", e, inner)
+        case Call(name, u):
+            return BinOp("*", _OUTER[name](u), textbook_derivative(u))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+# the derivative of each function at its argument u
+_OUTER = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "tan": lambda u: BinOp("/", Const(1.0), BinOp("^", Call("cos", u), Const(2.0))),
+    "exp": lambda u: Call("exp", u),
+    "ln": lambda u: BinOp("/", Const(1.0), u),
+    "sqrt": lambda u: BinOp("/", Const(1.0), BinOp("*", Const(2.0), Call("sqrt", u))),
+    "abs": lambda u: BinOp("/", u, Call("abs", u)),
+}
 
 
 def central_difference(e: Expression, x: float, h: float) -> float:

@@ -212,8 +212,9 @@ class TestReferenceIntegral:
             reference_integral(parse("ln(x)"), Interval(-1.0, 1.0))
 
     def test_rejects_bad_tolerance(self):
-        with pytest.raises(ValueError):
-            reference_integral(QUAD, QUAD_INTERVAL, tol=0.0)
+        for tol in (0.0, -1e-10, math.nan, None, "1e-10"):
+            with pytest.raises(ValueError, match=f"^tol must be positive, got {re.escape(repr(tol))}$"):
+                reference_integral(QUAD, QUAD_INTERVAL, tol=tol)
 
 
 class TestErrorStats:

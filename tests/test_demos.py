@@ -1,4 +1,8 @@
-"""Every demo script runs to completion."""
+"""Every demo script runs to completion and prints its pinned output.
+
+Each demo's stdout is compared byte for byte with ``tests/golden/demo_NN.txt``,
+NN being the two digits its file name starts with.
+"""
 
 import os
 import subprocess
@@ -10,6 +14,7 @@ import pytest
 import nrquad
 
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 SRC = str(Path(nrquad.__file__).resolve().parent.parent)
 
 
@@ -22,9 +27,8 @@ def test_demo_exits_0(demo):
     proc = subprocess.run(
         [sys.executable, str(demo)],
         capture_output=True,
-        text=True,
         env={**os.environ, "PYTHONPATH": SRC},
         timeout=120,
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert proc.stdout == (GOLDEN_DIR / f"demo_{demo.name[:2]}.txt").read_bytes()

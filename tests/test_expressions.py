@@ -24,9 +24,15 @@ from nrquad.expressions import (
     to_text,
     _compile_batch,
     _compile_scalar,
-    _derivative,
 )
-from support import central_difference, count_scalar_calls, random_polynomial, random_tree, tree_value
+from support import (
+    central_difference,
+    count_scalar_calls,
+    random_polynomial,
+    random_tree,
+    textbook_derivative,
+    tree_value,
+)
 
 QUAD = "2*x^2+3*x+1"
 QUINTIC = "5*x^5+4*x^4-3*x^3+2*x^2+4*x+1"
@@ -469,15 +475,15 @@ class TestDifferentiate:
         # the quotient rule's c^2 overflows to NaN; d(u/c) = u'/c does not
         e = parse(source)
         c = e.right.value
-        for df in differentiate(e), _derivative(e):
+        for df in differentiate(e), textbook_derivative(e):
             value = tree_value(df, 1.0)
             assert math.isfinite(value) and value != 0.0
-            assert value == tree_value(_derivative(e.left), 1.0) / c
+            assert value == tree_value(differentiate(e.left), 1.0) / c
 
     def test_quotient_by_a_constant_is_u_prime_over_c(self):
         assert differentiate(parse("sin(x)/3")) == BinOp("/", differentiate(parse("sin(x)")), Const(3.0))
-        assert _derivative(parse("x^2/1e160")) == parse("2*x/1e160")
-        assert _derivative(parse("sin(x/4)")) == parse("cos(x/4)*0.25")
+        assert differentiate(parse("x^2/1e160")) == parse("2*x/1e160")
+        assert differentiate(parse("sin(x/4)")) == parse("cos(x/4)*0.25")
 
     def test_linearity(self):
         rng = random.Random(7)
@@ -498,7 +504,6 @@ NOT_NODES = [object(), BinOp("+", Var(), object())]
 WALKS = {
     "differentiate": differentiate,
     "simplify": simplify,
-    "_derivative": _derivative,
     "_compile_scalar": _compile_scalar,
     "_compile_batch": _compile_batch,
     "evaluate": lambda e: evaluate(e, 0.5),
@@ -527,7 +532,32 @@ class TestSimplify:
         assert simplify(parse("2^3+1")) == Const(9.0)
 
     def test_derivative_of_linear_term_collapses(self):
-        assert simplify(differentiate(parse("3*x"))) == Const(3.0)
+        assert differentiate(parse("3*x")) == Const(3.0)
+
+    def test_zero_minus_a_negation_drops_both_signs(self):
+        assert simplify(parse("0-(-x)")) == Var()
+        assert simplify(parse("0-(-2)")) == Const(2.0)
+        assert differentiate(parse("cos(0-(-x))")) == parse("-sin(x)")
+
+    def test_is_idempotent_and_leaves_the_derivative_as_it_is_on_random_trees(self):
+        rng = random.Random(1)
+        for _ in range(20_000):
+            e = random_tree(rng, 5)
+            s, df = simplify(e), differentiate(e)
+            assert same_tree(simplify(s), s), to_text(e)
+            assert same_tree(simplify(df), df), to_text(e)
+
+    def test_is_idempotent_and_leaves_the_derivative_as_it_is_on_any_tree(self):
+        hypothesis = pytest.importorskip("hypothesis")
+
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(any_tree(hypothesis.strategies))
+        def check(tree):
+            s, df = simplify(tree), differentiate(tree)
+            assert same_tree(simplify(s), s)
+            assert same_tree(simplify(df), df)
+
+        check()
 
     def test_no_domain_changing_rewrites(self):
         # x/x must stay: it is undefined at 0
@@ -576,19 +606,19 @@ CORPUS_TERMS = [
 
 
 class TestOnePassDerivative:
-    """``_derivative(e)`` is ``simplify(differentiate(e))`` node for node."""
+    """``differentiate(e)`` is ``simplify(textbook_derivative(e))`` node for node."""
 
-    def test_equals_simplified_differentiate_on_random_trees(self):
+    def test_equals_the_simplified_textbook_derivative_on_random_trees(self):
         rng = random.Random(7070)
         for _ in range(20_000):
             e = random_tree(rng, rng.randint(1, 5))
-            assert same_tree(_derivative(e), simplify(differentiate(e))), to_text(e)
+            assert same_tree(differentiate(e), simplify(textbook_derivative(e))), to_text(e)
 
     def test_equals_on_the_corpus_terms_and_their_sums(self):
         sums = [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS] + ["+".join(CORPUS_TERMS)]
         for source in CORPUS_TERMS + sums:
             e = parse(source)
-            assert same_tree(_derivative(e), simplify(differentiate(e))), source
+            assert same_tree(differentiate(e), simplify(textbook_derivative(e))), source
 
     def test_equals_on_any_tree(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -596,7 +626,7 @@ class TestOnePassDerivative:
         @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
         @hypothesis.given(any_tree(hypothesis.strategies))
         def check(tree):
-            assert same_tree(_derivative(tree), simplify(differentiate(tree)))
+            assert same_tree(differentiate(tree), simplify(textbook_derivative(tree)))
 
         check()
 
@@ -626,7 +656,7 @@ class TestOnePassDerivative:
         for _ in range(400):
             e = random_tree(rng, rng.randint(1, 4))
             oracle = sympy.lambdify(x, sympy.diff(to_sympy(e), x), "math")
-            derivative = _derivative(e)
+            derivative = differentiate(e)
             for point in (-2.3, -0.7, 0.4, 1.3, 2.9):
                 if not math.isfinite(tree_value(e, point)):
                     continue  # no derivative where f is undefined

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -228,10 +229,16 @@ class TestStoppingCriteria:
             {"tol_step": -1e-9},
             {"max_iter": 0},
             {"target": math.inf},
+            {"tol_x": None},
+            {"tol_x": "1e-6"},
+            {"tol_f": "0.1"},
+            {"tol_step": None},
+            {"target": "0"},
         ],
     )
     def test_rejects_bad_configuration(self, kwargs):
-        with pytest.raises(ValueError):
+        [(name, value)] = kwargs.items()
+        with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(value))}$"):
             StoppingCriteria(**kwargs)
 
     def test_defaults_are_valid(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import pytest
 
@@ -360,9 +361,11 @@ class TestEvaluationCounts:
 
 
 class TestInterval:
-    @pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.inf)])
+    @pytest.mark.parametrize(
+        "a, b", [(1.0, 1.0), (2.0, 1.0), (math.nan, 1.0), (0.0, math.inf), ("0", 1.0), (0.0, None), (0.0, 1j)]
+    )
     def test_rejects_bad_bounds(self, a, b):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f", got {re.escape(repr([a, b]))}$"):
             Interval(a, b)
 
     def test_accepts_ordered_finite_bounds(self):

@@ -5,6 +5,7 @@ import inspect
 import math
 import pickle
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -26,6 +27,7 @@ from nrquad import (
     Var,
     nr_integrate,
     parse,
+    reference_integral,
 )
 from nrquad.expressions import FUNCTION_NAMES
 
@@ -182,6 +184,8 @@ def test_constructors_keep_their_validation_messages():
         NrQuadSettings(tol_x=0)
     with pytest.raises(ValueError, match="tol_f must be positive, got -1.0"):
         NrQuadSettings(tol_f=-1.0)
+    with pytest.raises(ValueError, match="tol_x must be positive, got '1e-6'"):
+        NrQuadSettings(tol_x="1e-6")
     with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
         NrQuadSettings(max_iter=0)
     with pytest.raises(ValueError, match="max_iter must be at least 1, got 0"):
@@ -195,6 +199,14 @@ def test_a_budget_that_is_not_an_integer_is_one_value_error(max_iter):
     for build in (StoppingCriteria, NrQuadSettings):
         with pytest.raises(ValueError, match=rf"^max_iter must be an integer, got {re.escape(repr(max_iter))}$"):
             build(max_iter=max_iter)
+
+
+def test_number_types_pass_as_tolerances_targets_and_bounds():
+    f = parse("2*x^2+3*x+1")
+    want = nr_integrate(f, Interval(-0.5, 1.0), NrQuadSettings(tol_x=0.01))
+    assert nr_integrate(f, Interval(Fraction(-1, 2), 1), NrQuadSettings(tol_x=Fraction(1, 100))) == want
+    assert StoppingCriteria(target=0, tol_x=True, tol_f=1, tol_step=Fraction(1, 10)).tol_step == Fraction(1, 10)
+    assert reference_integral(f, Interval(0, 1), tol=1) == reference_integral(f, Interval(0.0, 1.0), tol=1.0)
 
 
 def test_integer_types_pass_as_budgets():
