@@ -6,9 +6,11 @@ types, the source syntax, :func:`parse` and :func:`to_text` live in
 
 Evaluation is total: domain violations (``ln`` of a negative, division by
 zero, ...) yield NaN instead of raising, and callers are expected to check
-finiteness.  Every evaluation runs through one of two compilers, and each
-computation in the package compiles its integrand once into the evaluator
-it uses.  ``_compile_scalar`` gives one closure per node for single points,
+finiteness.  Every evaluation runs through one of two compilers.
+``nr_integrate`` compiles f and f' once each for the Newton steps, which
+need single points, and f once more for validation's samples, which go as
+one batch; a comparison's uniform rules and reference share one batch
+evaluator.  ``_compile_scalar`` gives one closure per node for single points,
 reading constant and ``x`` operands in place; ``evaluate`` builds one and
 calls it once.  ``_compile_batch`` gives a chain of lazy ``map`` iterators,
 one per node, for batches, with the closures' bits.

@@ -25,7 +25,7 @@ import math
 from enum import Enum
 
 from ._frozen import Frozen, set_field
-from .expressions import Expression, _compile_scalar, differentiate
+from .expressions import Expression, _compile_batch, _compile_scalar, differentiate, evaluate
 from .newton import (
     NewtonTrace,
     NonfiniteValueError,
@@ -33,7 +33,6 @@ from .newton import (
     Termination,
     _finite,
     _iterate,
-    _Scalar,
     _step,
 )
 
@@ -160,20 +159,26 @@ def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
 
     Samples f at ``VALIDATION_SAMPLES`` (64) equally spaced points and
     reports whether the values are nondecreasing, whether |f(a)| is small
-    relative to |f(b)|, and whether f'(b) > 0.  Findings are returned,
-    never raised.
+    relative to |f(b)|, and whether f'(b) > 0.  The 63 points before b are
+    ``a + i*h`` with ``h = (b - a)/63``, or ``a*(1 - i/63) + b*(i/63)``
+    where ``b - a`` overflows, and are evaluated as one batch.  Findings
+    are returned, never raised.
     """
-    f_at = _compile_scalar(f)
     b = interval.b
-    return _validate(f_at, interval, f_at(b), _compile_scalar(differentiate(f))(b))
+    return _validate(f, interval, evaluate(f, b), evaluate(differentiate(f), b))
 
 
-def _validate(f: _Scalar, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
-    """:func:`validate_problem` on a scalar evaluator, given f(b) and f'(b)."""
+def _validate(f: Expression, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
+    """:func:`validate_problem` given f(b) and f'(b); the other samples go through one batch evaluator of f."""
     a, b = interval.a, interval.b
-    h = (b - a) / (VALIDATION_SAMPLES - 1)
-    xs = [a + i * h for i in range(VALIDATION_SAMPLES - 1)] + [b]
-    values = [f(x) for x in xs[:-1]]
+    n = VALIDATION_SAMPLES - 1
+    h = (b - a) / n
+    if math.isfinite(h):
+        xs = [a + i * h for i in range(n)]
+    else:  # b - a overflows, so a < 0 < b, and the two products have opposite signs and sum inside [a, b]
+        xs = [a * (1.0 - i / n) + b * (i / n) for i in range(n)]
+    values = _compile_batch(f)(xs)
+    xs.append(b)
     values.append(f_b)
     messages: list[str] = []
 
@@ -241,7 +246,7 @@ def nr_integrate(
     first = _step(f_at, df_at, b)
 
     if settings.validate:
-        report = _validate(f_at, interval, first.f_k, first.df_k)
+        report = _validate(f, interval, first.f_k, first.df_k)
         if not report.passed:
             raise ValidationError(report)
 

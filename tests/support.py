@@ -6,6 +6,8 @@ work on plain coefficient lists, Python callables, Python floats and
 compiled evaluators must match bit for bit, so the tests compare two
 independent routes to the same numbers.  ``textbook_derivative`` is the
 derivative's oracle in the same way: the textbook rules, unsimplified.
+``scalar_validate`` is the precondition check's: one ``tree_value`` per
+sample, where the package evaluates the samples as one batch.
 
 The counting hooks wrap what the package compiles each integrand into:
 every scalar evaluator (what ``_compile_scalar`` returns, one closure per
@@ -19,13 +21,26 @@ from __future__ import annotations
 import math
 import random
 import sys
+from itertools import pairwise
 
 import nrquad.expressions
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
-from nrquad.expressions import _FUNCTIONS, BinOp, Call, Const, Expression, Neg, Var
-from nrquad.quadrature import Interval
+from nrquad.expressions import _FUNCTIONS, BinOp, Call, Const, Expression, Neg, Var, simplify
+from nrquad.quadrature import VALIDATION_SAMPLES, Interval, ValidationReport
 
 FUNCTION_POOL = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
+
+# the term templates of the benchmark's corpora, with a coefficient and a degree filled in
+CORPUS_TERMS = [
+    "1.3*x",
+    "0.7*x^2",
+    "2.25*x^3",
+    "1.1*(exp(x)-1)",
+    "0.4*ln(x+1)",
+    "2.9*(sqrt(x+1)-1)",
+    "1.7*sin(x/4)",
+    "0.2*x*sqrt(x)",
+]
 
 
 def random_polynomial(rng: random.Random, max_degree: int = 5) -> tuple[Expression, list[float]]:
@@ -151,6 +166,39 @@ _OUTER = {
     "sqrt": lambda u: BinOp("/", Const(1.0), BinOp("*", Const(2.0), Call("sqrt", u))),
     "abs": lambda u: BinOp("/", u, Call("abs", u)),
 }
+
+
+def scalar_validate(f: Expression, interval: Interval) -> ValidationReport:
+    """``validate_problem`` with one ``tree_value`` per sample and f' from ``textbook_derivative``.
+
+    The samples are ``a + i*h`` for ``h = (b - a)/63`` and i below 63, then
+    b; where ``b - a`` overflows they are ``a*(1 - i/63) + b*(i/63)``.
+    """
+    a, b = interval.a, interval.b
+    n = VALIDATION_SAMPLES - 1
+    h = (b - a) / n
+    xs = [a + i * h if math.isfinite(h) else a * (1.0 - i / n) + b * (i / n) for i in range(n)] + [b]
+    values = [tree_value(f, x) for x in xs]
+    messages = []
+    monotone = True
+    for (x, v), (x_next, v_next) in pairwise(zip(xs, values)):
+        if not math.isfinite(v) or not math.isfinite(v_next):
+            monotone = False
+            messages.append(f"f is not finite at sampled point x = {(x_next if math.isfinite(v) else x)!r}")
+            break
+        if v_next < v:
+            monotone = False
+            messages.append(f"f is not nondecreasing: f({x!r}) = {v!r} > f({x_next!r}) = {v_next!r}")
+            break
+    f_a, f_b = values[0], values[-1]
+    root_at_a = math.isfinite(f_a) and abs(f_a) <= 1e-6 * max(1.0, abs(f_b))
+    if not root_at_a:
+        messages.append(f"f(a) = {f_a!r} is not negligible; the rule needs the root at a")
+    df_b = tree_value(simplify(textbook_derivative(f)), b)
+    derivative_positive = math.isfinite(df_b) and df_b > 0.0
+    if not derivative_positive:
+        messages.append(f"f'(b) = {df_b!r} is not positive")
+    return ValidationReport(monotone, root_at_a, derivative_positive, tuple(messages))
 
 
 def central_difference(e: Expression, x: float, h: float) -> float:

@@ -394,7 +394,7 @@ class TestChunking:
 
 
 class TestScalarEvaluationCounts:
-    """Scalar evaluator calls, counted as for the 76/13 pins in test_quadrature."""
+    """Scalar evaluator calls, counted as for the worked example's pins in test_quadrature."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -419,11 +419,11 @@ class TestScalarEvaluationCounts:
         assert built_before[0] == 0 and calls[1] == 1
 
     def test_compare_calls_come_from_reference_and_nr_only(self, calls, capsys):
-        # none for the reference, which batches its points, and the pinned
-        # 76 for nr_integrate
+        # none for the reference and validation, which batch their points, and
+        # the pinned 13 for nr_integrate's Newton steps
         argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
         assert main(argv) == 0
-        assert calls[0] == 0 + 76
+        assert calls[0] == 0 + 13
 
 
 def reference_outcome(reference, f, interval, tol=1e-10):

@@ -142,6 +142,13 @@ class TestExitStatuses:
         assert out == ""
         assert err == "error: Newton step overflowed at x = 1.0 (f = 1e+300, f' = 1e-11, step = inf, x_next = -inf)\n"
 
+    def test_an_interval_whose_width_overflows_passes_validation(self, capsys):
+        # b - a is inf, so the samples are spread inside [a, b] rather than at a + i*inf
+        argv = ["integrate", "--expr", "x/2+5e307", "--lower=-1e308", "--upper=1e308"]
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (3, "")
+        assert err == "error: Newton step overflowed at x = 1e+308 (f = 1e+308, f' = 0.5, step = inf, x_next = -inf)\n"
+
     def test_nan_closing_the_last_panel_exits_3(self, capsys):
         code, out, err = run(["integrate", "--expr", "sqrt(x)", "--lower", "0", "--upper", "1e-7"], capsys)
         assert code == 3
@@ -577,7 +584,8 @@ class TestEntryPoints:
         assert code == nrquad.cli.EXIT_WRITE
         assert err == f"error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
-    def test_compare_compiles_one_batch_evaluator(self, capsys, monkeypatch):
+    def test_compare_compiles_two_batch_evaluators(self, capsys, monkeypatch):
+        # one chain for the reference and the five rules, and one that validation builds for itself
         compiled = []
 
         def counting(e, many):
@@ -587,11 +595,11 @@ class TestEntryPoints:
         patch_compiler(monkeypatch, "_compile_batch", counting)
         code, out, _ = run(["compare", *EXAMPLE, "--panels", "64"], capsys)
         assert code == 0 and "simpson" in out
-        assert len(compiled) == 1
+        assert len(compiled) == 2
 
-    def test_each_compare_compiles_one_batch_evaluator_in_threads(self, monkeypatch):
+    def test_each_compare_compiles_two_batch_evaluators_in_threads(self, monkeypatch):
         # nothing is kept between calls, so threads that alternate expressions
-        # share no batch evaluator, and each comparison compiles its own once
+        # share no batch evaluator, and each comparison compiles its own two
         problems = [(parse("2*x^2+3*x+1"), Interval(-0.5, 1.0)), (parse("exp(x)-1"), Interval(0.0, 1.0))]
         settings = NrQuadSettings()
 
@@ -629,4 +637,4 @@ class TestEntryPoints:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == [0, 0]
-        assert sorted(compiled.values()) == [runs, runs]
+        assert sorted(compiled.values()) == [2 * runs, 2 * runs]

@@ -26,6 +26,7 @@ from nrquad.expressions import (
     _compile_scalar,
 )
 from support import (
+    CORPUS_TERMS,
     central_difference,
     count_scalar_calls,
     random_polynomial,
@@ -590,19 +591,6 @@ class TestSimplify:
 def same_tree(first, second):
     # repr spells every constant exactly, so this tells 0.0 from -0.0 where == does not
     return first == second and repr(first) == repr(second)
-
-
-# the term templates of the benchmark's corpora, with a coefficient and a degree filled in
-CORPUS_TERMS = [
-    "1.3*x",
-    "0.7*x^2",
-    "2.25*x^3",
-    "1.1*(exp(x)-1)",
-    "0.4*ln(x+1)",
-    "2.9*(sqrt(x+1)-1)",
-    "1.7*sin(x/4)",
-    "0.2*x*sqrt(x)",
-]
 
 
 class TestOnePassDerivative:

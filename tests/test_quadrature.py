@@ -7,7 +7,7 @@ import re
 import pytest
 
 from nrquad.baselines import reference_integral
-from nrquad.expressions import _compile_scalar, differentiate, evaluate, parse, simplify
+from nrquad.expressions import differentiate, evaluate, parse, simplify, to_text
 from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, StoppingCriteria, Termination, newton_step
 from nrquad.quadrature import (
     Interval,
@@ -19,7 +19,15 @@ from nrquad.quadrature import (
     panel_area,
     validate_problem,
 )
-from support import brute_force_rule, count_scalar_calls
+from support import (
+    CORPUS_TERMS,
+    brute_force_rule,
+    count_scalar_calls,
+    patch_compiler,
+    random_tree,
+    record_batches,
+    scalar_validate,
+)
 
 QUAD = "2*x^2+3*x+1"
 QUAD_INTERVAL = Interval(-0.5, 1.0)
@@ -88,7 +96,69 @@ class TestValidateProblem:
         f = parse(source)
         first = newton_step(f, simplify(differentiate(f)), b)
         interval = Interval(a, b)
-        assert _validate(_compile_scalar(f), interval, first.f_k, first.df_k) == validate_problem(f, interval)
+        assert _validate(f, interval, first.f_k, first.df_k) == validate_problem(f, interval)
+
+
+class TestValidationMatchesScalarOracle:
+    """validate_problem, which batches its samples, against one tree_value per sample."""
+
+    INTERVALS = [Interval(-1.0, 1.0), Interval(-0.0, 2.0), Interval(0.5, 3.0), Interval(-3.0, 1e-3)]
+
+    def test_random_trees(self):
+        rng = random.Random(2020)
+        failed = 0
+        for _ in range(1_500):
+            f = random_tree(rng, rng.randint(1, 4))
+            for interval in self.INTERVALS:
+                report = validate_problem(f, interval)
+                assert report == scalar_validate(f, interval), (to_text(f), interval)
+                failed += not report.monotone_increasing
+        assert failed >= 2_000, failed  # 2,370 of 6,000 reports; 661 of the batches raise and fall back
+
+    def test_corpus_terms_and_their_sums(self):
+        sums = [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS] + ["+".join(CORPUS_TERMS)]
+        for source in CORPUS_TERMS + sums:
+            f = parse(source)
+            for interval in (Interval(0.0, 0.5), Interval(0.0, 3.0), *self.INTERVALS):
+                assert validate_problem(f, interval) == scalar_validate(f, interval), (source, interval)
+
+    @pytest.mark.parametrize(
+        "source, raised",
+        [("ln(x)", 63), ("ln(x)^0+x", 63), ("sqrt(abs(x-0.5)-0.1)", 63), ("x-0*(x*1e300*1e300)", 0), ("x", 0)],
+    )
+    def test_nan_samples_with_and_without_a_raising_batch(self, monkeypatch, source, raised):
+        # NaN where a point raises, including where pow(nan, 0) would hide it, and where inf*0 is NaN without raising
+        f, interval = parse(source), Interval(-1.0, 1.0)
+        calls = count_scalar_calls(monkeypatch)
+        report = validate_problem(f, interval)
+        assert calls[0] == raised + 2  # the fallback's points, and f(b) and f'(b)
+        assert report == scalar_validate(f, interval)
+
+    @pytest.mark.parametrize("source", ["x", "1/x", "x/abs(x)", "x^3-x", "ln(x)", "0-x"])
+    def test_a_negative_zero_lower_bound(self, source):
+        f, interval = parse(source), Interval(-0.0, 1.0)
+        assert validate_problem(f, interval) == scalar_validate(f, interval)
+
+    def test_the_first_failure_at_each_sample_index(self):
+        # x*(c - x) rises up to c/2 and falls after it
+        messages = set()
+        for k in range(1, 63):
+            f, interval = parse(f"x*({2 * (k + 0.5) / 63!r}-x)"), Interval(0.0, 1.0)
+            report = validate_problem(f, interval)
+            assert report == scalar_validate(f, interval)
+            messages.add(report.messages[0])
+        assert len(messages) == 62
+
+    def test_an_interval_whose_width_overflows(self):
+        f, interval = parse("x/2+5e307"), Interval(-1e308, 1e308)
+        report = validate_problem(f, interval)
+        assert report.passed
+        assert report == scalar_validate(f, interval)
+        f = parse("0-x")
+        report = validate_problem(f, interval)
+        second = "-9.682539682539683e+307"
+        assert report.messages[0] == f"f is not nondecreasing: f(-1e+308) = 1e+308 > f({second}) = {second[1:]}"
+        assert report == scalar_validate(f, interval)
 
 
 class TestNrIntegrate:
@@ -311,14 +381,34 @@ class TestEvaluationCounts:
     def calls(self, monkeypatch):
         return count_scalar_calls(monkeypatch)
 
-    # f and f' once at each of the 6 iterates, f at the last one, and with
-    # validation 63 samples of f; f(b) and f'(b) come from the first step
-    @pytest.mark.parametrize("validate, expected", [(True, 76), (False, 13)])
-    def test_worked_example(self, calls, validate, expected):
+    # f and f' once at each of the 6 iterates and f at the last one; with
+    # validation, f(b) and f'(b) come from the first step and the other 63
+    # samples of f are one batch: 76 scalar calls when they were not batched
+    @pytest.mark.parametrize(
+        "validate, expected_batches", [(True, [63]), (False, [])], ids=["validated", "unvalidated"]
+    )
+    def test_worked_example(self, calls, monkeypatch, validate, expected_batches):
+        batches = record_batches(monkeypatch)
         result = nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(validate=validate))
         assert len(result.areas) == 6
         assert result.trace.termination is Termination.REACHED_TARGET
-        assert calls[0] == expected
+        assert calls[0] == 13
+        assert batches == expected_batches
+
+    # the scalar closures of f and f', and validation's chain of f
+    @pytest.mark.parametrize("validate", [True, False])
+    def test_builds_two_scalar_evaluators_and_one_batch_evaluator_to_validate(self, calls, monkeypatch, validate):
+        compiled = []
+
+        def counting(e, many):
+            compiled.append(e)
+            return many
+
+        patch_compiler(monkeypatch, "_compile_batch", counting)
+        f = parse(QUAD)
+        nr_integrate(f, QUAD_INTERVAL, NrQuadSettings(validate=validate))
+        assert calls[1] == 2
+        assert compiled == ([f] if validate else [])
 
     # f and f' at each iterate and f once at the last one, where the residual
     # test has already evaluated it: 38 and 12 when the rule evaluated it again
