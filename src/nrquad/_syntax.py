@@ -146,110 +146,6 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(source: str) -> list[tuple[str, str, int]]:
-    # (kind, text, offset) tuples; the catch-all "bad" group makes the matches cover the source
-    tokens = []
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", match.start())
-        if kind != "ws":
-            tokens.append((kind, match.group(), match.start()))
-    tokens.append(("end", "end of input", len(source)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
-        self._tokens = tokens
-        self._index = 0
-        self._nesting = 0
-
-    def _peek(self) -> tuple[str, str, int]:
-        return self._tokens[self._index]
-
-    def _peek_op(self) -> str | None:
-        """The next token's text if it is an operator or punctuation, else None."""
-        kind, text, _ = self._tokens[self._index]
-        return text if kind == "op" else None
-
-    def _expect_op(self, op: str, context: str) -> None:
-        if self._peek_op() == op:
-            self._index += 1
-            return
-        _, text, offset = self._peek()
-        raise ParseError(f"expected {op!r} {context}, found {text!r}", offset)
-
-    def parse(self) -> Expression:
-        expr = self._expr()
-        kind, text, offset = self._peek()
-        if kind != "end":
-            raise ParseError(f"unexpected {text!r} after a complete expression", offset)
-        return expr
-
-    def _expr(self) -> Expression:
-        left = self._term()
-        while (op := self._peek_op()) in ("+", "-"):
-            self._index += 1
-            left = BinOp(op, left, self._term())
-        return left
-
-    def _term(self) -> Expression:
-        left = self._unary()
-        while (op := self._peek_op()) in ("*", "/"):
-            self._index += 1
-            left = BinOp(op, left, self._unary())
-        return left
-
-    def _unary(self) -> Expression:
-        # every nested operand passes here: parenthesised, argument, negated or exponent
-        self._nesting += 1
-        if self._nesting > _MAX_NESTING:
-            raise ParseError(_TOO_DEEP, self._peek()[2])
-        if self._peek_op() == "-":
-            self._index += 1
-            expr: Expression = Neg(self._unary())
-        else:
-            expr = self._power()
-        self._nesting -= 1
-        return expr
-
-    def _power(self) -> Expression:
-        base = self._atom()
-        if self._peek_op() == "^":
-            self._index += 1
-            return BinOp("^", base, self._unary())
-        return base
-
-    def _atom(self) -> Expression:
-        kind, text, offset = self._peek()
-        self._index += 1
-        if kind == "num":
-            value = float(text)
-            if not math.isfinite(value):
-                raise ParseError(f"number {text!r} is too large for a float", offset)
-            return Const(value)
-        if kind == "name":
-            if text == VARIABLE_NAME:
-                return Var()
-            if text in FUNCTION_NAMES:
-                return self._call(text)
-            raise ParseError(f"unknown identifier {text!r}", offset)
-        if kind == "op" and text == "(":
-            expr = self._expr()
-            self._expect_op(")", "to close the parenthesised expression")
-            return expr
-        raise ParseError(f"expected a number, {VARIABLE_NAME!r}, or '(', found {text!r}", offset)
-
-    def _call(self, name: str) -> Expression:
-        self._expect_op("(", f"after function name {name!r}")
-        arg = self._expr()
-        if self._peek_op() == ",":
-            raise ParseError(f"function {name!r} takes exactly one argument", self._peek()[2])
-        self._expect_op(")", f"to close the argument of {name!r}")
-        return Call(name, arg)
-
-
 def parse(source: str) -> Expression:
     """Parse ``source`` into an expression tree.
 
@@ -268,29 +164,97 @@ def parse(source: str) -> Expression:
     """
     if not source or source.isspace():
         raise ParseError("empty expression", 0)
-    tokens = _tokenize(source)
-    expr = _Parser(tokens).parse()
-    # every node takes at least one token, so only a long source can be too deep
-    if len(tokens) > MAX_DEPTH and _depth(expr) > MAX_DEPTH:
+    # (kind, text, offset) tuples; the catch-all "bad" group makes the matches
+    # cover the source, so a stray character is reported before any syntax error
+    tokens = []
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if kind != "ws":
+            tokens.append((kind, match.group(), match.start()))
+    tokens.append(("end", "end of input", len(source)))
+    # each rule returns its node and the node's depth; only "op" tokens have
+    # punctuation for text, so the text alone tells an operator
+    at = 0  # index of the next token
+    nesting = 0
+
+    def expr() -> tuple[Expression, int]:
+        nonlocal at
+        left, depth = term()
+        while (op := tokens[at][1]) in ("+", "-"):
+            at += 1
+            right, right_depth = term()
+            left, depth = BinOp(op, left, right), max(depth, right_depth) + 1
+        return left, depth
+
+    def term() -> tuple[Expression, int]:
+        nonlocal at
+        left, depth = unary()
+        while (op := tokens[at][1]) in ("*", "/"):
+            at += 1
+            right, right_depth = unary()
+            left, depth = BinOp(op, left, right), max(depth, right_depth) + 1
+        return left, depth
+
+    def unary() -> tuple[Expression, int]:
+        # every nested operand passes here: parenthesised, argument, negated or exponent
+        nonlocal at, nesting
+        nesting += 1
+        kind, text, offset = tokens[at]
+        if nesting > _MAX_NESTING:
+            raise ParseError(_TOO_DEEP, offset)
+        at += 1
+        if text == "-":
+            child, depth = unary()
+            nesting -= 1
+            # to_text prints Const(-c) as (-c): count the one level it was printed from
+            return Neg(child), 1 if type(child) is Const else depth + 1
+        if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is too large for a float", offset)
+            base, depth = Const(value), 1
+        elif text == VARIABLE_NAME:
+            base, depth = Var(), 1
+        elif kind == "name":
+            if text not in FUNCTION_NAMES:
+                raise ParseError(f"unknown identifier {text!r}", offset)
+            _, found, offset = tokens[at]
+            if found != "(":
+                raise ParseError(f"expected '(' after function name {text!r}, found {found!r}", offset)
+            at += 1
+            arg, depth = expr()
+            _, found, offset = tokens[at]
+            if found == ",":
+                raise ParseError(f"function {text!r} takes exactly one argument", offset)
+            if found != ")":
+                raise ParseError(f"expected ')' to close the argument of {text!r}, found {found!r}", offset)
+            at += 1
+            base, depth = Call(text, arg), depth + 1
+        elif text == "(":
+            base, depth = expr()
+            _, found, offset = tokens[at]
+            if found != ")":
+                raise ParseError(f"expected ')' to close the parenthesised expression, found {found!r}", offset)
+            at += 1
+        else:
+            raise ParseError(f"expected a number, {VARIABLE_NAME!r}, or '(', found {text!r}", offset)
+        if tokens[at][1] == "^":
+            at += 1
+            exponent, exponent_depth = unary()
+            base, depth = BinOp("^", base, exponent), max(depth, exponent_depth) + 1
+        nesting -= 1
+        return base, depth
+
+    tree, depth = expr()
+    kind, text, offset = tokens[at]
+    if kind != "end":
+        raise ParseError(f"unexpected {text!r} after a complete expression", offset)
+    # a syntax error anywhere in the source is reported before the depth
+    if depth > MAX_DEPTH:
         raise ParseError(_TOO_DEEP, 0)
-    return expr
-
-
-def _depth(e: Expression) -> int:
-    deepest = 0
-    pending = [(e, 1)]
-    while pending:
-        node, depth = pending.pop()
-        deepest = max(deepest, depth)
-        match node:
-            case Neg(Const()):
-                pass  # to_text prints Const(-c) as (-c): count the one level it was printed from
-            case Neg(child) | Call(_, child):
-                pending.append((child, depth + 1))
-            case BinOp(_, left, right):
-                pending.append((left, depth + 1))
-                pending.append((right, depth + 1))
-    return deepest
+    return tree
 
 
 def to_text(e: Expression) -> str:

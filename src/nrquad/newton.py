@@ -242,7 +242,7 @@ def _iterate(
             return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next), f_x, None
         if abs(step.step) <= stop.tol_step:
             return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next), f_x, None
-        if descending and step.x_next < stop.target:
+        if descending and step.x_next < stop.target:  # <= is the same: tol_x > 0 ends a landing on target above
             return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, stop.target), None, None
         x = step.x_next
         step = None

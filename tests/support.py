@@ -8,6 +8,8 @@ independent routes to the same numbers.  ``textbook_derivative`` is the
 derivative's oracle in the same way: the textbook rules, unsimplified.
 ``scalar_validate`` is the precondition check's: one ``tree_value`` per
 sample, where the package evaluates the samples as one batch.
+``descent_parse`` is the parser's: a token list, a recursive-descent class
+and a separate walk for the depth, where ``parse`` does all three in one pass.
 
 The counting hooks wrap what the package compiles each integrand into:
 every scalar evaluator (what ``_compile_scalar`` returns, one closure per
@@ -25,7 +27,20 @@ from itertools import pairwise
 
 import nrquad.expressions
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
-from nrquad.expressions import _FUNCTIONS, BinOp, Call, Const, Expression, Neg, Var, simplify
+from nrquad._syntax import _MAX_NESTING, _TOKEN_RE, _TOO_DEEP, VARIABLE_NAME
+from nrquad.expressions import (
+    _FUNCTIONS,
+    FUNCTION_NAMES,
+    MAX_DEPTH,
+    BinOp,
+    Call,
+    Const,
+    Expression,
+    Neg,
+    ParseError,
+    Var,
+    simplify,
+)
 from nrquad.quadrature import VALIDATION_SAMPLES, Interval, ValidationReport
 
 FUNCTION_POOL = ("sin", "cos", "tan", "exp", "ln", "sqrt", "abs")
@@ -166,6 +181,144 @@ _OUTER = {
     "sqrt": lambda u: BinOp("/", Const(1.0), BinOp("*", Const(2.0), Call("sqrt", u))),
     "abs": lambda u: BinOp("/", u, Call("abs", u)),
 }
+
+
+def descent_parse(source: str) -> Expression:
+    """``parse`` as the recursive-descent class and separate depth walk it replaced.
+
+    This is the parser's oracle: ``parse(source)`` must give the same tree,
+    or raise a ``ParseError`` with the same message and offset.  It shares
+    only the token pattern and the messages' constants with ``parse``.
+    """
+    if not source or source.isspace():
+        raise ParseError("empty expression", 0)
+    tokens = _tokenize(source)
+    expr = _Parser(tokens).parse()
+    # every node takes at least one token, so only a long source can be too deep
+    if len(tokens) > MAX_DEPTH and _depth(expr) > MAX_DEPTH:
+        raise ParseError(_TOO_DEEP, 0)
+    return expr
+
+
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    # (kind, text, offset) tuples; the catch-all "bad" group makes the matches cover the source
+    tokens = []
+    for match in _TOKEN_RE.finditer(source):
+        kind = match.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", match.start())
+        if kind != "ws":
+            tokens.append((kind, match.group(), match.start()))
+    tokens.append(("end", "end of input", len(source)))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[tuple[str, str, int]]) -> None:
+        self._tokens = tokens
+        self._index = 0
+        self._nesting = 0
+
+    def _peek(self) -> tuple[str, str, int]:
+        return self._tokens[self._index]
+
+    def _peek_op(self) -> str | None:
+        """The next token's text if it is an operator or punctuation, else None."""
+        kind, text, _ = self._tokens[self._index]
+        return text if kind == "op" else None
+
+    def _expect_op(self, op: str, context: str) -> None:
+        if self._peek_op() == op:
+            self._index += 1
+            return
+        _, text, offset = self._peek()
+        raise ParseError(f"expected {op!r} {context}, found {text!r}", offset)
+
+    def parse(self) -> Expression:
+        expr = self._expr()
+        kind, text, offset = self._peek()
+        if kind != "end":
+            raise ParseError(f"unexpected {text!r} after a complete expression", offset)
+        return expr
+
+    def _expr(self) -> Expression:
+        left = self._term()
+        while (op := self._peek_op()) in ("+", "-"):
+            self._index += 1
+            left = BinOp(op, left, self._term())
+        return left
+
+    def _term(self) -> Expression:
+        left = self._unary()
+        while (op := self._peek_op()) in ("*", "/"):
+            self._index += 1
+            left = BinOp(op, left, self._unary())
+        return left
+
+    def _unary(self) -> Expression:
+        # every nested operand passes here: parenthesised, argument, negated or exponent
+        self._nesting += 1
+        if self._nesting > _MAX_NESTING:
+            raise ParseError(_TOO_DEEP, self._peek()[2])
+        if self._peek_op() == "-":
+            self._index += 1
+            expr: Expression = Neg(self._unary())
+        else:
+            expr = self._power()
+        self._nesting -= 1
+        return expr
+
+    def _power(self) -> Expression:
+        base = self._atom()
+        if self._peek_op() == "^":
+            self._index += 1
+            return BinOp("^", base, self._unary())
+        return base
+
+    def _atom(self) -> Expression:
+        kind, text, offset = self._peek()
+        self._index += 1
+        if kind == "num":
+            value = float(text)
+            if not math.isfinite(value):
+                raise ParseError(f"number {text!r} is too large for a float", offset)
+            return Const(value)
+        if kind == "name":
+            if text == VARIABLE_NAME:
+                return Var()
+            if text in FUNCTION_NAMES:
+                return self._call(text)
+            raise ParseError(f"unknown identifier {text!r}", offset)
+        if kind == "op" and text == "(":
+            expr = self._expr()
+            self._expect_op(")", "to close the parenthesised expression")
+            return expr
+        raise ParseError(f"expected a number, {VARIABLE_NAME!r}, or '(', found {text!r}", offset)
+
+    def _call(self, name: str) -> Expression:
+        self._expect_op("(", f"after function name {name!r}")
+        arg = self._expr()
+        if self._peek_op() == ",":
+            raise ParseError(f"function {name!r} takes exactly one argument", self._peek()[2])
+        self._expect_op(")", f"to close the argument of {name!r}")
+        return Call(name, arg)
+
+
+def _depth(e: Expression) -> int:
+    deepest = 0
+    pending = [(e, 1)]
+    while pending:
+        node, depth = pending.pop()
+        deepest = max(deepest, depth)
+        match node:
+            case Neg(Const()):
+                pass  # to_text prints Const(-c) as (-c): count the one level it was printed from
+            case Neg(child) | Call(_, child):
+                pending.append((child, depth + 1))
+            case BinOp(_, left, right):
+                pending.append((left, depth + 1))
+                pending.append((right, depth + 1))
+    return deepest
 
 
 def scalar_validate(f: Expression, interval: Interval) -> ValidationReport:

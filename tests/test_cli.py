@@ -149,6 +149,19 @@ class TestExitStatuses:
         assert (code, out) == (3, "")
         assert err == "error: Newton step overflowed at x = 1e+308 (f = 1e+308, f' = 0.5, step = inf, x_next = -inf)\n"
 
+    @pytest.mark.parametrize("format", GOLDEN_EXTENSIONS)
+    def test_an_area_that_overflows_is_a_result(self, format, capsys):
+        # one finite step of width 1e308 under a finite f: only the panel's area overflows
+        argv = ["integrate", "--expr", "x", "--lower", "0", "--upper", "1e308", "--format", format]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        if format == "table":
+            assert "value:        inf\n" in out
+        elif format == "csv":
+            assert out.splitlines()[1].startswith("inf,")
+        else:
+            assert strict_json(out)["value"] is None
+
     def test_nan_closing_the_last_panel_exits_3(self, capsys):
         code, out, err = run(["integrate", "--expr", "sqrt(x)", "--lower", "0", "--upper", "1e-7"], capsys)
         assert code == 3

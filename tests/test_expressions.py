@@ -3,6 +3,7 @@
 import math
 import operator
 import random
+import string
 import struct
 
 import pytest
@@ -29,6 +30,7 @@ from support import (
     CORPUS_TERMS,
     central_difference,
     count_scalar_calls,
+    descent_parse,
     random_polynomial,
     random_tree,
     textbook_derivative,
@@ -588,6 +590,49 @@ class TestSimplify:
                     assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
+def parse_outcome(parser, source):
+    """The tree ``parser`` gives for ``source``, as its repr, or the message and offset of its ``ParseError``."""
+    try:
+        return repr(parser(source))  # repr spells every node type and constant exactly
+    except ParseError as err:
+        return str(err), err.offset
+
+
+class TestDescentOracle:
+    """``parse`` gives what the recursive descent it replaced gives: the same tree, or the same error."""
+
+    INSERTED = "x()+-*/^,.e1 $" + string.ascii_letters
+
+    def sweep(self):
+        sums = [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS] + ["+".join(CORPUS_TERMS)]
+        yield from CORPUS_TERMS + sums
+        rng = random.Random(5)
+        texts = [to_text(random_tree(rng, 5)) for _ in range(200)]
+        for text in texts:
+            yield text
+            for i in range(len(text)):
+                yield text[:i] + text[i + 1 :]
+            for _ in range(10):
+                i = rng.randrange(len(text) + 1)
+                yield text[:i] + rng.choice(self.INSERTED) + text[i:]
+        for n in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 200):
+            yield "+".join(["x"] * n)
+            yield "-" * n + "x"
+            yield "-" * n + "2"
+            yield "x^-" * n + "x"
+            yield "x^-" * n + "2"
+            yield "(" * 2 * n + "x" + ")" * 2 * n
+            for template in ("({})^x", "x^({})", "x/({})", "sqrt({})"):
+                yield _nest(template, n)
+        yield from ["1e999", "x+1e999", "sin(x, 1)", "x)", "(x))", "sin(x))", "", "   ", " \t\n"]
+
+    def test_equals_the_recursive_descent_on_a_sweep(self):
+        sources = list(self.sweep())
+        assert len(sources) > 8_000
+        for source in sources:
+            assert parse_outcome(parse, source) == parse_outcome(descent_parse, source), source
+
+
 def same_tree(first, second):
     # repr spells every constant exactly, so this tells 0.0 from -0.0 where == does not
     return first == second and repr(first) == repr(second)
@@ -685,10 +730,7 @@ class TestToText:
         @hypothesis.settings(max_examples=500, deadline=None, derandomize=True, database=None)
         @hypothesis.given(st.lists(st.sampled_from(self.PIECES), max_size=24).map("".join))
         def check(source):
-            try:
-                parse(source)
-            except ParseError:
-                pass
+            assert parse_outcome(parse, source) == parse_outcome(descent_parse, source)
 
         check()
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import nrquad.expressions
-from nrquad.expressions import differentiate, evaluate, parse, simplify
+from nrquad.expressions import Const, differentiate, evaluate, parse, simplify
 from nrquad.newton import (
     DerivativeVanishedError,
     NonfiniteValueError,
@@ -177,6 +177,27 @@ class TestNewtonIterate:
         for prev, nxt in zip(xs, xs[1:]):
             assert nxt < prev
             assert nxt >= root
+
+    # Ties of the stopping tests: each is inclusive, and the overshoot clamp
+    # only acts on an iteration that starts above its target.
+    def test_reached_target_includes_a_distance_equal_to_tol_x(self):
+        # the step from 2 lands on 0.5, exactly tol_x above the target
+        trace = newton_iterate(parse("x-0.5"), Const(1.0), 2.0, StoppingCriteria(target=0.0, tol_x=0.5))
+        assert trace.termination is Termination.REACHED_TARGET
+        assert trace.final_x == 0.5
+
+    def test_step_small_includes_a_step_equal_to_tol_step(self):
+        trace = newton_iterate(parse("x^2"), parse("2*x"), 1.0, StoppingCriteria(tol_step=0.5))
+        assert trace.termination is Termination.STEP_SMALL
+        assert [step.step for step in trace.steps] == [0.5]
+
+    def test_no_clamp_when_starting_at_the_target(self):
+        # exp has no root: from x0 == target every step goes below the target, unclamped
+        stop = StoppingCriteria(target=0.0, tol_x=0.1, max_iter=3)
+        trace = newton_iterate(parse("exp(x)"), parse("exp(x)"), 0.0, stop)
+        assert trace.termination is Termination.MAX_ITERATIONS
+        assert len(trace.steps) == 3
+        assert trace.final_x == -3.0
 
     def test_reached_target_has_priority_over_residual(self):
         # x_next lands within tol_x of the target while the residual is also tiny
