@@ -12,20 +12,12 @@ The package has four layers:
   statistics.
 
 A small CLI (:mod:`nrquad.cli`) wires these together; see the README.
+
+The names of :mod:`nrquad.baselines` load it on first use (PEP 562), so a
+launch that never compares, such as ``nrquad integrate``, does not
+compile it.
 """
 
-from .baselines import (
-    DepthLimitError,
-    ErrorStats,
-    NonfiniteSampleError,
-    error_stats,
-    left_riemann,
-    midpoint,
-    reference_integral,
-    right_riemann,
-    simpson,
-    trapezoid,
-)
 from .expressions import (
     BinOp,
     Call,
@@ -61,6 +53,32 @@ from .quadrature import (
     nr_integrate,
     validate_problem,
 )
+
+_BASELINES = (
+    "DepthLimitError",
+    "ErrorStats",
+    "NonfiniteSampleError",
+    "error_stats",
+    "left_riemann",
+    "midpoint",
+    "reference_integral",
+    "right_riemann",
+    "simpson",
+    "trapezoid",
+)
+
+
+def __getattr__(name: str) -> object:
+    if name in _BASELINES:
+        from . import baselines
+
+        return getattr(baselines, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_BASELINES})
+
 
 __version__ = "0.1.0"
 

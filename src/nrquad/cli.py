@@ -28,7 +28,6 @@ import os
 import sys
 from collections.abc import Sequence
 
-from .baselines import DepthLimitError, _grid_rules, _reference_integral, error_stats
 from .expressions import Expression, _compile_batch, parse
 from .newton import NewtonError
 from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, nr_integrate
@@ -74,7 +73,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--tol-f", type=float, default=None, help="stop when |f(x_next)| <= tol-f (default: scale-aware)")
     common.add_argument("--max-iter", type=_count, default=100, help="iteration budget")
     common.add_argument("--closing-triangle", action="store_true", help="cover the [a, x_last] sliver with a triangle")
-    common.add_argument("--no-validate", action="store_true", help="skip the sampled precondition checks")
+    common.add_argument("--no-validate", action="store_true", help="skip the precondition checks")
     common.add_argument("--format", choices=("table", "csv", "json"), default="table")
 
     parser = _Parser(prog="nrquad", description="Trapezoid quadrature on Newton-Raphson partitions.")
@@ -102,7 +101,6 @@ def _fmt_pct(pct: float) -> str:
 
 
 def _json_text(doc: dict[str, object]) -> str:
-    """Strict JSON (RFC 8259): NaN and infinities are written as ``null``."""
     import json  # only the json format pays for this import
 
     return json.dumps(_finite_or_null(doc), indent=2, allow_nan=False)
@@ -210,6 +208,7 @@ def render(command: str, doc: dict[str, object], format: str) -> str:
 def _compare_doc(
     f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
 ) -> dict[str, object]:
+    from .baselines import _grid_rules, _reference_integral, error_stats
     many = _compile_batch(f)  # one batch evaluator for the reference and the rules
     reference = _reference_integral(many, interval)
     # the baseline methods, by the name of their rule, run in one pass over the grid
@@ -308,8 +307,10 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         if args.command == "compare":
+            from .baselines import DepthLimitError  # only compare loads baselines
             doc = _compare_doc(f, args.expr, interval, settings, args.panels, args.methods)
         else:
+            DepthLimitError = NewtonError
             result = nr_integrate(f, interval, settings)
             doc = (_integrate_doc if args.command == "integrate" else _trace_doc)(args.expr, interval, result)
     except ValidationError as exc:

@@ -8,12 +8,13 @@ Evaluation is total: domain violations (``ln`` of a negative, division by
 zero, ...) yield NaN instead of raising, and callers are expected to check
 finiteness.  Every evaluation runs through one of two compilers.
 ``nr_integrate`` compiles f and f' once each for the Newton steps, which
-need single points, and f once more for validation's samples, which go as
-one batch; a comparison's uniform rules and reference share one batch
-evaluator.  ``_compile_scalar`` gives one closure per node for single points,
-reading constant and ``x`` operands in place; ``evaluate`` builds one and
-calls it once.  ``_compile_batch`` gives a chain of lazy ``map`` iterators,
-one per node, for batches, with the closures' bits.
+need single points, and, where validation finds no proof that f' > 0, f
+once more for its samples, which go as one batch; a comparison's uniform
+rules and reference share one batch evaluator.  ``_compile_scalar`` gives
+one closure per node for single points, reading constant and ``x``
+operands in place; ``evaluate`` builds one and calls it once.
+``_compile_batch`` gives a chain of lazy ``map`` iterators, one per node,
+for batches, with the closures' bits.
 
 The walks ``differentiate``, ``simplify``, ``_closure`` and ``_chain`` dispatch
 on ``type(e) is ...`` tests with the most frequent node type first, not on

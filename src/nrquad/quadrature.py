@@ -22,8 +22,10 @@ for measured figures.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from enum import Enum
 
+from ._enclosure import _proves_increasing
 from ._frozen import Frozen, set_field
 from .expressions import Expression, _compile_batch, _compile_scalar, differentiate, evaluate
 from .newton import (
@@ -121,7 +123,13 @@ class QuadResult(Frozen):
 
 
 class ValidationReport(Frozen):
-    """Sampled precondition checks; heuristic, not a proof."""
+    """Precondition checks of :func:`validate_problem`.
+
+    ``monotone_increasing`` is proved where an interval enclosure of f'
+    on [a, b] is above 0; elsewhere it is a heuristic from 64 samples,
+    not a proof.  ``root_at_a`` and ``derivative_positive_at_b`` come from
+    f at the first sample point and f' at b.
+    """
 
     __slots__ = ("monotone_increasing", "root_at_a", "derivative_positive_at_b", "messages")
 
@@ -155,49 +163,67 @@ def panel_area(f_k: float, df_k: float, f_next: float) -> float:
 
 
 def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
-    """Check, by sampling, that the problem fits the rule's hypotheses.
+    """Check that the problem fits the rule's hypotheses, by a proof where one is found, else by sampling.
 
-    Samples f at ``VALIDATION_SAMPLES`` (64) equally spaced points and
-    reports whether the values are nondecreasing, whether |f(a)| is small
-    relative to |f(b)|, and whether f'(b) > 0.  The 63 points before b are
-    ``a + i*h`` with ``h = (b - a)/63``, or ``a*(1 - i/63) + b*(i/63)``
-    where ``b - a`` overflows, and are evaluated as one batch.  Findings
-    are returned, never raised.
+    Reports whether f is nondecreasing on [a, b], whether |f(a)| is small
+    relative to |f(b)|, and whether f'(b) > 0.  Monotonicity is proved
+    when f(a) and f(b) are finite and an outward-rounded interval
+    enclosure of f' on [a, b] is finite and above 0, unless ``simplify``
+    may have dropped a domain break of f from f' (see
+    ``nrquad._enclosure``); f is then evaluated at b and at the first
+    sample point only.  Otherwise f is sampled at ``VALIDATION_SAMPLES``
+    (64) equally spaced points, which must be finite and nondecreasing.
+    The 63 points before b are ``a + i*h`` with ``h = (b - a)/63``, or
+    ``a*(1 - i/63) + b*(i/63)`` where ``b - a`` overflows, and are
+    evaluated as one batch.  The proof is about f's real values: where f'
+    is tiny, rounding alone can make f's float samples fall, and a proof
+    still reports f as nondecreasing.  Findings are returned, never
+    raised.
     """
-    b = interval.b
-    return _validate(f, interval, evaluate(f, b), evaluate(differentiate(f), b))
+    f_at, df, b = _compile_scalar(f), differentiate(f), interval.b
+    return _validate(f, df, f_at, interval, f_at(b), evaluate(df, b))
 
 
-def _validate(f: Expression, interval: Interval, f_b: float, df_b: float) -> ValidationReport:
-    """:func:`validate_problem` given f(b) and f'(b); the other samples go through one batch evaluator of f."""
+def _validate(
+    f: Expression, df: Expression, f_at: Callable[[float], float], interval: Interval, f_b: float, df_b: float
+) -> ValidationReport:
+    """:func:`validate_problem` given f', f's scalar evaluator, f(b) and f'(b).
+
+    The proof path calls ``f_at`` once, at ``a + 0.0``, the first sample
+    point of the sampled path (``a + 0*h``, or ``a*1.0 + b*0.0``), which is
+    0.0 where a is -0.0; the sampled path evaluates its 63 other samples
+    through one batch evaluator of f.
+    """
     a, b = interval.a, interval.b
-    n = VALIDATION_SAMPLES - 1
-    h = (b - a) / n
-    if math.isfinite(h):
-        xs = [a + i * h for i in range(n)]
-    else:  # b - a overflows, so a < 0 < b, and the two products have opposite signs and sum inside [a, b]
-        xs = [a * (1.0 - i / n) + b * (i / n) for i in range(n)]
-    values = _compile_batch(f)(xs)
-    xs.append(b)
-    values.append(f_b)
     messages: list[str] = []
+    f_a = f_at(a + 0.0) if math.isfinite(f_b) and _proves_increasing(f, df, a, b) else math.nan
+    if math.isfinite(f_a):
+        monotone = True
+    else:
+        n = VALIDATION_SAMPLES - 1
+        h = (b - a) / n
+        if math.isfinite(h):
+            xs = [a + i * h for i in range(n)]
+        else:  # b - a overflows, so a < 0 < b, and the two products have opposite signs and sum inside [a, b]
+            xs = [a * (1.0 - i / n) + b * (i / n) for i in range(n)]
+        values = _compile_batch(f)(xs)
+        xs.append(b)
+        values.append(f_b)
+        monotone, f_a = True, values[0]
+        for i in range(len(values) - 1):
+            if not (math.isfinite(values[i]) and math.isfinite(values[i + 1])):
+                monotone = False
+                bad = xs[i] if not math.isfinite(values[i]) else xs[i + 1]
+                messages.append(f"f is not finite at sampled point x = {bad!r}")
+                break
+            if values[i + 1] < values[i]:
+                monotone = False
+                messages.append(
+                    f"f is not nondecreasing: f({xs[i]!r}) = {values[i]!r} "
+                    f"> f({xs[i + 1]!r}) = {values[i + 1]!r}"
+                )
+                break
 
-    monotone = True
-    for i in range(len(values) - 1):
-        if not (math.isfinite(values[i]) and math.isfinite(values[i + 1])):
-            monotone = False
-            bad = xs[i] if not math.isfinite(values[i]) else xs[i + 1]
-            messages.append(f"f is not finite at sampled point x = {bad!r}")
-            break
-        if values[i + 1] < values[i]:
-            monotone = False
-            messages.append(
-                f"f is not nondecreasing: f({xs[i]!r}) = {values[i]!r} "
-                f"> f({xs[i + 1]!r}) = {values[i + 1]!r}"
-            )
-            break
-
-    f_a, f_b = values[0], values[-1]
     root_at_a = math.isfinite(f_a) and abs(f_a) <= 1e-6 * max(1.0, abs(f_b))
     if not root_at_a:
         messages.append(f"f(a) = {f_a!r} is not negligible; the rule needs the root at a")
@@ -230,23 +256,26 @@ def nr_integrate(
         DerivativeVanishedError / NonfiniteValueError: hard failures at
             the start point or during iteration, or a nonfinite f where
             the last panel closes.
-        ValidationError: when ``settings.validate`` and the sampled checks
-            fail.  A vanishing or nonfinite derivative at ``b`` is
-            detected before validation, so it wins over a validation
-            failure when both apply.
+        ValidationError: when ``settings.validate`` and the checks of
+            :func:`validate_problem` fail.  A vanishing or nonfinite
+            derivative at ``b`` is detected before validation, so it wins
+            over a validation failure when both apply.  Validation reuses
+            the first step's f(b) and f'(b), f' itself and f's scalar
+            evaluator, so where it proves f' > 0 it evaluates f once more,
+            at a.
 
     Running out of iterations is not an error: the result then carries
     status ``budget-exhausted``.
     """
     settings = settings if settings is not None else _DEFAULT_SETTINGS
     a, b = interval.a, interval.b
-    f_at = _compile_scalar(f)
-    df_at = _compile_scalar(differentiate(f))
+    df = differentiate(f)
+    f_at, df_at = _compile_scalar(f), _compile_scalar(df)
     # the first step checks f(b) and f'(b) before validation; validation and the iteration reuse it
     first = _step(f_at, df_at, b)
 
     if settings.validate:
-        report = _validate(f, interval, first.f_k, first.df_k)
+        report = _validate(f, df, f_at, interval, first.f_k, first.df_k)
         if not report.passed:
             raise ValidationError(report)
 

@@ -23,9 +23,10 @@ from __future__ import annotations
 import math
 import random
 import sys
-from itertools import pairwise
+from itertools import combinations, pairwise
 
 import nrquad.expressions
+from nrquad._enclosure import _proves_increasing
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
 from nrquad._syntax import _MAX_NESTING, _TOKEN_RE, _TOO_DEEP, VARIABLE_NAME
 from nrquad.expressions import (
@@ -39,6 +40,7 @@ from nrquad.expressions import (
     Neg,
     ParseError,
     Var,
+    differentiate,
     simplify,
 )
 from nrquad.quadrature import VALIDATION_SAMPLES, Interval, ValidationReport
@@ -56,6 +58,22 @@ CORPUS_TERMS = [
     "1.7*sin(x/4)",
     "0.2*x*sqrt(x)",
 ]
+
+
+# bounds with a signed zero, a subnormal, tiny and ordinary widths, and widths that overflow
+PROOF_BOUNDS = (-1e308, -0.0, 0.0, 5e-324, 1e-7, 0.5, 1.0, 3.0, 1e154, 1e308)
+
+
+def bound_intervals() -> list[Interval]:
+    """Every interval ``[a, b]`` with ``a < b`` between two of ``PROOF_BOUNDS``: 44 of them."""
+    return [Interval(a, b) for a, b in combinations(PROOF_BOUNDS, 2) if a < b]
+
+
+def takes_proof_path(f: Expression, interval: Interval) -> bool:
+    """Whether ``validate_problem(f, interval)`` proves f' > 0 rather than sampling f."""
+    a, b = interval.a, interval.b
+    finite_ends = math.isfinite(tree_value(f, b)) and math.isfinite(tree_value(f, a + 0.0))
+    return finite_ends and _proves_increasing(f, differentiate(f), a, b)
 
 
 def random_polynomial(rng: random.Random, max_degree: int = 5) -> tuple[Expression, list[float]]:

@@ -377,15 +377,17 @@ class TestChunking:
 
     def test_compare_evaluates_each_grid_node_once(self, batches, monkeypatch, capsys):
         rule_batches = []
+        rules = nrquad.baselines._grid_rules
 
         def grid_rules(*args):
             start = len(batches)
             try:
-                return nrquad.baselines._grid_rules(*args)
+                return rules(*args)
             finally:
                 rule_batches.extend(batches[start:])
 
-        monkeypatch.setattr(nrquad.cli, "_grid_rules", grid_rules)
+        # compare imports the rules from baselines when it runs
+        monkeypatch.setattr(nrquad.baselines, "_grid_rules", grid_rules)
         argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
         assert main(argv) == 0
         assert "error" not in capsys.readouterr().out
@@ -419,11 +421,12 @@ class TestScalarEvaluationCounts:
         assert built_before[0] == 0 and calls[1] == 1
 
     def test_compare_calls_come_from_reference_and_nr_only(self, calls, capsys):
-        # none for the reference and validation, which batch their points, and
-        # the pinned 13 for nr_integrate's Newton steps
+        # none for the reference, which batches its points, one for f(a) where
+        # validation proves f' > 0 (none when it sampled), and the pinned 13
+        # for nr_integrate's Newton steps
         argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
         assert main(argv) == 0
-        assert calls[0] == 0 + 13
+        assert calls[0] == 0 + 1 + 13
 
 
 def reference_outcome(reference, f, interval, tol=1e-10):

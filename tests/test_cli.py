@@ -530,6 +530,15 @@ class TestEntryPoints:
         )
         assert proc.stdout == "[]\n"
 
+    @pytest.mark.parametrize("command", ["integrate", "trace", "compare"])
+    def test_only_a_compare_launch_loads_baselines(self, command):
+        # -X importtime lists on stderr every module the launch imports, so each one it puts in sys.modules
+        argv = [sys.executable, "-X", "importtime", "-m", "nrquad", command, *EXAMPLE]
+        proc = subprocess.run(argv, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert " nrquad.quadrature\n" in proc.stderr
+        assert (" nrquad.baselines\n" in proc.stderr) == (command == "compare")
+
     def test_repeated_calls_share_one_parser_and_match_a_fresh_one(self, capsys, monkeypatch):
         sequence = [
             ["compare", *EXAMPLE, "--methods", "nr", "simpson"],
@@ -597,8 +606,8 @@ class TestEntryPoints:
         assert code == nrquad.cli.EXIT_WRITE
         assert err == f"error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
-    def test_compare_compiles_two_batch_evaluators(self, capsys, monkeypatch):
-        # one chain for the reference and the five rules, and one that validation builds for itself
+    def test_compare_compiles_one_batch_evaluator(self, capsys, monkeypatch):
+        # one chain for the reference and the five rules; validation proves f' > 0 and builds none
         compiled = []
 
         def counting(e, many):
@@ -608,11 +617,11 @@ class TestEntryPoints:
         patch_compiler(monkeypatch, "_compile_batch", counting)
         code, out, _ = run(["compare", *EXAMPLE, "--panels", "64"], capsys)
         assert code == 0 and "simpson" in out
-        assert len(compiled) == 2
+        assert len(compiled) == 1
 
-    def test_each_compare_compiles_two_batch_evaluators_in_threads(self, monkeypatch):
+    def test_each_compare_compiles_one_batch_evaluator_in_threads(self, monkeypatch):
         # nothing is kept between calls, so threads that alternate expressions
-        # share no batch evaluator, and each comparison compiles its own two
+        # share no batch evaluator, and each comparison compiles its own
         problems = [(parse("2*x^2+3*x+1"), Interval(-0.5, 1.0)), (parse("exp(x)-1"), Interval(0.0, 1.0))]
         settings = NrQuadSettings()
 
@@ -650,4 +659,4 @@ class TestEntryPoints:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == [0, 0]
-        assert sorted(compiled.values()) == [2 * runs, 2 * runs]
+        assert sorted(compiled.values()) == [runs, runs]

@@ -14,6 +14,8 @@ exactly the names ``__init__.py`` imports, and the ``test`` extra of
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -167,23 +169,45 @@ def test_no_function_in_expressions_has_a_match_statement():
     assert functions_with_match((PACKAGE / "_syntax.py").read_text()) == ["to_text"]
 
 
-# The public API: every name __init__.py imports from a submodule, once, sorted.
+# The public API: every name __init__.py imports from a submodule or serves
+# from nrquad.baselines on first use, once, sorted.
 PUBLIC_NAMES = 39
 
 
 def imported_from_submodules(source: str) -> list[str]:
-    """The names that the module-level ``from .module import ...`` statements of ``source`` bind."""
-    return [
-        alias.asname or alias.name
-        for node in ast.parse(source).body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
+    """The names that the module-level ``from .module import ...`` statements of ``source`` bind.
+
+    The names of the module-level ``_BASELINES`` tuple, which the module's
+    ``__getattr__`` imports on first use, count too.
+    """
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, ast.Assign) and [target.id for target in node.targets] == ["_BASELINES"]:
+            names += [element.value for element in node.value.elts]
+    return names
 
 
 def test_the_check_reads_the_submodule_imports():
     source = "from __future__ import annotations\nimport os\nfrom .a import b, c as d\nfrom .e import f\n"
     assert imported_from_submodules(source) == ["b", "d", "f"]
+    assert imported_from_submodules(source + "_BASELINES = ('g', 'h')\n_OTHER = ('i',)\n") == ["b", "d", "f", "g", "h"]
+
+
+def test_both_import_forms_give_every_public_name_in_a_fresh_process():
+    # import nrquad lists every name but leaves baselines unloaded; its names load it, as attributes and through import *
+    code = (
+        "import sys\n"
+        "import nrquad\n"
+        "listed = set(nrquad.__all__) <= set(dir(nrquad))\n"
+        "loaded = 'nrquad.baselines' in sys.modules\n"
+        "from nrquad import *\n"
+        "names = [name for name in nrquad.__all__ if globals()[name] is getattr(nrquad, name)]\n"
+        "print(listed, loaded, len(names), simpson.__module__)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout == f"True False {PUBLIC_NAMES} nrquad.baselines\n"
 
 
 def test_all_lists_each_imported_name_once_in_order():

@@ -7,7 +7,8 @@ import re
 import pytest
 
 from nrquad.baselines import reference_integral
-from nrquad.expressions import differentiate, evaluate, parse, simplify, to_text
+from nrquad.cli import main
+from nrquad.expressions import _compile_scalar, differentiate, evaluate, parse, to_text
 from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, StoppingCriteria, Termination, newton_step
 from nrquad.quadrature import (
     Interval,
@@ -27,7 +28,9 @@ from support import (
     random_tree,
     record_batches,
     scalar_validate,
+    takes_proof_path,
 )
+from sweep_validation import sweep
 
 QUAD = "2*x^2+3*x+1"
 QUAD_INTERVAL = Interval(-0.5, 1.0)
@@ -94,9 +97,10 @@ class TestValidateProblem:
     )
     def test_a_given_first_step_gives_the_same_report(self, source, a, b):
         f = parse(source)
-        first = newton_step(f, simplify(differentiate(f)), b)
+        df = differentiate(f)
+        first = newton_step(f, df, b)
         interval = Interval(a, b)
-        assert _validate(f, interval, first.f_k, first.df_k) == validate_problem(f, interval)
+        assert _validate(f, df, _compile_scalar(f), interval, first.f_k, first.df_k) == validate_problem(f, interval)
 
 
 class TestValidationMatchesScalarOracle:
@@ -131,7 +135,9 @@ class TestValidationMatchesScalarOracle:
         f, interval = parse(source), Interval(-1.0, 1.0)
         calls = count_scalar_calls(monkeypatch)
         report = validate_problem(f, interval)
-        assert calls[0] == raised + 2  # the fallback's points, and f(b) and f'(b)
+        # f(b) and f'(b), then the fallback's points, or f(a) alone where f' > 0 is proved ("x": 2 when it sampled)
+        proved = source == "x"
+        assert calls[0] == 2 + raised + proved
         assert report == scalar_validate(f, interval)
 
     @pytest.mark.parametrize("source", ["x", "1/x", "x/abs(x)", "x^3-x", "ln(x)", "0-x"])
@@ -159,6 +165,86 @@ class TestValidationMatchesScalarOracle:
         second = "-9.682539682539683e+307"
         assert report.messages[0] == f"f is not nondecreasing: f(-1e+308) = 1e+308 > f({second}) = {second[1:]}"
         assert report == scalar_validate(f, interval)
+
+
+class TestProofPath:
+    """Validation proves f' > 0 with one interval enclosure where it can, and gives the samples' report."""
+
+    def path(self, monkeypatch, source, interval):
+        """The report, and the batches validation ran: [] on the proof path, [63] on the sampled one."""
+        batches = record_batches(monkeypatch)
+        report = validate_problem(parse(source), interval)
+        return report, batches
+
+    def test_a_root_at_a_equal_to_its_bound_holds_on_the_proof_path(self, monkeypatch):
+        # |f(a)| = 1e-6 = 1e-6 * max(1, |f(b)|): the tie of root_at_a's <=
+        report, batches = self.path(monkeypatch, "0.5*x+1e-6", Interval(0.0, 1.0))
+        assert batches == []
+        assert report.root_at_a and report.passed
+
+    def test_a_root_at_a_equal_to_its_bound_holds_on_the_sampled_path(self, monkeypatch):
+        # the same tie where f' = 0.75*sqrt(x) divides by sqrt(x) and has no enclosure on [0, 1]
+        report, batches = self.path(monkeypatch, "0.5*x*sqrt(x)+1e-6", Interval(0.0, 1.0))
+        assert batches == [63]
+        assert report.root_at_a and report.passed
+
+    # f' = 1 in the first and third, and 1 + 0 in the fourth: simplify dropped the
+    # term that is NaN on part of [0, 1], so only the samples see it
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "x+sqrt(abs(x-0.5)-0.1)^0-1",
+            "x+0*ln(abs(x-0.45)-0.1)",
+            "x+1^ln(abs(x-0.45)-0.1)-1",
+            "x+(1-1)*sqrt(abs(x-0.5)-0.1)",
+        ],
+    )
+    def test_a_term_whose_domain_simplify_dropped_is_sampled_and_fails(self, monkeypatch, capsys, source):
+        interval = Interval(0.0, 1.0)
+        report, batches = self.path(monkeypatch, source, interval)
+        assert batches == [63]
+        assert report == scalar_validate(parse(source), interval)
+        assert not report.monotone_increasing
+        assert main(["integrate", "--expr", source, "--lower", "0", "--upper", "1"]) == 2
+        assert capsys.readouterr().err == f"error: validation failed: {'; '.join(report.messages)}\n"
+
+    @pytest.mark.parametrize(
+        "source, a, b",
+        [
+            ("((x-1.781)-x)+1.245", 0.0, 1.0),  # f' = 0, not > 0, and the float samples fall
+            ("(x+x)*(x+x)", 0.5, 1e154),  # f(b) overflows
+            ("2.485*x+0.324", -1e308, 1.0),  # f' > 0, but f(a) overflows
+            ("x*sqrt(x)", 0.0, 1.0),  # f' = 1.5*sqrt(x) is unbounded at 0 in its simplified form
+        ],
+    )
+    def test_no_proof_without_finite_ends_and_a_positive_enclosure(self, monkeypatch, source, a, b):
+        interval = Interval(a, b)
+        report, batches = self.path(monkeypatch, source, interval)
+        assert batches == [63]
+        assert report == scalar_validate(parse(source), interval)
+
+    def test_a_float_fall_by_rounding_alone_does_not_undo_a_proof(self, monkeypatch):
+        # f' = 1e-14 > 0, so f rises on [0, 1], but the rounding of (x-1.781)-x makes its float
+        # samples fall; the proof reports f as increasing where the samples reported the fall
+        # (nr_integrate stops first, on |f'(b)| <= 1e-12)
+        source, interval = "1e-14*x+((x-1.781)-x)+1.781", Interval(0.0, 1.0)
+        report, batches = self.path(monkeypatch, source, interval)
+        assert batches == [] and report.passed
+        assert "f is not nondecreasing" in scalar_validate(parse(source), interval).messages[0]
+
+    def test_random_trees_on_extreme_bounds(self):
+        # a Tier-1 slice of tests/sweep_validation.py, which prints each disagreement
+        reports, proved, disagreements = sweep(12_000, 22)
+        assert disagreements == 0
+        assert (reports, proved) == (12_012, 2_632)
+
+    def test_corpus_terms_and_their_sums(self):
+        # the samples take the 15 sums with x*sqrt(x), whose f' divides by sqrt(x),
+        # and the 4 sums of x^2 and x^3 alone, whose f'(0) = 0; the proof takes the rest
+        sums = [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS]
+        sampled = [s for s in sums if not takes_proof_path(parse(s), Interval(0.0, 3.0))]
+        assert len(sampled) == 15 + 4
+        assert all("x*sqrt(x)" in s or s.count("x^") == 2 for s in sampled)
 
 
 class TestNrIntegrate:
@@ -382,22 +468,34 @@ class TestEvaluationCounts:
         return count_scalar_calls(monkeypatch)
 
     # f and f' once at each of the 6 iterates and f at the last one; with
-    # validation, f(b) and f'(b) come from the first step and the other 63
-    # samples of f are one batch: 76 scalar calls when they were not batched
+    # validation, f(b) and f'(b) come from the first step, f' = 4x+3 is
+    # proved positive on [a, b], and f(a) is one more call: 13 calls and a
+    # 63-point batch when validation sampled, 76 calls before that
     @pytest.mark.parametrize(
-        "validate, expected_batches", [(True, [63]), (False, [])], ids=["validated", "unvalidated"]
+        "validate, expected_calls", [(True, 14), (False, 13)], ids=["validated", "unvalidated"]
     )
-    def test_worked_example(self, calls, monkeypatch, validate, expected_batches):
+    def test_worked_example(self, calls, monkeypatch, validate, expected_calls):
         batches = record_batches(monkeypatch)
         result = nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(validate=validate))
         assert len(result.areas) == 6
         assert result.trace.termination is Termination.REACHED_TARGET
-        assert calls[0] == 13
-        assert batches == expected_batches
+        assert calls[0] == expected_calls
+        assert batches == []
 
-    # the scalar closures of f and f', and validation's chain of f
+    # f' = 1.5*sqrt(x) has no enclosure on [0, 1], since its simplified form
+    # divides by sqrt(x), so validation samples: f(b) and f'(b) from the first
+    # step, the other 63 samples as one batch, and f and f' at 12 iterates
+    def test_a_problem_without_a_proof_keeps_its_63_point_batch(self, calls, monkeypatch):
+        batches = record_batches(monkeypatch)
+        result = nr_integrate(parse("x*sqrt(x)"), Interval(0.0, 1.0))
+        assert len(result.areas) == 13
+        assert calls[0] == 27
+        assert batches == [63]
+
+    # the scalar closures of f and f'; validation reuses f's, and builds no
+    # chain of f where it proves f' > 0
     @pytest.mark.parametrize("validate", [True, False])
-    def test_builds_two_scalar_evaluators_and_one_batch_evaluator_to_validate(self, calls, monkeypatch, validate):
+    def test_builds_two_scalar_evaluators_and_no_batch_evaluator(self, calls, monkeypatch, validate):
         compiled = []
 
         def counting(e, many):
@@ -408,7 +506,7 @@ class TestEvaluationCounts:
         f = parse(QUAD)
         nr_integrate(f, QUAD_INTERVAL, NrQuadSettings(validate=validate))
         assert calls[1] == 2
-        assert compiled == ([f] if validate else [])
+        assert compiled == []
 
     # f and f' at each iterate and f once at the last one, where the residual
     # test has already evaluated it: 38 and 12 when the rule evaluated it again
