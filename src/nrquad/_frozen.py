@@ -1,17 +1,25 @@
 """A base for immutable value types, with no code generated at import.
 
 A subclass names its fields in ``__slots__`` and sets them in its own
-``__init__`` through :data:`set_field`.  From the field tuple it gets
-equality and hashing (only against an instance of the same class), a
-``Name(field=value, ...)`` repr, ``__match_args__`` for class patterns,
-and pickling and copying through its constructor.  Any other assignment
-or deletion raises ``AttributeError``.
+``__init__`` through the setters that :func:`slot_setters` binds once,
+after the class statement.  Each is the ``__set__`` of a field's slot
+descriptor, so an assignment stores the value without looking the field
+up by name, as ``object.__setattr__(self, name, value)`` does on every
+call.  From the field tuple it gets equality and hashing (only against an
+instance of the same class), a ``Name(field=value, ...)`` repr,
+``__match_args__`` for class patterns, and pickling and copying through
+its constructor.  Any other assignment or deletion raises
+``AttributeError``.
 """
 
 from __future__ import annotations
 
-#: Sets a field from ``__init__``; a plain assignment raises.
-set_field = object.__setattr__
+from collections.abc import Callable
+
+
+def slot_setters(cls: type) -> tuple[Callable[[object, object], None], ...]:
+    """The setter of each field ``cls`` declares, in ``__slots__`` order; a plain assignment raises."""
+    return tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
 
 class Frozen:

@@ -28,7 +28,7 @@ import operator
 import re
 from collections.abc import Callable
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen, slot_setters
 
 
 class Expression(Frozen):
@@ -46,7 +46,7 @@ class Const(Expression):
         value = float(value)
         if not math.isfinite(value):
             raise ValueError(f"constants must be finite, got {value!r}")
-        set_field(self, "value", value)
+        _set_value(self, value)
 
 
 class Var(Expression):
@@ -61,7 +61,7 @@ class Neg(Expression):
     __slots__ = ("child",)
 
     def __init__(self, child: Expression) -> None:
-        set_field(self, "child", child)
+        _set_child(self, child)
 
 
 class BinOp(Expression):
@@ -72,9 +72,9 @@ class BinOp(Expression):
     def __init__(self, op: str, left: Expression, right: Expression) -> None:
         if op not in _OPERATORS:
             raise ValueError(f"unknown operator {op!r}; expected one of {' '.join(_OPERATORS)}")
-        set_field(self, "op", op)
-        set_field(self, "left", left)
-        set_field(self, "right", right)
+        _set_op(self, op)
+        _set_left(self, left)
+        _set_right(self, right)
 
 
 class Call(Expression):
@@ -85,9 +85,14 @@ class Call(Expression):
     def __init__(self, name: str, arg: Expression) -> None:
         if name not in _FUNCTIONS:
             raise ValueError(f"unknown function {name!r}; expected one of {', '.join(_FUNCTIONS)}")
-        set_field(self, "name", name)
-        set_field(self, "arg", arg)
+        _set_name(self, name)
+        _set_arg(self, arg)
 
+
+(_set_value,) = slot_setters(Const)
+(_set_child,) = slot_setters(Neg)
+_set_op, _set_left, _set_right = slot_setters(BinOp)
+_set_name, _set_arg = slot_setters(Call)
 
 _OPERATORS: dict[str, Callable[[float, float], float]] = {
     "+": operator.add,

@@ -17,7 +17,7 @@ import operator
 from collections.abc import Callable, Iterable, Sequence
 from itertools import cycle
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen, slot_setters
 from .expressions import Expression, _compile_batch
 from .newton import _positive
 from .quadrature import Interval
@@ -44,10 +44,13 @@ class ErrorStats(Frozen):
     __slots__ = ("approx", "reference", "abs_error", "rel_error_pct")
 
     def __init__(self, approx: float, reference: float, abs_error: float, rel_error_pct: float) -> None:
-        set_field(self, "approx", approx)
-        set_field(self, "reference", reference)
-        set_field(self, "abs_error", abs_error)
-        set_field(self, "rel_error_pct", rel_error_pct)
+        _set_approx(self, approx)
+        _set_reference(self, reference)
+        _set_abs_error(self, abs_error)
+        _set_rel_error_pct(self, rel_error_pct)
+
+
+_set_approx, _set_reference, _set_abs_error, _set_rel_error_pct = slot_setters(ErrorStats)
 
 
 CHUNK = 256

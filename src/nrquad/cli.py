@@ -14,10 +14,11 @@ Exit status contract:
   141  stdout was closed before the report was written (128 + SIGPIPE)
 
 Reports go to stdout; every error path prints one diagnostic line to
-stderr, and a closed stdout prints nothing.  Table output truncates
-percentages to 4 decimal places and prints values with 6 decimals; CSV
-and JSON carry full shortest round-trip precision.  JSON is strict
-(RFC 8259): a NaN or infinite value is written as ``null``.
+stderr, and a closed stdout prints nothing.  Table output prints values
+with 6 decimals and truncates percentages to 4, each in ``repr`` form
+from 1e16 up; CSV and JSON carry full shortest round-trip precision.
+JSON is strict (RFC 8259): a NaN or infinite value is written as
+``null``.
 """
 
 from __future__ import annotations
@@ -90,12 +91,12 @@ _PARSER = _build_parser()  # parse_args leaves a parser as it was, so every call
 
 
 def _fmt_value(value: float) -> str:
-    return f"{value:.6f}"
+    return f"{value:.6f}" if abs(value) < 1e16 else repr(value)
 
 
 def _fmt_pct(pct: float) -> str:
-    if math.isnan(pct):
-        return "nan"
+    if not pct < 1e16:  # NaN, or repr form from 1e16 up, as _fmt_value
+        return repr(pct)
     # truncate, do not round: 1.85185...% prints as 1.8518
     return f"{math.floor(pct * 10000.0) / 10000.0:.4f}"
 
@@ -294,13 +295,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         f = parse(args.expr)
         interval = Interval(args.lower, args.upper)
-        settings = NrQuadSettings(
-            tol_x=args.tol_x,
-            tol_f=args.tol_f,
-            max_iter=args.max_iter,
-            closing_triangle=args.closing_triangle,
-            validate=not args.no_validate,
-        )
+        settings = NrQuadSettings(args.tol_x, args.tol_f, args.max_iter, args.closing_triangle, not args.no_validate)
     except ValueError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

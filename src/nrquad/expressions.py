@@ -168,6 +168,12 @@ def differentiate(e: Expression) -> Expression:
         if op == "+" or op == "-":
             return _simplify_binop(op, differentiate(left), differentiate(right))
         if op == "*":
+            if type(left) is Const:
+                # (c*u)' = c*u': the general rule's 0*u + c*u' builds u for a 0 that the sum drops, except
+                # where c*u' folds to a zero, whose sign the sum can change (-0.0 + 0.0 is 0.0): that runs in full
+                scaled = _simplify_binop("*", left, differentiate(right))
+                if type(scaled) is not Const or scaled.value != 0.0:
+                    return scaled
             du_v = _simplify_binop("*", differentiate(left), simplify(right))
             return _simplify_binop("+", du_v, _simplify_binop("*", simplify(left), differentiate(right)))
         if op == "/" and type(right) is Const:

@@ -16,7 +16,7 @@ import operator
 from collections.abc import Callable
 from enum import Enum
 
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen, slot_setters
 from .expressions import Expression, _compile_scalar
 
 DERIVATIVE_EPSILON = 1e-12
@@ -93,11 +93,14 @@ class NewtonStep(Frozen):
     __slots__ = ("x_k", "f_k", "df_k", "step", "x_next")
 
     def __init__(self, x_k: float, f_k: float, df_k: float, step: float, x_next: float) -> None:
-        set_field(self, "x_k", x_k)
-        set_field(self, "f_k", f_k)
-        set_field(self, "df_k", df_k)
-        set_field(self, "step", step)
-        set_field(self, "x_next", x_next)
+        _set_x_k(self, x_k)
+        _set_f_k(self, f_k)
+        _set_df_k(self, df_k)
+        _set_step(self, step)
+        _set_x_next(self, x_next)
+
+
+_set_x_k, _set_f_k, _set_df_k, _set_step, _set_x_next = slot_setters(NewtonStep)
 
 
 class NewtonTrace(Frozen):
@@ -110,9 +113,12 @@ class NewtonTrace(Frozen):
     __slots__ = ("steps", "termination", "final_x")
 
     def __init__(self, steps: tuple[NewtonStep, ...], termination: Termination, final_x: float) -> None:
-        set_field(self, "steps", steps)
-        set_field(self, "termination", termination)
-        set_field(self, "final_x", final_x)
+        _set_steps(self, steps)
+        _set_termination(self, termination)
+        _set_final_x(self, final_x)
+
+
+_set_steps, _set_termination, _set_final_x = slot_setters(NewtonTrace)
 
 
 class StoppingCriteria(Frozen):
@@ -148,11 +154,14 @@ class StoppingCriteria(Frozen):
             raise ValueError(f"max_iter must be an integer, got {max_iter!r}") from None
         if max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {max_iter!r}")
-        set_field(self, "target", target)
-        set_field(self, "tol_x", tol_x)
-        set_field(self, "tol_f", tol_f)
-        set_field(self, "tol_step", tol_step)
-        set_field(self, "max_iter", max_iter)
+        _set_target(self, target)
+        _set_tol_x(self, tol_x)
+        _set_tol_f(self, tol_f)
+        _set_tol_step(self, tol_step)
+        _set_max_iter(self, max_iter)
+
+
+_set_target, _set_tol_x, _set_tol_f, _set_tol_step, _set_max_iter = slot_setters(StoppingCriteria)
 
 
 def newton_step(f: Expression, df: Expression, x: float) -> NewtonStep:
@@ -197,11 +206,12 @@ def newton_iterate(f: Expression, df: Expression, x0: float, stop: StoppingCrite
     All failure modes are reported as terminations on the returned trace;
     this function does not raise.
     """
-    return _iterate(_compile_scalar(f), _compile_scalar(df), x0, stop)[0]
+    stop = stop if stop is not None else StoppingCriteria()
+    return _iterate(_compile_scalar(f), _compile_scalar(df), x0, stop, None, stop.target)[0]
 
 
 def _iterate(
-    f: _Scalar, df: _Scalar, x0: float, stop: StoppingCriteria | None = None, first: NewtonStep | None = None
+    f: _Scalar, df: _Scalar, x0: float, stop: StoppingCriteria, first: NewtonStep | None, target: float | None
 ) -> tuple[NewtonTrace, float | None, NewtonError | None]:
     """:func:`newton_iterate` on scalar evaluators; also f(final_x) and the error that ended the iteration.
 
@@ -211,8 +221,8 @@ def _iterate(
     for every other termination it is None.
 
     A caller that has already taken the step from ``x0`` passes it as ``first``, and it is used as is.
+    ``target`` stands for ``stop.target``, which is not read, so criteria validated once serve every target.
     """
-    stop = stop if stop is not None else StoppingCriteria()
     step = first
     f_x = None if first is None else first.f_k
     tol_f = stop.tol_f
@@ -220,7 +230,7 @@ def _iterate(
         if f_x is None:
             f_x = f(x0)
         tol_f = 1e-9 * max(1.0, abs(f_x))
-    descending = stop.target is not None and x0 > stop.target
+    descending = target is not None and x0 > target
 
     steps: list[NewtonStep] = []
     x = x0
@@ -235,15 +245,15 @@ def _iterate(
         steps.append(step)
         if not math.isfinite(step.x_next):  # f and f' were finite at x
             return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None, _OverflowedStepError(step)
-        if stop.target is not None and abs(step.x_next - stop.target) <= stop.tol_x:
+        if target is not None and abs(step.x_next - target) <= stop.tol_x:
             return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, step.x_next), None, None
         f_x = f(step.x_next)
         if math.isfinite(f_x) and abs(f_x) <= tol_f:
             return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next), f_x, None
         if abs(step.step) <= stop.tol_step:
             return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next), f_x, None
-        if descending and step.x_next < stop.target:  # <= is the same: tol_x > 0 ends a landing on target above
-            return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, stop.target), None, None
+        if descending and step.x_next < target:  # <= is the same: tol_x > 0 ends a landing on target above
+            return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, target), None, None
         x = step.x_next
         step = None
     return NewtonTrace(tuple(steps), Termination.MAX_ITERATIONS, x), f_x, None

@@ -26,7 +26,7 @@ from collections.abc import Callable
 from enum import Enum
 
 from ._enclosure import _proves_increasing
-from ._frozen import Frozen, set_field
+from ._frozen import Frozen, slot_setters
 from .expressions import Expression, _compile_batch, _compile_scalar, differentiate, evaluate
 from .newton import (
     NewtonTrace,
@@ -61,11 +61,22 @@ class Interval(Frozen):
             raise ValueError(f"interval bounds must be finite, got [{a!r}, {b!r}]")
         if not a < b:
             raise ValueError(f"interval requires a < b, got [{a!r}, {b!r}]")
-        set_field(self, "a", a)
-        set_field(self, "b", b)
+        _set_a(self, a)
+        _set_b(self, b)
 
 
-class NrQuadSettings(Frozen):
+_set_a, _set_b = slot_setters(Interval)
+
+
+class _Criteria(Frozen):
+    # the StoppingCriteria that NrQuadSettings validates its fields with, in a slot that is not one of them
+    __slots__ = ("_stop",)
+
+
+(_set_stop,) = slot_setters(_Criteria)
+
+
+class NrQuadSettings(_Criteria):
     """Knobs for :func:`nr_integrate`.
 
     Stopping follows proximity to ``a`` (``tol_x``) or a small residual
@@ -84,12 +95,16 @@ class NrQuadSettings(Frozen):
         closing_triangle: bool = False,
         validate: bool = True,
     ) -> None:
-        StoppingCriteria(tol_x=tol_x, tol_f=tol_f, max_iter=max_iter)  # raises on a bad tolerance or budget
-        set_field(self, "tol_x", tol_x)
-        set_field(self, "tol_f", tol_f)
-        set_field(self, "max_iter", max_iter)
-        set_field(self, "closing_triangle", closing_triangle)
-        set_field(self, "validate", validate)
+        # raises on a bad tolerance or budget; nr_integrate iterates under it, with its own target
+        _set_stop(self, StoppingCriteria(tol_x=tol_x, tol_f=tol_f, max_iter=max_iter))
+        _set_tol_x(self, tol_x)
+        _set_tol_f(self, tol_f)
+        _set_max_iter(self, max_iter)
+        _set_closing_triangle(self, closing_triangle)
+        _set_validate(self, validate)
+
+
+_set_tol_x, _set_tol_f, _set_max_iter, _set_closing_triangle, _set_validate = slot_setters(NrQuadSettings)
 
 
 _DEFAULT_SETTINGS = NrQuadSettings()  # frozen, so every call without settings shares it
@@ -110,16 +125,19 @@ class QuadResult(Frozen):
     def __init__(
         self, value: float, areas: tuple[float, ...], closing_area: float, residual_gap: float, trace: NewtonTrace
     ) -> None:
-        set_field(self, "value", value)
-        set_field(self, "areas", areas)
-        set_field(self, "closing_area", closing_area)
-        set_field(self, "residual_gap", residual_gap)
-        set_field(self, "trace", trace)
+        _set_value(self, value)
+        _set_areas(self, areas)
+        _set_closing_area(self, closing_area)
+        _set_residual_gap(self, residual_gap)
+        _set_trace(self, trace)
 
     @property
     def status(self) -> QuadStatus:
         """``clamped`` after an overshoot clamp, ``budget-exhausted`` when the iterations ran out, else ``ok``."""
         return _STATUS.get(self.trace.termination, QuadStatus.OK)
+
+
+_set_value, _set_areas, _set_closing_area, _set_residual_gap, _set_trace = slot_setters(QuadResult)
 
 
 class ValidationReport(Frozen):
@@ -136,14 +154,17 @@ class ValidationReport(Frozen):
     def __init__(
         self, monotone_increasing: bool, root_at_a: bool, derivative_positive_at_b: bool, messages: tuple[str, ...]
     ) -> None:
-        set_field(self, "monotone_increasing", monotone_increasing)
-        set_field(self, "root_at_a", root_at_a)
-        set_field(self, "derivative_positive_at_b", derivative_positive_at_b)
-        set_field(self, "messages", messages)
+        _set_monotone(self, monotone_increasing)
+        _set_root_at_a(self, root_at_a)
+        _set_derivative_positive(self, derivative_positive_at_b)
+        _set_messages(self, messages)
 
     @property
     def passed(self) -> bool:
         return self.monotone_increasing and self.root_at_a and self.derivative_positive_at_b
+
+
+_set_monotone, _set_root_at_a, _set_derivative_positive, _set_messages = slot_setters(ValidationReport)
 
 
 class ValidationError(Exception):
@@ -279,13 +300,7 @@ def nr_integrate(
         if not report.passed:
             raise ValidationError(report)
 
-    stop = StoppingCriteria(
-        target=a,
-        tol_x=settings.tol_x,
-        tol_f=settings.tol_f,
-        max_iter=settings.max_iter,
-    )
-    trace, f_final, error = _iterate(f_at, df_at, b, stop, first)
+    trace, f_final, error = _iterate(f_at, df_at, b, settings._stop, first, a)
     if error is not None:
         raise error
 

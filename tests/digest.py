@@ -1,0 +1,53 @@
+"""A SHA-256 digest of nrquad's outputs on the benchmark's corpora, outside Tier-1.
+
+For every problem of ``integrate_corpus`` and ``compare_corpus`` from
+``bench/corpus.py``, seeds 0 to 3 (2,240 problems), it hashes the ``repr``
+of ``differentiate(f)``, of ``validate_problem(f, interval)`` and of
+``nr_integrate(f, interval)``, or the type and message of the
+``NewtonError`` or ``ValidationError`` it raised.  ``repr``
+spells every float exactly, so two versions of the code that print the
+same digest give the same bits on all of these.  Run it from the
+repository root; it takes a few seconds:
+
+    PYTHONPATH=src python tests/digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from corpus import compare_corpus, integrate_corpus  # noqa: E402 - found through the path above
+
+from nrquad.expressions import differentiate, parse  # noqa: E402
+from nrquad.newton import NewtonError  # noqa: E402
+from nrquad.quadrature import Interval, ValidationError, nr_integrate, validate_problem  # noqa: E402
+
+SEEDS = range(4)
+
+
+def outcome(call, *args) -> str:
+    try:
+        return repr(call(*args))
+    except (NewtonError, ValidationError) as error:  # a documented failure is an output too
+        return f"{type(error).__name__}: {error}"
+
+
+def digest() -> tuple[str, int]:
+    """The hex digest, and how many problems went into it."""
+    sha = hashlib.sha256()
+    problems = [p for seed in SEEDS for corpus in (integrate_corpus, compare_corpus) for p in corpus(seed)]
+    for problem in problems:
+        f, interval = parse(problem.text), Interval(problem.a, problem.b)
+        for text in (outcome(differentiate, f), outcome(validate_problem, f, interval), outcome(nr_integrate, f, interval)):
+            sha.update(text.encode())
+            sha.update(b"\n")
+    return sha.hexdigest(), len(problems)
+
+
+if __name__ == "__main__":
+    hexdigest, count = digest()
+    print(f"{hexdigest} over {count} problems")

@@ -157,10 +157,32 @@ class TestExitStatuses:
         assert (code, err) == (0, "")
         if format == "table":
             assert "value:        inf\n" in out
+            # cells from 1e16 up print in repr form, as the value line does, not as 310 digits
+            assert out.endswith("\nk     x_k   width  area\n0  1e+308  1e+308   inf\n")
         elif format == "csv":
             assert out.splitlines()[1].startswith("inf,")
         else:
             assert strict_json(out)["value"] is None
+
+    def test_a_compare_row_whose_area_overflows_is_a_result(self, capsys):
+        # the rule's 7% excess takes x^2's area past the largest float, so its error and percentage are inf
+        # too; the percentage cell prints inf in repr form and never reaches math.floor, which raises on inf
+        argv = ["compare", "--expr", "x^2", "--lower", "0", "--upper", "8e102", "--methods", "nr"]
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert "\nreference:  1.7066666666666665e+308\n\nnr  inf  inf  inf\n" in out
+
+    @pytest.mark.parametrize(
+        "value, cell, pct_cell",
+        [
+            (9999999999999998.0, "9999999999999998.000000", "9999999999999998.0000"),
+            (1e16, "1e+16", "1e+16"),
+            (math.inf, "inf", "inf"),
+            (math.nan, "nan", "nan"),
+        ],
+    )
+    def test_table_cells_print_in_repr_form_from_1e16_up(self, value, cell, pct_cell):
+        assert (nrquad.cli._fmt_value(value), nrquad.cli._fmt_pct(value)) == (cell, pct_cell)
 
     def test_nan_closing_the_last_panel_exits_3(self, capsys):
         code, out, err = run(["integrate", "--expr", "sqrt(x)", "--lower", "0", "--upper", "1e-7"], capsys)

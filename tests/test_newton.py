@@ -234,10 +234,18 @@ class TestCarriedValues:
         stop = StoppingCriteria(target=-0.5, tol_x=0.01)
         first = _step(f, df, 1.0)
         calls[0] = 0
-        trace, _, _ = _iterate(f, df, 1.0, stop, first)
+        trace, _, _ = _iterate(f, df, 1.0, stop, first, stop.target)
         assert calls[0] == 2 * (len(trace.steps) - 1)
         assert trace.steps[0] is first
         assert trace == newton_iterate(f_expr, df_expr, 1.0, stop)
+
+    def test_the_target_beside_the_criteria_is_the_one_used(self):
+        # nr_integrate iterates under its settings' criteria, whose target is None, towards a
+        f, df = map(nrquad.expressions._compile_scalar, _fdf(QUAD))
+        want = newton_iterate(*_fdf(QUAD), 1.0, StoppingCriteria(target=-0.5, tol_x=0.01))
+        assert want.termination is Termination.REACHED_TARGET
+        for target in (None, 0.9):
+            assert _iterate(f, df, 1.0, StoppingCriteria(target=target, tol_x=0.01), None, -0.5)[0] == want
 
 
 class TestStoppingCriteria:

@@ -377,7 +377,9 @@ class TestNrIntegrate:
         assert result.value == -0.5
         assert len(result.areas) == 1
 
-    def test_a_call_without_settings_builds_only_its_stopping_criteria(self, monkeypatch):
+    def test_a_call_builds_no_settings_and_no_stopping_criteria(self, monkeypatch):
+        # the settings' criteria, validated when the settings were built, serve every call
+        settings = NrQuadSettings(max_iter=2)
         built = []
 
         def counted(init):
@@ -390,9 +392,12 @@ class TestNrIntegrate:
         for cls in (NrQuadSettings, StoppingCriteria):
             monkeypatch.setattr(cls, "__init__", counted(cls.__init__))
         default = nr_integrate(parse(QUAD), QUAD_INTERVAL)
-        assert built == [StoppingCriteria]
+        short = nr_integrate(parse(QUAD), QUAD_INTERVAL, settings)
+        assert built == []
         monkeypatch.undo()
         assert default == nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings())
+        assert short == nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(max_iter=2))
+        assert (short.status, len(short.areas)) == (QuadStatus.BUDGET_EXHAUSTED, 2)
 
     def test_vanished_derivative_wins_over_validation(self):
         # constant integrand: both the derivative guard and validation

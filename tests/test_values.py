@@ -127,6 +127,16 @@ class TestValueSemantics:
         assert type(value).__match_args__ == tuple(inspect.signature(type(value)).parameters)
 
 
+def test_settings_hold_their_stopping_criteria_outside_their_fields():
+    # nr_integrate iterates under these criteria, so they follow the fields through every copy
+    settings = NrQuadSettings(tol_x=0.01, tol_f=1e-3, max_iter=7)
+    assert settings._stop == StoppingCriteria(tol_x=0.01, tol_f=1e-3, max_iter=7)
+    with pytest.raises(AttributeError):
+        settings._stop = StoppingCriteria()
+    for twin in (copy.copy(settings), copy.deepcopy(settings), pickle.loads(pickle.dumps(settings))):
+        assert twin._stop == settings._stop
+
+
 def test_class_patterns_bind_fields_in_order():
     def describe(e):
         match e:
