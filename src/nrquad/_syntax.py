@@ -140,15 +140,15 @@ class ParseError(ValueError):
         self.offset = offset
 
 
-_TOKEN_RE = re.compile(
-    r"""(?P<num>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
-      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-      | (?P<op>[-+*/^(),])
-      | (?P<ws>\s+)
-      | (?P<bad>.)
-    """,
-    re.VERBOSE | re.DOTALL,
-)
+# a number, a name, or any other single character; findall skips the whitespace
+# between tokens, since no alternative matches it, so no token holds any
+_TOKEN_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|\S")
+
+_END = "end of input"  # the last token: no token equals it, since none holds a space
+
+
+class _TokenError(Exception):
+    """A syntax error at a token index, with its message; ``parse`` turns it into a ParseError."""
 
 
 def parse(source: str) -> Expression:
@@ -169,25 +169,16 @@ def parse(source: str) -> Expression:
     """
     if not source or source.isspace():
         raise ParseError("empty expression", 0)
-    # (kind, text, offset) tuples; the catch-all "bad" group makes the matches
-    # cover the source, so a stray character is reported before any syntax error
-    tokens = []
-    for match in _TOKEN_RE.finditer(source):
-        kind = match.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {match.group()!r}", match.start())
-        if kind != "ws":
-            tokens.append((kind, match.group(), match.start()))
-    tokens.append(("end", "end of input", len(source)))
-    # each rule returns its node and the node's depth; only "op" tokens have
-    # punctuation for text, so the text alone tells an operator
+    tokens = _TOKEN_RE.findall(source)
+    tokens.append(_END)
+    # each rule returns its node and the node's depth; a token's text tells its kind
     at = 0  # index of the next token
     nesting = 0
 
     def expr() -> tuple[Expression, int]:
         nonlocal at
         left, depth = term()
-        while (op := tokens[at][1]) in ("+", "-"):
+        while (op := tokens[at]) == "+" or op == "-":
             at += 1
             right, right_depth = term()
             left, depth = BinOp(op, left, right), max(depth, right_depth) + 1
@@ -196,7 +187,7 @@ def parse(source: str) -> Expression:
     def term() -> tuple[Expression, int]:
         nonlocal at
         left, depth = unary()
-        while (op := tokens[at][1]) in ("*", "/"):
+        while (op := tokens[at]) == "*" or op == "/":
             at += 1
             right, right_depth = unary()
             left, depth = BinOp(op, left, right), max(depth, right_depth) + 1
@@ -206,60 +197,79 @@ def parse(source: str) -> Expression:
         # every nested operand passes here: parenthesised, argument, negated or exponent
         nonlocal at, nesting
         nesting += 1
-        kind, text, offset = tokens[at]
         if nesting > _MAX_NESTING:
-            raise ParseError(_TOO_DEEP, offset)
+            raise _TokenError(_TOO_DEEP, at)
+        text = tokens[at]
         at += 1
         if text == "-":
             child, depth = unary()
             nesting -= 1
             # to_text prints Const(-c) as (-c): count the one level it was printed from
             return Neg(child), 1 if type(child) is Const else depth + 1
-        if kind == "num":
+        if text == VARIABLE_NAME:
+            base, depth = Var(), 1
+        elif (first := text[0]).isdecimal() or first == "." and text != ".":
             value = float(text)
             if not math.isfinite(value):
-                raise ParseError(f"number {text!r} is too large for a float", offset)
+                raise _TokenError(f"number {text!r} is too large for a float", at - 1)
             base, depth = Const(value), 1
-        elif text == VARIABLE_NAME:
-            base, depth = Var(), 1
-        elif kind == "name":
-            if text not in FUNCTION_NAMES:
-                raise ParseError(f"unknown identifier {text!r}", offset)
-            _, found, offset = tokens[at]
-            if found != "(":
-                raise ParseError(f"expected '(' after function name {text!r}, found {found!r}", offset)
+        elif text in FUNCTION_NAMES:
+            if (found := tokens[at]) != "(":
+                raise _TokenError(f"expected '(' after function name {text!r}, found {found!r}", at)
             at += 1
             arg, depth = expr()
-            _, found, offset = tokens[at]
-            if found == ",":
-                raise ParseError(f"function {text!r} takes exactly one argument", offset)
-            if found != ")":
-                raise ParseError(f"expected ')' to close the argument of {text!r}, found {found!r}", offset)
+            if (found := tokens[at]) != ")":
+                if found == ",":
+                    raise _TokenError(f"function {text!r} takes exactly one argument", at)
+                raise _TokenError(f"expected ')' to close the argument of {text!r}, found {found!r}", at)
             at += 1
             base, depth = Call(text, arg), depth + 1
         elif text == "(":
             base, depth = expr()
-            _, found, offset = tokens[at]
-            if found != ")":
-                raise ParseError(f"expected ')' to close the parenthesised expression, found {found!r}", offset)
+            if (found := tokens[at]) != ")":
+                raise _TokenError(f"expected ')' to close the parenthesised expression, found {found!r}", at)
             at += 1
+        elif _is_name(text):
+            raise _TokenError(f"unknown identifier {text!r}", at - 1)
         else:
-            raise ParseError(f"expected a number, {VARIABLE_NAME!r}, or '(', found {text!r}", offset)
-        if tokens[at][1] == "^":
+            raise _TokenError(f"expected a number, {VARIABLE_NAME!r}, or '(', found {text!r}", at - 1)
+        if tokens[at] == "^":
             at += 1
             exponent, exponent_depth = unary()
             base, depth = BinOp("^", base, exponent), max(depth, exponent_depth) + 1
         nesting -= 1
         return base, depth
 
-    tree, depth = expr()
-    kind, text, offset = tokens[at]
-    if kind != "end":
-        raise ParseError(f"unexpected {text!r} after a complete expression", offset)
-    # a syntax error anywhere in the source is reported before the depth
+    try:
+        tree, depth = expr()
+        if (text := tokens[at]) != _END:
+            raise _TokenError(f"unexpected {text!r} after a complete expression", at)
+    except _TokenError as error:
+        raise _parse_error(source, tokens, *error.args) from None
+    # a stray character makes the descent fail, so only a source without one gets this far
     if depth > MAX_DEPTH:
         raise ParseError(_TOO_DEEP, 0)
     return tree
+
+
+def _is_name(token: str) -> bool:
+    # [A-Za-z_][A-Za-z_0-9]*, which _END is not
+    return token.isascii() and token.isidentifier()
+
+
+def _parse_error(source: str, tokens: list[str], message: str, index: int) -> ParseError:
+    # only whitespace lies between tokens, so the next occurrence of a token's text is the token;
+    # the first stray character is reported before the error the descent met, wherever it lies
+    offsets = []
+    start = 0
+    for token in tokens[:-1]:
+        start = source.index(token, start)
+        if len(token) == 1 and token not in "+-*/^()," and not token.isdecimal() and not _is_name(token):
+            return ParseError(f"unexpected character {token!r}", start)
+        offsets.append(start)
+        start += len(token)
+    offsets.append(len(source))
+    return ParseError(message, offsets[index])
 
 
 def to_text(e: Expression) -> str:

@@ -287,6 +287,9 @@ def error_stats(approx: float, reference: float) -> ErrorStats:
     abs_error = abs(reference - approx)
     if reference != 0.0:
         rel_error_pct = 100.0 * abs_error / abs(reference)
+        if math.isinf(rel_error_pct) and math.isfinite(abs_error):
+            # 100*abs_error overflows past about 1.8e306; dividing first keeps every other percentage's bits
+            rel_error_pct = 100.0 * (abs_error / abs(reference))
     else:
         rel_error_pct = math.nan
     return ErrorStats(approx=approx, reference=reference, abs_error=abs_error, rel_error_pct=rel_error_pct)

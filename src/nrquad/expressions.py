@@ -155,12 +155,14 @@ def differentiate(e: Expression) -> Expression:
     """Return the derivative of ``e`` with respect to ``x``, simplified.
 
     Applies the sum, product, quotient, chain and power rules; the
-    derivative of ``u/c`` for a constant ``c`` is ``u'/c``.  A power
-    with a non-constant exponent is handled through the ``exp(v*ln(u))``
-    rewrite, so evaluating its derivative at points with a non-positive
-    base yields NaN.  The result is simplified: each node is built through
-    :func:`simplify`'s rules, and each subtree of ``e`` a rule reuses is
-    simplified, so the unsimplified derivative is never built.
+    derivative of ``u/c`` for a constant ``c`` is ``u'/c``, and that of
+    ``c*u`` or ``u*c`` is ``c*u'`` or ``u'*c`` unless that is a zero.  A
+    power with a non-constant exponent is handled through the
+    ``exp(v*ln(u))`` rewrite, so evaluating its derivative at points with a
+    non-positive base yields NaN.  The result is simplified: each node is
+    built through :func:`simplify`'s rules, and each subtree of ``e`` a
+    rule reuses is simplified, so the unsimplified derivative is never
+    built.
     """
     kind = type(e)
     if kind is BinOp:
@@ -168,10 +170,15 @@ def differentiate(e: Expression) -> Expression:
         if op == "+" or op == "-":
             return _simplify_binop(op, differentiate(left), differentiate(right))
         if op == "*":
+            # (c*u)' = c*u' and (u*c)' = u'*c: the general rule adds a 0*u or u*0 term that builds u only for
+            # the sum to drop it.  Where c*u' folds to a zero, that term decides the sum's sign (-0.0 + 0.0 is
+            # 0.0, and u*0 is -0.0 where u folds to a negative constant), so there the general rule runs in full
             if type(left) is Const:
-                # (c*u)' = c*u': the general rule's 0*u + c*u' builds u for a 0 that the sum drops, except
-                # where c*u' folds to a zero, whose sign the sum can change (-0.0 + 0.0 is 0.0): that runs in full
                 scaled = _simplify_binop("*", left, differentiate(right))
+                if type(scaled) is not Const or scaled.value != 0.0:
+                    return scaled
+            elif type(right) is Const:
+                scaled = _simplify_binop("*", differentiate(left), right)
                 if type(scaled) is not Const or scaled.value != 0.0:
                     return scaled
             du_v = _simplify_binop("*", differentiate(left), simplify(right))

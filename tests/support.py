@@ -22,13 +22,16 @@ from __future__ import annotations
 
 import math
 import random
+import re
+import string
 import sys
-from itertools import combinations, pairwise
+from collections.abc import Iterator
+from itertools import combinations, pairwise, repeat
 
 import nrquad.expressions
 from nrquad._enclosure import _proves_increasing
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
-from nrquad._syntax import _MAX_NESTING, _TOKEN_RE, _TOO_DEEP, VARIABLE_NAME
+from nrquad._syntax import _MAX_NESTING, _TOO_DEEP, VARIABLE_NAME
 from nrquad.expressions import (
     _FUNCTIONS,
     FUNCTION_NAMES,
@@ -42,6 +45,7 @@ from nrquad.expressions import (
     Var,
     differentiate,
     simplify,
+    to_text,
 )
 from nrquad.quadrature import VALIDATION_SAMPLES, Interval, ValidationReport
 
@@ -113,6 +117,28 @@ def random_tree(rng: random.Random, depth: int) -> Expression:
     if roll < 0.80:
         return Neg(random_tree(rng, depth - 1))
     return Call(rng.choice(FUNCTION_POOL), random_tree(rng, depth - 1))
+
+
+# the grammar's characters, a space, a stray character and every ASCII letter
+EDIT_CHARACTERS = "x()+-*/^,.e1 $" + string.ascii_letters
+
+
+def edited_sources(rng: random.Random, batches: int | None) -> Iterator[str]:
+    """Sources for the parser's oracle, ``batches`` of them or endless for None.
+
+    Each batch prints 200 ``random_tree`` trees of depth 5, then yields each
+    text, the text with each one character deleted, and ten copies with one
+    ``EDIT_CHARACTERS`` character inserted at a random place.
+    """
+    for _ in repeat(None) if batches is None else range(batches):
+        texts = [to_text(random_tree(rng, 5)) for _ in range(200)]
+        for text in texts:
+            yield text
+            for i in range(len(text)):
+                yield text[:i] + text[i + 1 :]
+            for _ in range(10):
+                i = rng.randrange(len(text) + 1)
+                yield text[:i] + rng.choice(EDIT_CHARACTERS) + text[i:]
 
 
 def tree_value(e: Expression, x: float) -> float:
@@ -206,7 +232,8 @@ def descent_parse(source: str) -> Expression:
 
     This is the parser's oracle: ``parse(source)`` must give the same tree,
     or raise a ``ParseError`` with the same message and offset.  It shares
-    only the token pattern and the messages' constants with ``parse``.
+    only the messages' constants with ``parse``: its own token pattern names
+    each token's kind in a group and matches whitespace as a token.
     """
     if not source or source.isspace():
         raise ParseError("empty expression", 0)
@@ -216,6 +243,25 @@ def descent_parse(source: str) -> Expression:
     if len(tokens) > MAX_DEPTH and _depth(expr) > MAX_DEPTH:
         raise ParseError(_TOO_DEEP, 0)
     return expr
+
+
+def parse_outcome(parser, source: str) -> str | tuple[str, int]:
+    """The tree ``parser`` gives for ``source``, as its repr, or the message and offset of its ``ParseError``."""
+    try:
+        return repr(parser(source))  # repr spells every node type and constant exactly
+    except ParseError as err:
+        return str(err), err.offset
+
+
+_TOKEN_RE = re.compile(
+    r"""(?P<num>(\d+(\.\d*)?|\.\d+)([eE][+-]?\d+)?)
+      | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<op>[-+*/^(),])
+      | (?P<ws>\s+)
+      | (?P<bad>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
 
 
 def _tokenize(source: str) -> list[tuple[str, str, int]]:

@@ -237,6 +237,15 @@ class TestErrorStats:
         assert math.isnan(error_stats(1.0, 0.0).rel_error_pct)
         assert error_stats(1.0, 0.0).abs_error == 1.0
 
+    def test_an_error_past_1e306_keeps_a_finite_percentage(self):
+        # 100*abs_error overflows, so the ratio is taken first; a finite error of a tiny reference stays inf
+        stats = error_stats(1.659259259259259e308, 1.7066666666666665e308)
+        assert stats.abs_error == 4.740740740740754e306
+        assert stats.rel_error_pct == 100.0 * (stats.abs_error / stats.reference)
+        assert stats.rel_error_pct == pytest.approx(2.7778, abs=1e-4)
+        assert error_stats(1.0, 1e-307).rel_error_pct == math.inf
+        assert error_stats(math.inf, 1e308).rel_error_pct == math.inf
+
 
 RULES = [left_riemann, right_riemann, midpoint, trapezoid, simpson]
 

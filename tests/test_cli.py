@@ -439,6 +439,21 @@ class TestCompare:
         assert rows and all(row["rel_error_pct"] is None for row in rows)
         assert '"rel_error_pct": null' in out
 
+    @pytest.mark.parametrize("format", ["csv", "json"])
+    def test_an_error_past_1e306_prints_a_finite_percentage(self, format, capsys):
+        # 100*abs_error overflows, so error_stats divides first: 2.78%, not inf (null in JSON)
+        argv = ["compare", "--expr", "x^2", "--lower", "0", "--upper", "8e102", "--methods", "midpoint"]
+        code, out, _ = run([*argv, "--format", format], capsys)
+        assert code == 0
+        if format == "csv":
+            row = dict(zip(*(line.split(",") for line in out.splitlines())))
+        else:
+            doc = strict_json(out)
+            assert doc["reference"] == 1.7066666666666665e308
+            (row,) = doc["rows"]
+        assert float(row["abs_error"]) == 4.740740740740754e306
+        assert float(row["rel_error_pct"]) == 100.0 * (4.740740740740754e306 / 1.7066666666666665e308)
+
     def test_nan_closing_the_last_panel_is_an_nr_error_row(self, capsys):
         argv = ["compare", "--expr", "sqrt(x)", "--lower", "0", "--upper", "1e-7", "--format", "json"]
         code, out, _ = run(argv, capsys)

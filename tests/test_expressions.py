@@ -3,7 +3,6 @@
 import math
 import operator
 import random
-import string
 import struct
 from collections import Counter
 
@@ -32,6 +31,8 @@ from support import (
     central_difference,
     count_scalar_calls,
     descent_parse,
+    edited_sources,
+    parse_outcome,
     random_polynomial,
     random_tree,
     textbook_derivative,
@@ -591,31 +592,13 @@ class TestSimplify:
                     assert after == pytest.approx(before, rel=1e-12, abs=1e-12)
 
 
-def parse_outcome(parser, source):
-    """The tree ``parser`` gives for ``source``, as its repr, or the message and offset of its ``ParseError``."""
-    try:
-        return repr(parser(source))  # repr spells every node type and constant exactly
-    except ParseError as err:
-        return str(err), err.offset
-
-
 class TestDescentOracle:
     """``parse`` gives what the recursive descent it replaced gives: the same tree, or the same error."""
-
-    INSERTED = "x()+-*/^,.e1 $" + string.ascii_letters
 
     def sweep(self):
         sums = [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS] + ["+".join(CORPUS_TERMS)]
         yield from CORPUS_TERMS + sums
-        rng = random.Random(5)
-        texts = [to_text(random_tree(rng, 5)) for _ in range(200)]
-        for text in texts:
-            yield text
-            for i in range(len(text)):
-                yield text[:i] + text[i + 1 :]
-            for _ in range(10):
-                i = rng.randrange(len(text) + 1)
-                yield text[:i] + rng.choice(self.INSERTED) + text[i:]
+        yield from edited_sources(random.Random(5), 1)
         for n in (MAX_DEPTH - 1, MAX_DEPTH, MAX_DEPTH + 1, 200):
             yield "+".join(["x"] * n)
             yield "-" * n + "x"
@@ -632,6 +615,46 @@ class TestDescentOracle:
         assert len(sources) > 8_000
         for source in sources:
             assert parse_outcome(parse, source) == parse_outcome(descent_parse, source), source
+
+    # parse finds a token's kind from its text and its offset only on failure: the sources where
+    # that could go wrong, from how the scan splits numbers to a stray character after a deep prefix
+    TOKENIZER_EDGES = {
+        "dot": ".",
+        "x-dot": "x.",
+        "two-dots": "1..2",
+        "trailing-dot": "1.5.",
+        "dot-exponent": "1.e5",
+        "bare-e": "1e",
+        "bare-e-plus": "1e+",
+        "arabic-indic-digit": "٣*x",
+        "e-acute": "é",
+        "micro-sign": "µ",
+        "superscript-two": "²",
+        "x-superscript-two": "x²",
+        "em-space": "x + 1",
+        "no-break-space": "x+ 1",
+        "vertical-tab": "x\x0b+1",
+        "only-vertical-tab-and-ideographic-space": "\x0b　",
+        "leading-whitespace": "  \tx+1",
+        "trailing-whitespace": "x+1 \n",
+        "leading-ideographic-space": "　x",
+        "end-after-trailing-whitespace": "x+ ",
+        "nul": "x\x00",
+        "stray-after-120-parentheses": "(" * 120 + "$",
+        "stray-after-200-minus-signs": "-" * 200 + "$",
+        "stray-after-a-call": "sin(x)$",
+        "stray-after-an-overflow": "1e999$",
+        "stray-second-argument": "sin(x,$)",
+        "end": "end",
+        "end-of-input": "end of input",
+        "underscore-name": "_x",
+        "open-call": "sin(",
+        "open-power": "x^",
+    }
+
+    @pytest.mark.parametrize("source", TOKENIZER_EDGES.values(), ids=list(TOKENIZER_EDGES))
+    def test_equals_the_recursive_descent_on_a_tokenizer_edge(self, source):
+        assert parse_outcome(parse, source) == parse_outcome(descent_parse, source)
 
 
 def same_tree(first, second):
@@ -705,8 +728,9 @@ class TestOnePassDerivative:
                     assert math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-12), (to_text(e), point)
         assert compared > 1_500
 
-    # A constant factor takes c*u' alone, unless that folds to a zero: there the general rule's
-    # 0*u + c*u' may turn -0.0 into 0.0, so it runs in full.  parse gives -2*u as Neg, hence BinOp.
+    # A constant factor takes c*u' or u'*c alone, unless that folds to a zero: there the general rule's
+    # 0*u or u*0 term may turn -0.0 into 0.0, or keep -0.0 where u folds to a negative constant, so it
+    # runs in full.  parse gives -2*u as Neg, hence BinOp.
     @pytest.mark.parametrize(
         "e, derivative",
         [
@@ -719,8 +743,19 @@ class TestOnePassDerivative:
             (parse("1e-12*x"), "Const(value=1e-12)"),
             (parse("2.25*x^3"), None),
             (parse("(0.2*x)*sqrt(x)"), None),
+            (parse("(x-x)*2"), "Const(value=0.0)"),
+            (parse("sin(x)*0"), "Const(value=0.0)"),
+            (BinOp("*", parse("x-x"), Const(-2.0)), "Const(value=0.0)"),
+            (BinOp("*", Var(), Const(-0.0)), "Const(value=0.0)"),
+            (BinOp("*", Neg(Const(3.0)), Const(2.0)), "Const(value=-0.0)"),
+            (BinOp("*", Neg(Const(3.0)), Const(-0.0)), "Const(value=0.0)"),
+            (parse("x*2"), "Const(value=2.0)"),
+            (parse("sin(x)*3"), "BinOp(op='*', left=Call(name='cos', arg=Var()), right=Const(value=3.0))"),
         ],
-        ids=["2*(x-x)", "0*sin(x)", "-2*(x-x)", "-0*x", "-2*3", "2*x", "1e-12*x", "c*x^3", "(c*x)*sqrt(x)"],
+        ids=[
+            "2*(x-x)", "0*sin(x)", "-2*(x-x)", "-0*x", "-2*3", "2*x", "1e-12*x", "c*x^3", "(c*x)*sqrt(x)",
+            "(x-x)*2", "sin(x)*0", "(x-x)*-2", "x*-0", "(-3)*2", "(-3)*-0", "x*2", "sin(x)*3",
+        ],
     )
     def test_a_constant_factor_gives_the_general_rule_s_tree(self, e, derivative):
         assert same_tree(differentiate(e), simplify(textbook_derivative(e)))
@@ -762,6 +797,17 @@ class TestDerivativeNodeCount:
         # sin's derivative cos(x/4), times x/4's derivative 1/4, times 1.7
         assert to_text(df) == "(1.7*(cos((x/4.0))*0.25))"
         assert built == Counter(BinOp=3, Const=2, Call=1)
+
+    # the general rule built 5 Const for x*2, and 1 BinOp, 3 Const and 2 Call for sin(x)*3
+    @pytest.mark.parametrize(
+        "source, derivative, nodes",
+        [("x*2", "2.0", Counter(Const=2)), ("sin(x)*3", "(cos(x)*3.0)", Counter(BinOp=1, Const=1, Call=1))],
+    )
+    def test_a_constant_factor_on_the_right_builds_only_its_product(self, built, source, derivative, nodes):
+        e = parse(source)
+        built.clear()
+        assert to_text(differentiate(e)) == derivative
+        assert built == nodes
 
 
 class TestToText:
