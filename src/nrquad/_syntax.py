@@ -43,10 +43,13 @@ class Const(Expression):
     __slots__ = ("value",)
 
     def __init__(self, value: float) -> None:
-        value = float(value)
-        if not math.isfinite(value):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer too large for a float
+            number = math.inf
+        if not math.isfinite(number):
             raise ValueError(f"constants must be finite, got {value!r}")
-        _set_value(self, value)
+        _set_value(self, number)
 
 
 class Var(Expression):

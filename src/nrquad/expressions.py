@@ -11,10 +11,12 @@ finiteness.  Every evaluation runs through one of two compilers.
 need single points, and, where validation finds no proof that f' > 0, f
 once more for its samples, which go as one batch; a comparison's uniform
 rules and reference share one batch evaluator.  ``_compile_scalar`` gives
-one closure per node for single points, reading constant and ``x``
+one function per node for single points, reading constant and ``x``
 operands in place; ``evaluate`` builds one and calls it once.
 ``_compile_batch`` gives a chain of lazy ``map`` iterators, one per node,
-for batches, with the closures' bits.
+for batches, with the same bits.  Both bind each node's operation and
+operands as default arguments, not as free variables, so compiling
+creates no cells and an evaluation reads its operands as locals.
 
 The walks ``differentiate``, ``simplify``, ``_closure`` and ``_chain`` dispatch
 on ``type(e) is ...`` tests with the most frequent node type first, not on
@@ -57,9 +59,7 @@ def evaluate(e: Expression, x: float) -> float:
 
 
 def _compile_scalar(e: Expression) -> Callable[[float], float]:
-    node = _closure(e)
-
-    def at(x: float) -> float:
+    def at(x: float, node: Callable[[float], float] = _closure(e)) -> float:
         try:
             return node(x)
         except (ArithmeticError, ValueError):
@@ -92,39 +92,32 @@ def _compile_batch(e: Expression) -> Callable[[Sequence[float]], list[float]]:
 
 
 def _closure(e: Expression) -> Callable[[float], float]:
-    # each node's operation, left operand before right; a constant or x operand is read in place, not called
+    # each node's operation, left operand before right; a constant or x operand is read in place, not called.
+    # Operands are defaults, not free variables, which would make every call create a cell for each of them
     kind = type(e)
     if kind is BinOp:
         fn = _OPERATORS[e.op]
         left, right = e.left, e.right
         if type(left) is Const:
-            c = left.value
             if type(right) is Var:
-                return lambda x: fn(c, x)
-            r = _closure(right)
-            return lambda x: fn(c, r(x))
+                return lambda x, fn=fn, c=left.value: fn(c, x)
+            return lambda x, fn=fn, c=left.value, r=_closure(right): fn(c, r(x))
         if type(right) is Const:
-            c = right.value
             if type(left) is Var:
-                return lambda x: fn(x, c)
-            l = _closure(left)
-            return lambda x: fn(l(x), c)
-        l, r = _closure(left), _closure(right)
-        return lambda x: fn(l(x), r(x))
+                return lambda x, fn=fn, c=right.value: fn(x, c)
+            return lambda x, fn=fn, l=_closure(left), c=right.value: fn(l(x), c)
+        return lambda x, fn=fn, l=_closure(left), r=_closure(right): fn(l(x), r(x))
     if kind is Const:
-        value = e.value
-        return lambda x: value
+        return lambda x, value=e.value: value
     if kind is Var:
         return lambda x: x
     if kind is Call:
         fn = _FUNCTIONS[e.name]
         if type(e.arg) is Var:
             return fn
-        inner = _closure(e.arg)
-        return lambda x: fn(inner(x))
+        return lambda x, fn=fn, inner=_closure(e.arg): fn(inner(x))
     if kind is Neg:
-        inner = _closure(e.child)
-        return lambda x: -inner(x)
+        return lambda x, inner=_closure(e.child): -inner(x)
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -133,22 +126,20 @@ def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
     # a constant repeats len(xs) times, since an endless repeat under a constant subtree never stops
     kind = type(e)
     if kind is BinOp:
-        fn = _OPERATORS[e.op]
-        l, r = _chain(e.left), _chain(e.right)
-        return lambda xs: map(fn, l(xs), r(xs))
+        return lambda xs, fn=_OPERATORS[e.op], l=_chain(e.left), r=_chain(e.right): map(fn, l(xs), r(xs))
     if kind is Const:
-        value = e.value
-        return lambda xs: repeat(value, len(xs))
+        return lambda xs, value=e.value: repeat(value, len(xs))
     if kind is Var:
         return lambda xs: xs
     if kind is Call:
-        fn = _FUNCTIONS[e.name]
-        inner = _chain(e.arg)
-        return lambda xs: map(fn, inner(xs))
+        return lambda xs, fn=_FUNCTIONS[e.name], inner=_chain(e.arg): map(fn, inner(xs))
     if kind is Neg:
-        inner = _chain(e.child)
-        return lambda xs: map(operator.neg, inner(xs))
+        return lambda xs, inner=_chain(e.child): map(operator.neg, inner(xs))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# nodes are immutable, so the derivative rules share one node for each literal they use
+_ZERO, _ONE, _TWO = Const(0.0), Const(1.0), Const(2.0)
 
 
 def differentiate(e: Expression) -> Expression:
@@ -190,10 +181,10 @@ def differentiate(e: Expression) -> Expression:
             v = simplify(right)
             du_v = _simplify_binop("*", differentiate(left), v)
             numerator = _simplify_binop("-", du_v, _simplify_binop("*", simplify(left), differentiate(right)))
-            return _simplify_binop("/", numerator, _simplify_binop("^", v, Const(2.0)))
+            return _simplify_binop("/", numerator, _simplify_binop("^", v, _TWO))
         if op == "^" and type(right) is Const:
             c = right.value
-            scaled = _simplify_binop("*", Const(c), _simplify_binop("^", simplify(left), Const(c - 1.0)))
+            scaled = _simplify_binop("*", right, _simplify_binop("^", simplify(left), Const(c - 1.0)))
             return _simplify_binop("*", scaled, differentiate(left))
         # "^" (BinOp allows no other operator), u^v = exp(v*ln(u)):  (u^v)' = u^v * (v'*ln(u) + v*u'/u)
         u, v = simplify(left), simplify(right)
@@ -201,9 +192,9 @@ def differentiate(e: Expression) -> Expression:
         inner = _simplify_binop("+", dv_ln_u, _simplify_binop("*", v, _simplify_binop("/", differentiate(left), u)))
         return _simplify_binop("*", _simplify_binop("^", u, v), inner)
     if kind is Const:
-        return Const(0.0)
+        return _ZERO
     if kind is Var:
-        return Const(1.0)
+        return _ONE
     if kind is Call:
         return _simplify_binop("*", _outer_derivative(e.name, simplify(e.arg)), differentiate(e.arg))
     if kind is Neg:
@@ -217,13 +208,13 @@ def _outer_derivative(name: str, u: Expression) -> Expression:
     if name == "cos":
         return _simplify_neg(_simplify_call("sin", u))
     if name == "tan":
-        return _simplify_binop("/", Const(1.0), _simplify_binop("^", _simplify_call("cos", u), Const(2.0)))
+        return _simplify_binop("/", _ONE, _simplify_binop("^", _simplify_call("cos", u), _TWO))
     if name == "exp":
         return _simplify_call("exp", u)
     if name == "ln":
-        return _simplify_binop("/", Const(1.0), u)
+        return _simplify_binop("/", _ONE, u)
     if name == "sqrt":
-        return _simplify_binop("/", Const(1.0), _simplify_binop("*", Const(2.0), _simplify_call("sqrt", u)))
+        return _simplify_binop("/", _ONE, _simplify_binop("*", _TWO, _simplify_call("sqrt", u)))
     # abs: the sign of the argument, undefined (NaN) at zero
     return _simplify_binop("/", u, _simplify_call("abs", u))
 
@@ -239,33 +230,34 @@ def simplify(e: Expression) -> Expression:
     ``simplify(parse("0*ln(x)"))`` is 0 at ``x = -1``, where ``0*ln(x)`` is
     NaN.  No other domain-changing rewrite, such as ``e/e -> 1``, is made.
     """
+    # a node whose operands come back as themselves and that no rule rewrites comes back as it is, not copied
     kind = type(e)
     if kind is BinOp:
-        return _simplify_binop(e.op, simplify(e.left), simplify(e.right))
+        return _simplify_binop(e.op, simplify(e.left), simplify(e.right), e)
     if kind is Const or kind is Var:
         return e
     if kind is Call:
-        return _simplify_call(e.name, simplify(e.arg))
+        return _simplify_call(e.name, simplify(e.arg), e)
     if kind is Neg:
-        return _simplify_neg(simplify(e.child))
+        return _simplify_neg(simplify(e.child), e)
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _simplify_neg(child: Expression) -> Expression:
+def _simplify_neg(child: Expression, node: Neg | None = None) -> Expression:
     kind = type(child)
     if kind is Const:
         return Const(-child.value)
     if kind is Neg:
         return child.child
-    return Neg(child)
+    return node if node is not None and node.child is child else Neg(child)
 
 
-def _simplify_call(name: str, arg: Expression) -> Expression:
+def _simplify_call(name: str, arg: Expression, node: Call | None = None) -> Expression:
     if type(arg) is Const:
         folded = _fold(_FUNCTIONS[name], arg.value)
         if folded is not None:
             return folded
-    return Call(name, arg)
+    return node if node is not None and node.arg is arg else Call(name, arg)
 
 
 def _fold(fn: Callable[..., float], *values: float) -> Const | None:
@@ -277,7 +269,7 @@ def _fold(fn: Callable[..., float], *values: float) -> Const | None:
     return Const(value) if math.isfinite(value) else None
 
 
-def _simplify_binop(op: str, left: Expression, right: Expression) -> Expression:
+def _simplify_binop(op: str, left: Expression, right: Expression, node: BinOp | None = None) -> Expression:
     l = left.value if type(left) is Const else None
     r = right.value if type(right) is Const else None
     if l is not None and r is not None:
@@ -300,17 +292,17 @@ def _simplify_binop(op: str, left: Expression, right: Expression) -> Expression:
         if r == 1.0:
             return left
         if l == 0.0 or r == 0.0:
-            return Const(0.0)
+            return _ZERO
     elif op == "/":
         if r == 1.0:
             return left
         if l == 0.0:
-            return Const(0.0)
+            return _ZERO
     else:  # "^"
         if r == 1.0:
             return left
         if r == 0.0 or l == 1.0:
             # pow(x, 0) == 1 and pow(1, y) == 1 for every float y, NaN included
-            return Const(1.0)
-    return BinOp(op, left, right)
+            return _ONE
+    return node if node is not None and node.left is left and node.right is right else BinOp(op, left, right)
 

@@ -33,10 +33,10 @@ def _positive(value: object) -> bool:
 
 
 def _finite(value: object) -> bool:
-    """``math.isfinite(value)``, and False for a value that is not a number."""
+    """``math.isfinite(value)``, and False for a value that is not a number or an integer too large for a float."""
     try:
         return math.isfinite(value)  # type: ignore[arg-type]
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
 
 

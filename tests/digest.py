@@ -6,10 +6,16 @@ of ``differentiate(f)``, of ``validate_problem(f, interval)`` and of
 ``nr_integrate(f, interval)``, or the type and message of the
 ``NewtonError`` or ``ValidationError`` it raised.  ``repr``
 spells every float exactly, so two versions of the code that print the
-same digest give the same bits on all of these.  Run it from the
-repository root; it takes a few seconds:
+same digest give the same bits on all of these, and the digest changes
+only with a change to one of these outputs that a user can see.  Run it
+from the repository root; it takes a few seconds:
 
     PYTHONPATH=src python tests/digest.py
+
+Given an expected hex digest, it also exits with status 1 if the digest
+differs, so a change meant to keep every bit is checked with one command:
+
+    PYTHONPATH=src python tests/digest.py 45bc4f4a8a4d6e78379fa0176622be4b24dc778a3a3320bfbec4a16e9eb004d6
 """
 
 from __future__ import annotations
@@ -51,3 +57,5 @@ def digest() -> tuple[str, int]:
 if __name__ == "__main__":
     hexdigest, count = digest()
     print(f"{hexdigest} over {count} problems")
+    if len(sys.argv) > 1 and sys.argv[1] != hexdigest:
+        sys.exit(f"expected {sys.argv[1]}")

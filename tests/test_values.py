@@ -204,6 +204,21 @@ def test_constructors_keep_their_validation_messages():
         Var(1.0)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Interval(0, 10**400), "interval bounds must be finite"),
+        (lambda: Interval(-(10**400), 0), "interval bounds must be finite"),
+        (lambda: StoppingCriteria(target=10**400), "target must be finite"),
+        (lambda: Const(10**400), "constants must be finite"),
+    ],
+    ids=["upper bound", "lower bound", "target", "constant"],
+)
+def test_an_integer_too_large_for_a_float_is_a_value_error(build, message):
+    with pytest.raises(ValueError, match=f"^{message}, got .*{10**400}"):
+        build()
+
+
 @pytest.mark.parametrize("max_iter", [2.5, 1e9, "3", None], ids=repr)
 def test_a_budget_that_is_not_an_integer_is_one_value_error(max_iter):
     for build in (StoppingCriteria, NrQuadSettings):
