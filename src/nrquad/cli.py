@@ -117,7 +117,7 @@ def _finite_or_null(value: object) -> object:
     return value
 
 
-def _table(header: list[tuple[str, str]], rows: list[list[str]], columns: int, footer: str | None = None) -> str:
+def _table(header: list[tuple[str, object]], rows: list[list[str]], columns: int, footer: str | None = None) -> str:
     """Padded ``key: value`` header lines, a blank line, then ``rows`` in aligned columns.
 
     The first column is left-aligned and the others right-aligned.  A row of
@@ -147,63 +147,48 @@ def _table(header: list[tuple[str, str]], rows: list[list[str]], columns: int, f
 def render(command: str, doc: dict[str, object], format: str) -> str:
     """Write the document a command built as ``table``, ``csv`` or ``json`` text.
 
-    JSON prints the document itself; CSV and the table are views of it.
+    JSON prints the document itself.  For CSV and the table, each command
+    gives a header, column titles and rows; both print a value with ``str``
+    (a float's ``repr``), but table cells use :func:`_fmt_value` or
+    :func:`_fmt_pct`.  Golden bytes keep three views apart: ``integrate``'s
+    CSV is one summary row; ``compare``'s table has no title row and ends
+    with the ``nr:`` footer; and its error row is short, so that in CSV it
+    ends in empty cells, each ``,`` written ``;``.
     """
     if format == "json":
         return _json_text(doc)
-    interval = "[{!r}, {!r}]".format(*doc["interval"])
+    header = [("expression", doc["expression"]), ("interval", "[{!r}, {!r}]".format(*doc["interval"]))]
     if command == "compare":
-        if format == "csv":
-            lines = ["method,value,abs_error,rel_error_pct"]
-            for row in doc["rows"]:
-                if "error" in row:
-                    lines.append(f"{row['method']},error: {row['error'].replace(',', ';')},,")
-                else:
-                    lines.append(f"{row['method']},{row['value']!r},{row['abs_error']!r},{row['rel_error_pct']!r}")
-            return "\n".join(lines)
-        cells = [
-            [row["method"], "error: " + row["error"]]
-            if "error" in row
-            else [row["method"], _fmt_value(row["value"]), _fmt_value(row["abs_error"]), _fmt_pct(row["rel_error_pct"])]
+        header.append(("reference", doc["reference"]))
+        titles = ["method", "value", "abs_error", "rel_error_pct"]
+        rows = [
+            [row["method"], "error: " + row["error"]] if "error" in row else [row[title] for title in titles]
             for row in doc["rows"]
         ]
-        nr = doc["nr_details"]  # None when nr did not run or failed
-        footer = nr and f"nr: panels={nr['panel_count']}  residual_gap={nr['residual_gap']!r}  termination={nr['termination']}"
-        header = [("expression", doc["expression"]), ("interval", interval), ("reference", repr(doc["reference"]))]
-        return _table(header, cells, 4, footer)
+    elif command == "integrate" and format == "csv":
+        titles = ["value", "closing_area", "residual_gap", "status", "panel_count", "termination"]
+        rows = [[*[doc[title] for title in titles[:4]], len(doc["panels"]), doc["trace"]["termination"]]]
+    elif command == "integrate":
+        header += [("value", doc["value"]), ("status", doc["status"]), ("panels", len(doc["panels"]))]
+        header += [("closing_area", doc["closing_area"]), ("residual_gap", doc["residual_gap"])]
+        header.append(("termination", doc["trace"]["termination"]))
+        titles = ["k", "x_k", "width", "area"]
+        rows = [[k, panel["x_k"], panel["width"], panel["area"]] for k, panel in enumerate(doc["panels"])]
+    else:
+        header.append(("termination", doc["termination"]))
+        titles = ["index", "x_k", "f_k", "df_k", "step", "area"]
+        rows = [[step[title] for title in titles] for step in doc["steps"]]
 
-    if command == "integrate":
-        termination = doc["trace"]["termination"]
-        if format == "csv":
-            return (
-                "value,closing_area,residual_gap,status,panel_count,termination\n"
-                f"{doc['value']!r},{doc['closing_area']!r},{doc['residual_gap']!r},"
-                f"{doc['status']},{len(doc['panels'])},{termination}"
-            )
-        header = [
-            ("expression", doc["expression"]),
-            ("interval", interval),
-            ("value", repr(doc["value"])),
-            ("status", doc["status"]),
-            ("panels", str(len(doc["panels"]))),
-            ("closing_area", repr(doc["closing_area"])),
-            ("residual_gap", repr(doc["residual_gap"])),
-            ("termination", termination),
-        ]
-        keys = ("x_k", "width", "area")
-        cells = [["k", *keys]]
-        cells += [[str(k), *[_fmt_value(panel[key]) for key in keys]] for k, panel in enumerate(doc["panels"])]
-        return _table(header, cells, 4)
-
-    keys = ("x_k", "f_k", "df_k", "step", "area")
     if format == "csv":
-        lines = ["index," + ",".join(keys)]
-        lines += [",".join([str(s["index"]), *[repr(s[key]) for key in keys]]) for s in doc["steps"]]
-        return "\n".join(lines)
-    header = [("expression", doc["expression"]), ("interval", interval), ("termination", doc["termination"])]
-    cells = [["index", *keys]]
-    cells += [[str(s["index"]), *[_fmt_value(s[key]) for key in keys]] for s in doc["steps"]]
-    return _table(header, cells, 6)
+        lines = [",".join(str(cell).replace(",", ";") for cell in row) + "," * (len(titles) - len(row)) for row in rows]
+        return "\n".join([",".join(titles), *lines])
+    nr = doc.get("nr_details")  # None unless compare's nr succeeded
+    footer = nr and f"nr: panels={nr['panel_count']}  residual_gap={nr['residual_gap']!r}  termination={nr['termination']}"
+    formats = [str, *[_fmt_pct if title.endswith("_pct") else _fmt_value for title in titles[1:]]]
+    if command != "compare":
+        rows.insert(0, titles)
+    cells = [[cell if type(cell) is str else fmt(cell) for fmt, cell in zip(formats, row)] for row in rows]
+    return _table(header, cells, len(titles), footer)
 
 
 def _compare_doc(
@@ -213,36 +198,31 @@ def _compare_doc(
     many = _compile_batch(f)  # one batch evaluator for the reference and the rules
     reference = _reference_integral(many, interval)
     # the baseline methods, by the name of their rule, run in one pass over the grid
-    rules = {method: method.replace("-", "_") for method in methods if method != "nr"}
-    outcomes = _grid_rules(many, interval, panels, rules.values())
-    rows: list[dict[str, object]] = []
+    rules = [method.replace("-", "_") for method in methods if method != "nr"]
+    outcomes = _grid_rules(many, interval, panels, rules)  # a value, or the error the rule raised
     nr_details = None
+    if "nr" in methods:
+        try:
+            result = nr_integrate(f, interval, settings)
+        except (ValidationError, NewtonError) as exc:
+            outcomes["nr"] = exc
+        else:
+            outcomes["nr"] = result.value
+            termination = result.trace.termination.value
+            nr_details = {"panel_count": len(result.areas), "residual_gap": result.residual_gap, "termination": termination}
+    nr_settings = f"tol_x={settings.tol_x!r}" + (" closing-triangle" if settings.closing_triangle else "")
+    rows = []
     # method names are unique within a report; keep first occurrences
     for method in dict.fromkeys(methods):
-        if method == "nr":
-            summary = f"tol_x={settings.tol_x!r}"
-            if settings.closing_triangle:
-                summary += " closing-triangle"
-            try:
-                result = nr_integrate(f, interval, settings)
-            except (ValidationError, NewtonError) as exc:
-                rows.append({"method": method, "error": str(exc), "settings": summary})
-                continue
-            value = result.value
-            nr_details = {
-                "panel_count": len(result.areas),
-                "residual_gap": result.residual_gap,
-                "termination": result.trace.termination.value,
-            }
+        row = {"method": method}
+        value = outcomes[method.replace("-", "_")]
+        if isinstance(value, Exception):
+            row["error"] = str(value)
         else:
-            summary = f"n={panels}"
-            value = outcomes[rules[method]]
-            if isinstance(value, ValueError):
-                rows.append({"method": method, "error": str(value), "settings": summary})
-                continue
-        stats = error_stats(value, reference)
-        numbers = {"value": stats.approx, "abs_error": stats.abs_error, "rel_error_pct": stats.rel_error_pct}
-        rows.append({"method": method, **numbers, "settings": summary})
+            stats = error_stats(value, reference)
+            row.update(value=stats.approx, abs_error=stats.abs_error, rel_error_pct=stats.rel_error_pct)
+        row["settings"] = nr_settings if method == "nr" else f"n={panels}"
+        rows.append(row)
     return {
         "expression": expr_text,
         "interval": [interval.a, interval.b],

@@ -196,13 +196,15 @@ def differentiate(e: Expression) -> Expression:
     if kind is Var:
         return _ONE
     if kind is Call:
-        return _simplify_binop("*", _outer_derivative(e.name, simplify(e.arg)), differentiate(e.arg))
+        return _simplify_binop("*", _outer_derivative(e, simplify(e.arg)), differentiate(e.arg))
     if kind is Neg:
         return _simplify_neg(differentiate(e.child))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _outer_derivative(name: str, u: Expression) -> Expression:
+def _outer_derivative(e: Call, u: Expression) -> Expression:
+    # exp, sqrt and abs reuse e itself where u is e's own argument, as simplify does
+    name = e.name
     if name == "sin":
         return _simplify_call("cos", u)
     if name == "cos":
@@ -210,13 +212,13 @@ def _outer_derivative(name: str, u: Expression) -> Expression:
     if name == "tan":
         return _simplify_binop("/", _ONE, _simplify_binop("^", _simplify_call("cos", u), _TWO))
     if name == "exp":
-        return _simplify_call("exp", u)
+        return _simplify_call("exp", u, e)
     if name == "ln":
         return _simplify_binop("/", _ONE, u)
     if name == "sqrt":
-        return _simplify_binop("/", _ONE, _simplify_binop("*", _TWO, _simplify_call("sqrt", u)))
+        return _simplify_binop("/", _ONE, _simplify_binop("*", _TWO, _simplify_call("sqrt", u, e)))
     # abs: the sign of the argument, undefined (NaN) at zero
-    return _simplify_binop("/", u, _simplify_call("abs", u))
+    return _simplify_binop("/", u, _simplify_call("abs", u, e))
 
 
 def simplify(e: Expression) -> Expression:

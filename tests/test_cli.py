@@ -294,6 +294,98 @@ class TestExitStatuses:
         assert names == ["midpoint", "trapezoid"]
 
 
+def same_cell(cell, value):
+    """Whether a CSV cell spells a JSON value: a string as it is, a number bit for bit, ``null`` as inf or nan."""
+    if isinstance(value, str):
+        return cell == value
+    if isinstance(value, int):
+        return cell == str(value)
+    number = float(cell)
+    return not math.isfinite(number) if value is None else number.hex() == value.hex()
+
+
+def csv_matches_json(command, csv_text, doc):
+    """Whether the CSV titles are the command's and every cell is the JSON document's value.
+
+    An error row's cells are its message, each ``,`` written ``;``, and two
+    empty cells.
+    """
+    titles, *rows = [line.split(",") for line in csv_text.split("\n")]
+    if command == "integrate":
+        names = ["value", "closing_area", "residual_gap", "status", "panel_count", "termination"]
+        summary = {**doc, "panel_count": len(doc["panels"]), "termination": doc["trace"]["termination"]}
+        want = [[summary[name] for name in names]]
+    elif command == "trace":
+        names = ["index", "x_k", "f_k", "df_k", "step", "area"]
+        want = [[step[name] for name in names] for step in doc["steps"]]
+    else:
+        names = ["method", "value", "abs_error", "rel_error_pct"]
+        want = [
+            [row["method"], "error: " + row["error"].replace(",", ";"), "", ""]
+            if "error" in row
+            else [row[name] for name in names]
+            for row in doc["rows"]
+        ]
+    return (titles, len(rows)) == (names, len(want)) and all(
+        len(row) == len(values) and all(map(same_cell, row, values)) for row, values in zip(rows, want)
+    )
+
+
+class TestContractProperty:
+    """Any argv, in each format: a documented exit code, one diagnostic line or none, and CSV equal to JSON."""
+
+    # an expression is a sum of one to three pieces, and a malformed piece makes it malformed.  Hypothesis
+    # draws the first and last entry of a list most often, so those are valid here and in the lists below
+    PIECES = ["x", "x^2", "2*x^2+3*x+1", "0.5*x^3", "exp(x)-1", "ln(x+1)", "sqrt(x)", "(x", "foo(x)", "x $ 1"]
+    PIECES += ["1e999*x", "sin x", "", "(" * 60 + "x" + ")" * 60, "x*sqrt(x)", "sin(x)", "abs(x)", "1/x"]
+    PIECES += ["x/1e155", "0-x", "7", "x"]
+    # ordinary, tiny, huge and infinite ends; some pairs are inverted or empty
+    LOWER = ["0", "-1", "0.5", "-0.5", "1e-7", "5e-324", "-1e308", "0"]
+    UPPER = ["2", "1", "0.5", "inf", "1e-7", "8e102", "1e308", "2"]
+    OPTIONS = {"--tol-x": ["1e-6", "0.1", "-1", "1e-12", "1e-3"], "--max-iter": ["100", "1", "0", "3", "7"]}
+
+    def test_any_argv_keeps_the_contract(self, capsys):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+        exprs = st.lists(st.sampled_from(self.PIECES), min_size=1, max_size=3).map("+".join)
+
+        @st.composite
+        def argvs(draw):
+            command = draw(st.sampled_from(["integrate", "trace", "compare"]))
+            lower, upper = draw(st.sampled_from(self.LOWER)), draw(st.sampled_from(self.UPPER))
+            argv = [command, "--expr", draw(exprs), f"--lower={lower}", f"--upper={upper}"]
+            for flag, values in self.OPTIONS.items():
+                if draw(st.booleans()):
+                    argv.append(f"{flag}={draw(st.sampled_from(values))}")
+            argv += [flag for flag in ("--no-validate", "--closing-triangle") if draw(st.booleans())]
+            if command == "compare":
+                argv.append(f"--panels={draw(st.integers(-1, 64))}")
+                if draw(st.booleans()):
+                    methods = st.lists(st.sampled_from(nrquad.cli.METHODS), min_size=1, max_size=4)
+                    argv += ["--methods", *draw(methods)]
+            return argv
+
+        # the two known overflows: an area past the largest float is a result (inf in CSV, null in JSON), in
+        # integrate's value and in a compare row
+        @hypothesis.example(["integrate", "--expr", "x", "--lower=0", "--upper=1e308"])
+        @hypothesis.example(["compare", "--expr", "x^2", "--lower=0", "--upper=8e102", "--methods", "nr"])
+        @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(argvs())
+        def check(argv):
+            runs = {format: run([*argv, "--format", format], capsys) for format in GOLDEN_EXTENSIONS}
+            # the format changes the report only, not the exit code or the diagnostic
+            ((code, err),) = {(code, err) for code, _, err in runs.values()}
+            assert code in (0, 1, 2, 3)
+            if code:
+                assert all(out == "" for _, out, _ in runs.values())
+                assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+            else:
+                assert err == ""
+                assert csv_matches_json(argv[0], runs["csv"][1].rstrip("\n"), strict_json(runs["json"][1]))
+
+        check()
+
+
 class TestIntegrateFormats:
     def test_csv_round_trips_bit_exactly(self, capsys):
         code, out, _ = run(["integrate", *EXAMPLE, "--tol-x", "0.01", "--format", "csv"], capsys)

@@ -802,7 +802,9 @@ class TestDerivativeNodeCount:
     766 Const, 556 BinOp and 153 Call nodes (1,475).  Before the shared
     literals and ``simplify``'s returning an unchanged node as it is, they
     built 460 Const, 437 BinOp and 85 Call nodes (982), ``1.7*sin(x/4)``
-    built 6 nodes, ``x*2`` 2 Const and ``sin(x)*3`` 3 nodes.
+    built 6 nodes, ``x*2`` 2 Const and ``sin(x)*3`` 3 nodes.  Before the
+    outer derivatives of ``exp``, ``sqrt`` and ``abs`` reused f's own
+    ``Call`` node, they built 68 Call nodes, not 17.
     """
 
     @pytest.fixture
@@ -822,7 +824,17 @@ class TestDerivativeNodeCount:
         built.clear()
         for tree in trees:
             differentiate(tree)
-        assert built == Counter(BinOp=369, Const=120, Call=68)
+        assert built == Counter(BinOp=369, Const=120, Call=17)
+
+    def test_exp_sqrt_and_abs_reuse_the_call_node_of_f(self):
+        f = parse("exp(x+1)")
+        assert differentiate(f) is f
+        # 1/(2*sqrt(x+1)) and (x+1)/abs(x+1), each times (x+1)' = 1
+        f = parse("sqrt(x+1)")
+        assert differentiate(f).right.right is f
+        f = parse("abs(x+1)")
+        df = differentiate(f)
+        assert df.left is f.arg and df.right is f
 
     def test_a_constant_factor_builds_only_its_product(self, built):
         e = parse("1.7*sin(x/4)")
