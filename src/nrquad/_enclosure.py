@@ -4,11 +4,12 @@
 holds every value of ``e`` for x in ``[lo, hi]``: the real values, and
 the float values ``evaluate`` gives.  It walks the tree on every call
 instead of compiling closures as ``expressions._closure`` does, because
-validation encloses each f' only once.  Each operation moves its bounds
-one float outward with ``math.nextafter``, which covers a correctly
-rounded operation and a libm function with an error under one ulp
-(Moore, Kearfott & Cloud, *Introduction to Interval Analysis*, SIAM
-2009).  Where ``e`` may be undefined or infinite somewhere on the
+validation encloses each f' only once; it and ``_has_x`` read ``Const``
+and ``Var`` operands in place, as ``_closure`` does.  Each operation
+moves its bounds one float outward with ``math.nextafter``, which covers
+a correctly rounded operation and a libm function with an error under
+one ulp (Moore, Kearfott & Cloud, *Introduction to Interval Analysis*,
+SIAM 2009).  Where ``e`` may be undefined or infinite somewhere on the
 interval it raises ``ArithmeticError`` or ``ValueError`` instead: at a
 divisor that may be 0, ``ln`` or ``sqrt`` below its domain, a possible
 ``tan`` pole, a non-integer power of a base that may be negative, a
@@ -147,15 +148,16 @@ def _enclose(e: Expression, lo: float, hi: float) -> tuple[float, float]:
     """``(low, high)`` with ``low <= evaluate(e, x) <= high`` for every x in [lo, hi]; see the module."""
     kind = type(e)
     if kind is BinOp:
-        l1, h1 = _enclose(e.left, lo, hi)
-        l2, h2 = _enclose(e.right, lo, hi)
+        left, right = e.left, e.right
+        l1, h1 = (left.value, left.value) if type(left) is Const else (lo, hi) if type(left) is Var else _enclose(left, lo, hi)
+        l2, h2 = (right.value, right.value) if type(right) is Const else (lo, hi) if type(right) is Var else _enclose(right, lo, hi)
         return _BINARY[e.op](l1, h1, l2, h2)
     if kind is Const:
         return e.value, e.value
     if kind is Var:
         return lo, hi
     if kind is Call:
-        return _CALLS[e.name](*_enclose(e.arg, lo, hi))
+        return _CALLS[e.name](*((lo, hi) if type(e.arg) is Var else _enclose(e.arg, lo, hi)))
     if kind is Neg:
         low, high = _enclose(e.child, lo, hi)
         return -high, -low
@@ -174,11 +176,13 @@ def _has_x(e: Expression) -> bool:
     kind = type(e)
     if kind is BinOp:
         op, left, right = e.op, e.left, e.right
-        left_x, right_x = _has_x(left), _has_x(right)
+        left_kind, right_kind = type(left), type(right)
+        left_x = left_kind is Var or left_kind is not Const and _has_x(left)
+        right_x = right_kind is Var or right_kind is not Const and _has_x(right)
         if op == "*" or op == "/" or op == "^":
-            if not left_x and not (type(left) is Const and left.value != (1.0 if op == "^" else 0.0)):
+            if not left_x and not (left_kind is Const and left.value != (1.0 if op == "^" else 0.0)):
                 raise ValueError("an operand simplify may fold away")
-            if op != "/" and not right_x and not (type(right) is Const and right.value != 0.0):
+            if op != "/" and not right_x and not (right_kind is Const and right.value != 0.0):
                 raise ValueError("an operand simplify may fold away")
         return left_x or right_x
     if kind is Var:
@@ -186,7 +190,7 @@ def _has_x(e: Expression) -> bool:
     if kind is Const:
         return False
     if kind is Call:
-        return _has_x(e.arg)
+        return type(e.arg) is Var or _has_x(e.arg)
     if kind is Neg:
         return _has_x(e.child)
     raise TypeError(f"not an expression node: {e!r}")

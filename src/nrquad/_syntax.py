@@ -148,6 +148,7 @@ class ParseError(ValueError):
 _TOKEN_RE = re.compile(r"(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?|[A-Za-z_][A-Za-z_0-9]*|\S")
 
 _END = "end of input"  # the last token: no token equals it, since none holds a space
+_X = Var()  # nodes are immutable, so every x parse reads is this one node
 
 
 class _TokenError(Exception):
@@ -184,7 +185,7 @@ def parse(source: str) -> Expression:
         while (op := tokens[at]) == "+" or op == "-":
             at += 1
             right, right_depth = term()
-            left, depth = BinOp(op, left, right), max(depth, right_depth) + 1
+            left, depth = BinOp(op, left, right), (depth if depth > right_depth else right_depth) + 1
         return left, depth
 
     def term() -> tuple[Expression, int]:
@@ -193,7 +194,7 @@ def parse(source: str) -> Expression:
         while (op := tokens[at]) == "*" or op == "/":
             at += 1
             right, right_depth = unary()
-            left, depth = BinOp(op, left, right), max(depth, right_depth) + 1
+            left, depth = BinOp(op, left, right), (depth if depth > right_depth else right_depth) + 1
         return left, depth
 
     def unary() -> tuple[Expression, int]:
@@ -210,7 +211,7 @@ def parse(source: str) -> Expression:
             # to_text prints Const(-c) as (-c): count the one level it was printed from
             return Neg(child), 1 if type(child) is Const else depth + 1
         if text == VARIABLE_NAME:
-            base, depth = Var(), 1
+            base, depth = _X, 1
         elif (first := text[0]).isdecimal() or first == "." and text != ".":
             value = float(text)
             if not math.isfinite(value):
@@ -239,7 +240,7 @@ def parse(source: str) -> Expression:
         if tokens[at] == "^":
             at += 1
             exponent, exponent_depth = unary()
-            base, depth = BinOp("^", base, exponent), max(depth, exponent_depth) + 1
+            base, depth = BinOp("^", base, exponent), (depth if depth > exponent_depth else exponent_depth) + 1
         nesting -= 1
         return base, depth
 

@@ -71,7 +71,7 @@ def _build_parser() -> _Parser:
     common.add_argument("--lower", type=float, required=True, help="lower limit a (where the root lies)")
     common.add_argument("--upper", type=float, required=True, help="upper limit b (the Newton start point)")
     common.add_argument("--tol-x", type=float, default=1e-6, help="stop when |x_next - a| <= tol-x")
-    common.add_argument("--tol-f", type=float, default=None, help="stop when |f(x_next)| <= tol-f (default: scale-aware)")
+    common.add_argument("--tol-f", type=float, help="stop when |f(x_next)| <= tol-f (default: scale-aware)")
     common.add_argument("--max-iter", type=_count, default=100, help="iteration budget")
     common.add_argument("--closing-triangle", action="store_true", help="cover the [a, x_last] sliver with a triangle")
     common.add_argument("--no-validate", action="store_true", help="skip the precondition checks")
@@ -88,6 +88,7 @@ def _build_parser() -> _Parser:
 
 
 _PARSER = _build_parser()  # parse_args leaves a parser as it was, so every call shares one
+_VALUED = ("--expr", "--lower", "--upper", "--tol-x", "--tol-f")
 
 
 def _fmt_value(value: float) -> str:
@@ -266,8 +267,14 @@ def _trace_doc(expr_text: str, interval: Interval, result: QuadResult) -> dict[s
 
 
 def main(argv: list[str] | None = None) -> int:
+    items = []
+    for item in sys.argv[1:] if argv is None else argv:
+        # argparse takes -1e-3 or -1+x for an option, but --lower=-1e-3 for a value
+        if items and items[-1] in _VALUED and item[:1] == "-" and item[1:2] not in ("-", "h"):
+            item = items.pop() + "=" + item
+        items.append(item)
     try:
-        args = _PARSER.parse_args(argv)
+        args = _PARSER.parse_args(items)
     except _ArgumentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,18 +4,19 @@ Expressions are immutable trees over a single variable ``x``; their node
 types, the source syntax, :func:`parse` and :func:`to_text` live in
 ``nrquad._syntax`` and are re-exported here.
 
-Evaluation is total: domain violations (``ln`` of a negative, division by
-zero, ...) yield NaN instead of raising, and callers are expected to check
-finiteness.  Every evaluation runs through one of two compilers.
+Evaluation is total: domain violations (``ln`` of a negative, division
+by zero, ...) yield NaN instead of raising, and callers are expected to
+check finiteness.  Every evaluation runs through one of two compilers.
 ``nr_integrate`` compiles f and f' once each for the Newton steps, which
 need single points, and, where validation finds no proof that f' > 0, f
 once more for its samples, which go as one batch; a comparison's uniform
-rules and reference share one batch evaluator.  ``_compile_scalar`` gives
-one function per node for single points, reading constant and ``x``
-operands in place; ``evaluate`` builds one and calls it once.
-``_compile_batch`` gives a chain of lazy ``map`` iterators, one per node,
-for batches, with the same bits.  Both bind each node's operation and
-operands as default arguments, not as free variables, so compiling
+rules and reference share one batch evaluator.  ``_compile_scalar``
+gives one function per node for single points, reading constant and
+``x`` operands in place, and one for a whole ``fn(x op c)`` such as
+``ln(x+1)``; ``evaluate`` builds one and calls it once.
+``_compile_batch`` gives a chain of lazy ``map`` iterators, one per
+node, for batches, with the same bits.  Both bind each node's operation
+and operands as default arguments, not as free variables, so compiling
 creates no cells and an evaluation reads its operands as locals.
 
 The walks ``differentiate``, ``simplify``, ``_closure`` and ``_chain`` dispatch
@@ -112,10 +113,12 @@ def _closure(e: Expression) -> Callable[[float], float]:
     if kind is Var:
         return lambda x: x
     if kind is Call:
-        fn = _FUNCTIONS[e.name]
-        if type(e.arg) is Var:
+        fn, arg = _FUNCTIONS[e.name], e.arg
+        if type(arg) is Var:
             return fn
-        return lambda x, fn=fn, inner=_closure(e.arg): fn(inner(x))
+        if type(arg) is BinOp and type(arg.left) is Var and type(arg.right) is Const:
+            return lambda x, fn=fn, op=_OPERATORS[arg.op], c=arg.right.value: fn(op(x, c))
+        return lambda x, fn=fn, inner=_closure(arg): fn(inner(x))
     if kind is Neg:
         return lambda x, inner=_closure(e.child): -inner(x)
     raise TypeError(f"not an expression node: {e!r}")

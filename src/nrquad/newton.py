@@ -186,7 +186,7 @@ def _step(f: _Scalar, df: _Scalar, x: float, f_x: float | None = None) -> Newton
     if abs(df_k) <= DERIVATIVE_EPSILON:
         raise DerivativeVanishedError(x, df_k, DERIVATIVE_EPSILON)
     step = f_k / df_k
-    return NewtonStep(x_k=x, f_k=f_k, df_k=df_k, step=step, x_next=x - step)
+    return NewtonStep(x, f_k, df_k, step, x - step)
 
 
 def newton_iterate(f: Expression, df: Expression, x0: float, stop: StoppingCriteria | None = None) -> NewtonTrace:
@@ -231,6 +231,7 @@ def _iterate(
             f_x = f(x0)
         tol_f = 1e-9 * max(1.0, abs(f_x))
     descending = target is not None and x0 > target
+    tol_x, tol_step = stop.tol_x, stop.tol_step
 
     steps: list[NewtonStep] = []
     x = x0
@@ -243,17 +244,17 @@ def _iterate(
             except DerivativeVanishedError as error:
                 return NewtonTrace(tuple(steps), Termination.DERIVATIVE_VANISHED, x), None, error
         steps.append(step)
-        if not math.isfinite(step.x_next):  # f and f' were finite at x
+        x_next = step.x_next
+        if not math.isfinite(x_next):  # f and f' were finite at x
             return NewtonTrace(tuple(steps), Termination.NONFINITE_VALUE, x), None, _OverflowedStepError(step)
-        if target is not None and abs(step.x_next - target) <= stop.tol_x:
-            return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, step.x_next), None, None
-        f_x = f(step.x_next)
+        if target is not None and abs(x_next - target) <= tol_x:
+            return NewtonTrace(tuple(steps), Termination.REACHED_TARGET, x_next), None, None
+        f_x = f(x_next)
         if math.isfinite(f_x) and abs(f_x) <= tol_f:
-            return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, step.x_next), f_x, None
-        if abs(step.step) <= stop.tol_step:
-            return NewtonTrace(tuple(steps), Termination.STEP_SMALL, step.x_next), f_x, None
-        if descending and step.x_next < target:  # <= is the same: tol_x > 0 ends a landing on target above
+            return NewtonTrace(tuple(steps), Termination.RESIDUAL_SMALL, x_next), f_x, None
+        if abs(step.step) <= tol_step:
+            return NewtonTrace(tuple(steps), Termination.STEP_SMALL, x_next), f_x, None
+        if descending and x_next < target:  # <= is the same: tol_x > 0 ends a landing on target above
             return NewtonTrace(tuple(steps), Termination.OVERSHOOT_CLAMPED, target), None, None
-        x = step.x_next
-        step = None
+        x, step = x_next, None
     return NewtonTrace(tuple(steps), Termination.MAX_ITERATIONS, x), f_x, None

@@ -202,13 +202,13 @@ def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     raised.
     """
     f_at, df, b = _compile_scalar(f), differentiate(f), interval.b
-    return _validate(f, df, f_at, interval, f_at(b), evaluate(df, b))
+    return _validate(f, df, f_at, interval, f_at(b), evaluate(df, b))[0]
 
 
 def _validate(
     f: Expression, df: Expression, f_at: Callable[[float], float], interval: Interval, f_b: float, df_b: float
-) -> ValidationReport:
-    """:func:`validate_problem` given f', f's scalar evaluator, f(b) and f'(b).
+) -> tuple[ValidationReport, float]:
+    """:func:`validate_problem` given f', f's scalar evaluator, f(b) and f'(b); also f(a + 0.0), for a clamp to reuse.
 
     The proof path calls ``f_at`` once, at ``a + 0.0``, the first sample
     point of the sampled path (``a + 0*h``, or ``a*1.0 + b*0.0``), which is
@@ -253,12 +253,7 @@ def _validate(
     if not derivative_positive:
         messages.append(f"f'(b) = {df_b!r} is not positive")
 
-    return ValidationReport(
-        monotone_increasing=monotone,
-        root_at_a=root_at_a,
-        derivative_positive_at_b=derivative_positive,
-        messages=tuple(messages),
-    )
+    return ValidationReport(monotone, root_at_a, derivative_positive, tuple(messages)), f_a
 
 
 def nr_integrate(
@@ -283,7 +278,7 @@ def nr_integrate(
             over a validation failure when both apply.  Validation reuses
             the first step's f(b) and f'(b), f' itself and f's scalar
             evaluator, so where it proves f' > 0 it evaluates f once more,
-            at a.
+            at a, and a clamped last panel reuses that f(a) unless a is -0.0.
 
     Running out of iterations is not an error: the result then carries
     status ``budget-exhausted``.
@@ -295,8 +290,9 @@ def nr_integrate(
     # the first step checks f(b) and f'(b) before validation; validation and the iteration reuse it
     first = _step(f_at, df_at, b)
 
+    f_a = None  # f(a + 0.0), where validation evaluated it
     if settings.validate:
-        report = _validate(f, df, f_at, interval, first.f_k, first.df_k)
+        report, f_a = _validate(f, df, f_at, interval, first.f_k, first.df_k)
         if not report.passed:
             raise ValidationError(report)
 
@@ -304,15 +300,16 @@ def nr_integrate(
     if error is not None:
         raise error
 
-    if f_final is None:  # the iteration stopped before evaluating f there; after a clamp, final_x is a
-        f_final = f_at(trace.final_x)
+    if f_final is None:  # the iteration stopped before evaluating f there; after a clamp, final_x is a,
+        # and validation evaluated f at a + 0.0, which is a unless a is -0.0
+        reuse = f_a is not None and trace.termination is Termination.OVERSHOOT_CLAMPED and (a != 0.0 or math.copysign(1.0, a) > 0.0)
+        f_final = f_a if reuse else f_at(trace.final_x)
     if not math.isfinite(f_final):  # it closes the last panel
         raise NonfiniteValueError(trace.final_x, f_final, df_at(trace.final_x))
 
     areas: list[float] = []
     value = 0.0  # added one at a time, not by sum(), whose float algorithm changed in Python 3.12
-    for i, step in enumerate(trace.steps):
-        f_next = trace.steps[i + 1].f_k if i + 1 < len(trace.steps) else f_final
+    for step, f_next in zip(trace.steps, [step.f_k for step in trace.steps[1:]] + [f_final]):
         area = panel_area(step.f_k, step.df_k, f_next)
         areas.append(area)
         value += area
@@ -322,10 +319,4 @@ def nr_integrate(
         closing_area = 0.5 * (trace.final_x - a) * f_final
         value += closing_area
 
-    return QuadResult(
-        value=value,
-        areas=tuple(areas),
-        closing_area=closing_area,
-        residual_gap=abs(trace.final_x - a),
-        trace=trace,
-    )
+    return QuadResult(value, tuple(areas), closing_area, abs(trace.final_x - a), trace)

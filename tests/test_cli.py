@@ -107,6 +107,38 @@ class TestExitStatuses:
         assert code == 1
         assert "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv, joined",
+        [
+            (["--expr", "x+0.001", "--lower", "-1e-3", "--upper", "1"], ["--expr", "x+0.001", "--lower=-1e-3", "--upper", "1"]),
+            (["--expr", "-1+x", "--lower", "1", "--upper", "2"], ["--expr=-1+x", "--lower", "1", "--upper", "2"]),
+            (["--expr", "x+1e-2", "--lower", "-1e-2", "--upper", "-1e-3"], ["--expr", "x+1e-2", "--lower=-1e-2", "--upper=-1e-3"]),
+        ],
+    )
+    def test_a_value_that_starts_with_a_minus_may_follow_its_option(self, argv, joined, capsys):
+        # argparse alone reads -1e-3 or -1+x as an option, not as the value of the one before it
+        for format in GOLDEN_EXTENSIONS:
+            code, out, err = run(["integrate", *argv, "--format", format], capsys)
+            assert (code, err) == (0, "")
+            assert out == run(["integrate", *joined, "--format", format], capsys)[1]
+        code, out, _ = run(["integrate", *argv, "--format", "json"], capsys)
+        assert json.loads(out)["value"] == nr_integrate(parse(argv[1]), Interval(float(argv[3]), float(argv[5]))).value
+
+    @pytest.mark.parametrize("flag, name", [("--tol-x", "tol_x"), ("--tol-f", "tol_f")])
+    def test_a_negative_tolerance_after_its_option_reaches_the_settings(self, flag, name, capsys):
+        code, out, err = run(["integrate", *EXAMPLE, flag, "-1e-3"], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: {name} must be positive, got -0.001\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--expr", "--lower", "0"], ["--expr", "-h", "--lower", "0", "--upper", "1"], ["--expr", "x", "--lower", "--upper", "1"]],
+    )
+    def test_an_option_where_a_value_belongs_is_still_a_usage_error(self, argv, capsys):
+        code, out, err = run(["integrate", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: argument --") and err.endswith(": expected one argument\n")
+
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run(["integrate", *EXAMPLE, "--bogus"], capsys)
         assert code == 1
@@ -366,9 +398,11 @@ class TestContractProperty:
             return argv
 
         # the two known overflows: an area past the largest float is a result (inf in CSV, null in JSON), in
-        # integrate's value and in a compare row
+        # integrate's value and in a compare row; and two values that start with "-" as items of their own
         @hypothesis.example(["integrate", "--expr", "x", "--lower=0", "--upper=1e308"])
         @hypothesis.example(["compare", "--expr", "x^2", "--lower=0", "--upper=8e102", "--methods", "nr"])
+        @hypothesis.example(["integrate", "--expr", "x+0.001", "--lower", "-1e-3", "--upper", "1"])
+        @hypothesis.example(["integrate", "--expr", "-1+x", "--lower", "1", "--upper", "2"])
         @hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
         @hypothesis.given(argvs())
         def check(argv):

@@ -378,6 +378,23 @@ class TestCompiledKernel:
             self.assert_matches_tree_value(tree, [point, *self.POINTS])
             assert math.isnan(_compile_scalar(tree)(point))
 
+    @pytest.mark.parametrize("name", sorted(FUNCTION_NAMES))
+    @pytest.mark.parametrize("op", "+-*/^")
+    def test_a_function_of_x_and_a_constant_where_either_raises(self, op, name):
+        # name(x op c) compiles to one function, which calls no compiled operand; a point where op raises
+        # (x/0, 0^-1, (-1)^0.5) or name does (ln(1-5), exp(1*1e3), sin(inf)) is NaN, as in the tree walk
+        points = [1.0, -1.0, 0.0, -0.0, 5.0, 1e300, *self.POINTS]
+        for c in (0.0, 5.0, 1e3, 0.5, -1.0):
+            tree = Call(name, BinOp(op, Var(), Const(c)))
+            assert not any(isinstance(held, types.FunctionType) for held in _closure(tree).__defaults__)
+            self.assert_matches_tree_value(tree, points)
+
+    @pytest.mark.parametrize("source, x", [("sqrt(x/0)", 1.0), ("ln(x-5)", 1.0), ("exp(x*1e3)", 1.0), ("sqrt(x^0.5)", -1.0)])
+    def test_a_function_of_x_and_a_constant_is_nan_where_it_raises(self, source, x):
+        tree = parse(source)
+        assert math.isnan(_compile_scalar(tree)(x)) and math.isnan(tree_value(tree, x))
+        assert bits(_compile_batch(tree)([x, 2.0])) == bits([tree_value(tree, x), tree_value(tree, 2.0)])
+
     def test_negated_zero_constant_is_negative_zero(self):
         for tree in (Neg(Const(0.0)), Neg(Var()), BinOp("*", Neg(Const(0.0)), Var())):
             self.assert_matches_tree_value(tree)
@@ -408,6 +425,7 @@ class TestCompiledKernel:
         rng = random.Random(2525)
         sources = CORPUS_TERMS + [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS]
         trees = [parse(source) for source in sources] + [random_tree(rng, rng.randint(1, 5)) for _ in range(2_000)]
+        codes = set()
         for tree in trees:
             for compiled in (_compile_scalar(tree), _closure(tree), _chain(tree)):
                 functions, pending = [], [compiled]
@@ -417,7 +435,10 @@ class TestCompiledKernel:
                         functions.append(held)
                         pending.extend(held.__defaults__ or ())
                 assert all(function.__closure__ is None for function in functions), to_text(tree)
+                codes.update(function.__code__ for function in functions)
             assert type(tree) is not BinOp or len(functions) > 1  # the walk reached the operands' functions
+        # the corpus terms ln(x+1), sqrt(x+1) and sin(x/4) compile to the one-frame fn(x op c), which it reached
+        assert _closure(parse("ln(x+1)")).__code__ in codes
 
     def test_equal_but_distinct_expressions_give_the_same_bits(self):
         first, second = parse("ln(x)/x + sqrt(x)^3"), parse("ln(x)/x + sqrt(x)^3")

@@ -100,7 +100,7 @@ class TestValidateProblem:
         df = differentiate(f)
         first = newton_step(f, df, b)
         interval = Interval(a, b)
-        assert _validate(f, df, _compile_scalar(f), interval, first.f_k, first.df_k) == validate_problem(f, interval)
+        assert _validate(f, df, _compile_scalar(f), interval, first.f_k, first.df_k)[0] == validate_problem(f, interval)
 
 
 class TestValidationMatchesScalarOracle:
@@ -496,6 +496,18 @@ class TestEvaluationCounts:
         assert len(result.areas) == 13
         assert calls[0] == 27
         assert batches == [63]
+
+    # a clamp closes the last panel with the f(a + 0.0) that validation found, unless a is -0.0: there f is
+    # evaluated at a itself, and sqrt(-0.0) = -0.0 makes the closing triangle 0.5*0.0*(-0.0) = -0.0
+    @pytest.mark.parametrize(
+        "a, expected_calls, closing_sign", [(0.0, 3, 1.0), (-0.0, 4, -1.0)], ids=["zero", "negative-zero"]
+    )
+    def test_a_clamp_reuses_the_f_a_of_validation(self, calls, monkeypatch, a, expected_calls, closing_sign):
+        batches = record_batches(monkeypatch)
+        result = nr_integrate(parse("sqrt(x)"), Interval(a, 1.0), NrQuadSettings(closing_triangle=True))
+        assert result.trace.termination is Termination.OVERSHOOT_CLAMPED and len(result.areas) == 1
+        assert (calls[0], batches) == (expected_calls, [63])
+        assert math.copysign(1.0, result.closing_area) == closing_sign
 
     # the scalar closures of f and f'; validation reuses f's, and builds no
     # chain of f where it proves f' > 0
