@@ -5,9 +5,9 @@ textbook composite rules.  They share one pass over the uniform grid, which
 evaluates its nodes a CHUNK at a time and each distinct node once: all five
 rules on n subintervals take 2n + 3 points together, 5n + 2 one at a time.
 reference_integral is an adaptive Simpson integrator accurate far beyond
-the rules it referees; it evaluates the quarter points of the leftmost
-CHUNK // 2 pending panels at a time.  error_stats packages absolute and
-relative error against such a reference.
+the rules it referees, a depth-first recursion that evaluates one point at
+a time.  error_stats packages absolute and relative error against such a
+reference.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from collections.abc import Callable, Iterable, Sequence
 from itertools import cycle
 
 from ._frozen import Frozen, slot_setters
-from .expressions import Expression, _compile_batch
+from .expressions import Expression, _compile_batch, _compile_scalar
 from .newton import _positive
 from .quadrature import Interval
 
@@ -56,7 +56,7 @@ _set_approx, _set_reference, _set_abs_error, _set_rel_error_pct = slot_setters(E
 CHUNK = 256
 """Points per call of the batch evaluator that ``_compile_batch`` builds: the
 uniform rules' interior nodes or midpoints (``CHUNK // 2`` of each when both
-are needed), or the reference's quarter points of ``CHUNK // 2`` panels.
+are needed).
 
 No list a rule builds is longer, so its memory is bounded for any ``n``."""
 
@@ -187,96 +187,56 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
 
     A panel is accepted when |S_whole - S_left - S_right| <= 15*tol (with
     the usual S/15 correction added); otherwise it splits, halving the
-    tolerance, down to a depth cap of 50.  It evaluates at most 2**20
-    points.
-
-    Pending panels wait on a stack with the leftmost on top.  Each round
-    takes up to ``CHUNK // 2`` of the leftmost and evaluates their quarter
-    points in one batch.  Accepted values are added
-    up the bisection tree as each pair of halves completes, so the result
-    is bit-identical to a depth-first recursion's.  The first panel to
-    fail at the cap is the leftmost one, the one a depth-first walk raises
-    on; before it, at most about one batch per level is spent on panels to
-    its right.
+    tolerance, down to a depth cap of 50.  The recursion is depth-first,
+    left half before right, one scalar evaluation per point, and it
+    evaluates at most 2**20 points.
 
     Raises:
         DepthLimitError: if the cap is hit, which is what NaN regions or
-            non-smooth pathologies turn into, or if the next batch would
+            non-smooth pathologies turn into, or if the next panel would
             take the points past 2**20, which is what an integrand
             oscillating ever faster turns into.
     """
-    return _reference_integral(_compile_batch(f), interval, tol)
-
-
-def _reference_integral(f: _Batch, interval: Interval, tol: float = 1e-10) -> float:
-    """:func:`reference_integral` on a batch evaluator."""
     if not _positive(tol):
         raise ValueError(f"tol must be positive, got {tol!r}")
-    a, b = interval.a, interval.b
-    m = 0.5 * (a + b)
-    fa, fb, fm = f([a, b, m])
-    # a panel: depth, node, a, b, f(a), f(mid), f(b), Simpson estimate, tol; the
-    # node numbers the bisection tree from 1 at the root, and node n's halves are 2n and 2n + 1
-    pending = [(0, 1, a, b, fa, fm, fb, _simpson_estimate(fa, fm, fb, b - a), tol)]
-    # values of finished panels whose sibling is not finished yet, by node
-    accepted: dict[int, float] = {}
+    at = _compile_scalar(f)
     points = 3
-    while pending:
-        batch = pending[-(CHUNK // 2) :]
-        del pending[-(CHUNK // 2) :]
-        batch.reverse()  # the stack's top is the list's end; work left to right
-        points += 2 * len(batch)
+
+    def adaptive(a: float, b: float, fa: float, fm: float, fb: float, whole: float, tol: float, depth: int) -> float:
+        nonlocal points
+        points += 2
         if points > _MAX_POINTS:
             raise DepthLimitError(
                 f"adaptive bisection exceeded its budget of {_MAX_POINTS} points "
-                f"on [{batch[0][2]!r}, {batch[-1][3]!r}]; the integrand looks too irregular to integrate there"
+                f"on [{a!r}, {b!r}]; the integrand looks too irregular to integrate there"
             )
-        xs = []
-        for panel in batch:
-            a, b = panel[2], panel[3]
-            m = 0.5 * (a + b)
-            xs += (0.5 * (a + m), 0.5 * (m + b))
-        quarters = f(xs)
-        children = []
-        for (depth, node, a, b, fa, fm, fb, whole, tol), flm, frm in zip(batch, quarters[::2], quarters[1::2]):
-            m = 0.5 * (a + b)
-            left = _simpson_estimate(fa, flm, fm, m - a)
-            right = _simpson_estimate(fm, frm, fb, b - m)
-            delta = left + right - whole
-            if abs(delta) <= 15.0 * tol:
-                value = left + right + delta / 15.0
-                # add up each pair of halves this completes, as the recursion does; storing
-                # only unpaired values keeps memory bounded on inputs that run long
-                while (sibling := accepted.pop(node ^ 1, None)) is not None:
-                    value += sibling
-                    node >>= 1
-                accepted[node] = value
-            elif depth >= _MAX_DEPTH:
-                # depth never grows from left to right along the stack, so every panel
-                # left of this one was at the cap too and is done: this is the leftmost failure
-                raise DepthLimitError(
-                    f"adaptive bisection exceeded depth {_MAX_DEPTH} on [{a!r}, {b!r}]; "
-                    "the integrand looks non-integrable or undefined there"
-                )
-            else:
-                children += (
-                    (depth + 1, 2 * node, a, m, fa, flm, fm, left, tol / 2.0),
-                    (depth + 1, 2 * node + 1, m, b, fm, frm, fb, right, tol / 2.0),
-                )
-        pending += reversed(children)
-    return accepted[1]
+        m = 0.5 * (a + b)
+        flm, frm = at(0.5 * (a + m)), at(0.5 * (m + b))
+        left = ((m - a) / 6.0) * (fa + 4.0 * flm + fm)
+        right = ((b - m) / 6.0) * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        if abs(delta) <= 15.0 * tol:
+            return left + right + delta / 15.0
+        if depth >= _MAX_DEPTH:
+            raise DepthLimitError(
+                f"adaptive bisection exceeded depth {_MAX_DEPTH} on [{a!r}, {b!r}]; "
+                "the integrand looks non-integrable or undefined there"
+            )
+        return adaptive(a, m, fa, flm, fm, left, tol / 2.0, depth + 1) + adaptive(
+            m, b, fm, frm, fb, right, tol / 2.0, depth + 1
+        )
+
+    a, b = interval.a, interval.b
+    m = 0.5 * (a + b)
+    fa, fm, fb = at(a), at(m), at(b)
+    return adaptive(a, b, fa, fm, fb, ((b - a) / 6.0) * (fa + 4.0 * fm + fb), tol, 0)
 
 
 _MAX_DEPTH = 50
 
-# the most points the reference evaluates: the benchmark's inputs take at most a few thousand, and an input
-# that fails at the depth cap at most 51 * 256 + 3; at about a million points a second, one that never
-# finishes stops in about a second
+# the most points the reference evaluates: the benchmark's inputs take at most a few thousand, and one
+# that never finishes, such as sin(tan(0.616-x)) on [-1, 1], stops in about 0.4 s on a 2-vCPU virtual machine
 _MAX_POINTS = 2**20
-
-
-def _simpson_estimate(fa: float, fm: float, fb: float, width: float) -> float:
-    return (width / 6.0) * (fa + 4.0 * fm + fb)
 
 
 def error_stats(approx: float, reference: float) -> ErrorStats:

@@ -195,12 +195,11 @@ def render(command: str, doc: dict[str, object], format: str) -> str:
 def _compare_doc(
     f: Expression, expr_text: str, interval: Interval, settings: NrQuadSettings, panels: int, methods: Sequence[str]
 ) -> dict[str, object]:
-    from .baselines import _grid_rules, _reference_integral, error_stats
-    many = _compile_batch(f)  # one batch evaluator for the reference and the rules
-    reference = _reference_integral(many, interval)
+    from .baselines import _grid_rules, error_stats, reference_integral
+    reference = reference_integral(f, interval)
     # the baseline methods, by the name of their rule, run in one pass over the grid
     rules = [method.replace("-", "_") for method in methods if method != "nr"]
-    outcomes = _grid_rules(many, interval, panels, rules)  # a value, or the error the rule raised
+    outcomes = _grid_rules(_compile_batch(f), interval, panels, rules)  # a value, or the error the rule raised
     nr_details = None
     if "nr" in methods:
         try:
@@ -269,8 +268,8 @@ def _trace_doc(expr_text: str, interval: Interval, result: QuadResult) -> dict[s
 def main(argv: list[str] | None = None) -> int:
     items = []
     for item in sys.argv[1:] if argv is None else argv:
-        # argparse takes -1e-3 or -1+x for an option, but --lower=-1e-3 for a value
-        if items and items[-1] in _VALUED and item[:1] == "-" and item[1:2] not in ("-", "h"):
+        # argparse takes -1e-3 or -1+x for an option, but --lower=-1e-3 or --low=-1e-3 for a value
+        if items and item[:1] == "-" and item[1:2] not in ("-", "h") and sum(name.startswith(items[-1]) for name in _VALUED) == 1:
             item = items.pop() + "=" + item
         items.append(item)
     try:

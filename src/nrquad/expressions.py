@@ -10,7 +10,8 @@ check finiteness.  Every evaluation runs through one of two compilers.
 ``nr_integrate`` compiles f and f' once each for the Newton steps, which
 need single points, and, where validation finds no proof that f' > 0, f
 once more for its samples, which go as one batch; a comparison's uniform
-rules and reference share one batch evaluator.  ``_compile_scalar``
+rules share one batch evaluator, and its reference runs on the scalar
+closures of f, one point at a time.  ``_compile_scalar``
 gives one function per node for single points, reading constant and
 ``x`` operands in place, and one for a whole ``fn(x op c)`` such as
 ``ln(x+1)``; ``evaluate`` builds one and calls it once.

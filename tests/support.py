@@ -511,7 +511,10 @@ SCALAR_RULES = {
 
 
 def scalar_reference(f: Expression, interval: Interval, tol: float = 1e-10) -> float:
-    """``reference_integral`` as the depth-first recursion it replaced, one ``tree_value`` per point.
+    """``reference_integral``'s depth-first recursion on the tree walk, one ``tree_value`` per point.
+
+    It is the oracle for ``reference_integral``, which runs the same
+    recursion on the compiled scalar closures.
 
     A panel is accepted when |S_whole - S_left - S_right| <= 15*tol (with
     the usual S/15 correction added); otherwise it splits, halving the

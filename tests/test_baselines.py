@@ -5,6 +5,8 @@ import math
 import random
 import re
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -27,7 +29,7 @@ from nrquad.baselines import (
     trapezoid,
 )
 from nrquad.cli import main
-from nrquad.expressions import _compile_batch, parse, to_text
+from nrquad.expressions import MAX_DEPTH, _compile_batch, parse, to_text
 from nrquad.quadrature import Interval
 from support import (
     SCALAR_RULES,
@@ -411,31 +413,18 @@ class TestScalarEvaluationCounts:
     def calls(self, monkeypatch):
         return count_scalar_calls(monkeypatch)
 
-    @pytest.mark.parametrize("rule", [*RULES, reference_integral], ids=lambda rule: rule.__name__)
+    @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
     def test_rules_make_no_scalar_calls(self, calls, rule):
-        if rule is reference_integral:
-            rule(QUAD, QUAD_INTERVAL)
-        else:
-            rule(QUAD, QUAD_INTERVAL, 64)
+        rule(QUAD, QUAD_INTERVAL, 64)
         assert calls == [0, 0]  # no batch raised, so no scalar evaluator was built either
 
-    def test_reference_builds_one_scalar_evaluator_however_many_batches_raise(self, calls, monkeypatch):
-        built_before = []
-        batches = record_batches(monkeypatch, lambda: built_before.append(calls[1]))
-        with pytest.raises(DepthLimitError):
-            reference_integral(parse("ln(x)"), Interval(-1.0, 1.0))
-        # every batch holds a point at or left of 0, where ln raises, and is evaluated again
-        # point by point; the first of them builds the scalar evaluator and the rest reuse it
-        assert len(batches) > 40 and calls[0] == sum(batches)
-        assert built_before[0] == 0 and calls[1] == 1
-
     def test_compare_calls_come_from_reference_and_nr_only(self, calls, capsys):
-        # none for the reference, which batches its points, one for f(a) where
-        # validation proves f' > 0 (none when it sampled), and the pinned 13
+        # five for the reference (the quadratic's first panel is accepted), one for
+        # f(a) where validation proves f' > 0 (none when it sampled), and the pinned 13
         # for nr_integrate's Newton steps
         argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
         assert main(argv) == 0
-        assert calls[0] == 0 + 1 + 13
+        assert calls[0] == 5 + 1 + 13
 
 
 def reference_outcome(reference, f, interval, tol=1e-10):
@@ -447,7 +436,7 @@ def reference_outcome(reference, f, interval, tol=1e-10):
 
 
 class TestReferenceMatchesScalarOracle:
-    """reference_integral against the depth-first recursion it replaced."""
+    """reference_integral on its compiled closures against support.scalar_reference's tree walk."""
 
     @pytest.mark.parametrize(
         "source, a, b",
@@ -513,36 +502,46 @@ class TestReferenceMatchesScalarOracle:
         assert compared >= 200 and raised >= 40, (compared, raised)
 
 
-class TestReferenceBatches:
-    @pytest.fixture
-    def batches(self, monkeypatch):
-        return record_batches(monkeypatch)
+class TestReferenceScalarCalls:
+    """The reference's points, counted as calls of the one scalar evaluator it builds."""
 
-    def test_quadratic_takes_five_points(self, batches):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        return count_scalar_calls(monkeypatch)
+
+    def test_quadratic_takes_five_points(self, calls):
         # the interval's ends and middle, then its two quarter points; Simpson
         # is exact on a quadratic, so the first panel is accepted
         assert reference_integral(QUAD, QUAD_INTERVAL) == 3.375
-        assert sum(batches) == 5
+        assert calls == [5, 1]
 
-    @pytest.mark.parametrize("source, a, b", [("sqrt(x)", 0.0, 1.0), ("1/x", -1.0, 1.0)])
-    def test_no_batch_is_longer_than_a_chunk(self, batches, source, a, b):
-        # 985 and about 73,000 points
-        reference_outcome(reference_integral, parse(source), Interval(a, b))
-        assert max(batches) <= CHUNK
+    def test_a_failing_input_stops_at_the_first_panel_past_the_cap(self, calls, monkeypatch):
+        # NaN on the left half: the recursion goes down the leftmost path, a panel
+        # per level from depth 0 to the cap of 50, and raises there; 3 + 2 * 51 points
+        batches = record_batches(monkeypatch)
+        with pytest.raises(DepthLimitError, match=re.escape("exceeded depth 50 on [-1.0, -0.9999999999999982]")):
+            reference_integral(parse("ln(x)"), Interval(-1.0, 1.0))
+        assert calls == [105, 1]
+        assert batches == []  # no batch, so none is evaluated again point by point
 
     def test_memory_stays_bounded_on_an_input_that_does_not_finish(self, monkeypatch):
         # sin(tan(0.616-x)) on [-1, 1] resolves ever faster oscillations
-        # towards its pole until the point budget stops it; stopped after 100 batches
-        # (about 25,000 points), it must not hold a value per accepted panel:
-        # that took 1.2 MB there
+        # towards its pole until the point budget stops it; stopped after
+        # 25,000 points, it must hold no more than its recursion, 51 panels deep
         class Stop(Exception):
             pass
 
-        def stop_after_100():
-            if len(batches) == 100:
-                raise Stop
+        def stopping(e, at):
+            def stop_after_25000(x):
+                calls[0] += 1
+                if calls[0] > 25_000:
+                    raise Stop
+                return at(x)
 
-        batches = record_batches(monkeypatch, stop_after_100)
+            return stop_after_25000
+
+        calls = [0]
+        support.patch_compiler(monkeypatch, "_compile_scalar", stopping)
         tracemalloc.start()
         try:
             with pytest.raises(Stop):
@@ -552,17 +551,23 @@ class TestReferenceBatches:
             tracemalloc.stop()
         assert peak < 640_000
 
-    def test_an_input_that_does_not_finish_stops_at_the_point_budget(self, batches):
+    def test_an_input_that_does_not_finish_stops_at_the_point_budget(self, calls):
         with pytest.raises(DepthLimitError, match="exceeded its budget of 1048576 points"):
             reference_integral(parse("sin(tan(0.616-x))"), Interval(-1.0, 1.0))
-        assert 2**20 - CHUNK < sum(batches) <= 2**20
+        assert 2**20 - 2 < calls[0] <= 2**20
 
-    def test_extra_work_on_a_failing_input_is_bounded(self, batches):
-        # the recursion takes 105 points; the batches reach the cap down the
-        # leftmost path, at most one batch per level, and raise there
-        with pytest.raises(DepthLimitError):
-            reference_integral(parse("ln(x)"), Interval(-1.0, 1.0))
-        assert sum(batches) <= 51 * CHUNK + 3
+    def test_the_deepest_integrand_reaches_the_depth_cap_within_the_recursion_limit(self):
+        # MAX_DEPTH nested levels, NaN left of 0: the reference recurses to its cap of 50
+        # while each point recurses through the whole expression, about 100 frames in all,
+        # and raises the cap's error; the child process runs under the default recursion limit
+        source = "sqrt(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1)
+        with pytest.raises(DepthLimitError, match="exceeded depth 50 on"):
+            reference_integral(parse(source), Interval(-1.0, 1.0))
+        argv = ["compare", "--expr", source, "--lower", "-1", "--upper", "1", "--no-validate"]
+        proc = subprocess.run([sys.executable, "-m", "nrquad", *argv], capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith("error: adaptive bisection exceeded depth 50 on [-1.0, ")
 
 
 class TestReferenceAgainstMpmath:

@@ -113,6 +113,9 @@ class TestExitStatuses:
             (["--expr", "x+0.001", "--lower", "-1e-3", "--upper", "1"], ["--expr", "x+0.001", "--lower=-1e-3", "--upper", "1"]),
             (["--expr", "-1+x", "--lower", "1", "--upper", "2"], ["--expr=-1+x", "--lower", "1", "--upper", "2"]),
             (["--expr", "x+1e-2", "--lower", "-1e-2", "--upper", "-1e-3"], ["--expr", "x+1e-2", "--lower=-1e-2", "--upper=-1e-3"]),
+            # an abbreviation that starts exactly one option name, as argparse resolves it
+            (["--expr", "x+0.001", "--low", "-1e-3", "--upper", "1"], ["--expr", "x+0.001", "--low=-1e-3", "--upper", "1"]),
+            (["--e", "-1+x", "--l", "1", "--u", "2"], ["--e=-1+x", "--l", "1", "--u", "2"]),
         ],
     )
     def test_a_value_that_starts_with_a_minus_may_follow_its_option(self, argv, joined, capsys):
@@ -129,6 +132,13 @@ class TestExitStatuses:
         code, out, err = run(["integrate", *EXAMPLE, flag, "-1e-3"], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: {name} must be positive, got -0.001\n"
+
+    @pytest.mark.parametrize("format", GOLDEN_EXTENSIONS)
+    def test_an_ambiguous_abbreviation_keeps_argparses_message(self, format, capsys):
+        # --tol starts both --tol-x and --tol-f, so -1e-3 is not joined to it
+        code, out, err = run(["integrate", *EXAMPLE, "--tol", "-1e-3", "--format", format], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: ambiguous option: --tol could match --tol-x, --tol-f\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -770,7 +780,8 @@ class TestEntryPoints:
         assert err == f"error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
     def test_compare_compiles_one_batch_evaluator(self, capsys, monkeypatch):
-        # one chain for the reference and the five rules; validation proves f' > 0 and builds none
+        # one chain for the five rules; the reference evaluates through scalar closures,
+        # and validation proves f' > 0 and builds none
         compiled = []
 
         def counting(e, many):
