@@ -13,8 +13,11 @@ Exit status contract:
   4    the report could not be written to stdout (a full disk, say)
   141  stdout was closed before the report was written (128 + SIGPIPE)
 
-Reports go to stdout; every error path prints one diagnostic line to
-stderr, and a closed stdout prints nothing.  Table output prints values
+The command line is read from one option table, ``_COMMANDS``, by
+:func:`nrquad._argv.parse_argv`, which gives argparse's usage messages
+without importing argparse; ``-h`` prints help built from the same table
+and exits 0.  Reports go to stdout; every error path prints one
+diagnostic line to stderr, and a closed stdout prints nothing.  Table output prints values
 with 6 decimals and truncates percentages to 4, each in ``repr`` form
 from 1e16 up; CSV and JSON carry full shortest round-trip precision.
 JSON is strict (RFC 8259): a NaN or infinite value is written as
@@ -23,12 +26,12 @@ JSON is strict (RFC 8259): a NaN or infinite value is written as
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 from collections.abc import Sequence
 
+from ._argv import REQUIRED, UsageError, parse_argv
 from .expressions import Expression, _compile_batch, parse
 from .newton import NewtonError
 from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, nr_integrate
@@ -45,50 +48,47 @@ MAX_COUNT = 1_000_000
 """Largest ``--panels`` and ``--max-iter`` the CLI accepts; larger ones would run for seconds."""
 
 
-class _ArgumentError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _ArgumentError(message)
-
-
 def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise ValueError(f"invalid int value: {text!r}") from None
     if value > MAX_COUNT:
-        raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {value}")
+        raise ValueError(f"must be at most {MAX_COUNT}, got {value}")
     return value
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--expr", required=True, help="integrand f(x), e.g. '2*x^2+3*x+1'")
-    common.add_argument("--lower", type=float, required=True, help="lower limit a (where the root lies)")
-    common.add_argument("--upper", type=float, required=True, help="upper limit b (the Newton start point)")
-    common.add_argument("--tol-x", type=float, default=1e-6, help="stop when |x_next - a| <= tol-x")
-    common.add_argument("--tol-f", type=float, help="stop when |f(x_next)| <= tol-f (default: scale-aware)")
-    common.add_argument("--max-iter", type=_count, default=100, help="iteration budget")
-    common.add_argument("--closing-triangle", action="store_true", help="cover the [a, x_last] sliver with a triangle")
-    common.add_argument("--no-validate", action="store_true", help="skip the precondition checks")
-    common.add_argument("--format", choices=("table", "csv", "json"), default="table")
-
-    parser = _Parser(prog="nrquad", description="Trapezoid quadrature on Newton-Raphson partitions.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("integrate", parents=[common], help="run the Newton-partition rule")
-    compare = sub.add_parser("compare", parents=[common], help="compare methods against a reference integral")
-    compare.add_argument("--panels", type=_count, default=3, help="subinterval count for the baseline rules")
-    compare.add_argument("--methods", nargs="+", choices=METHODS, default=METHODS, help="methods to run, in order")
-    sub.add_parser("trace", parents=[common], help="emit the Newton iterate / panel records")
-    return parser
+def _real(text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"invalid float value: {text!r}") from None
 
 
-_PARSER = _build_parser()  # parse_args leaves a parser as it was, so every call shares one
-_VALUED = ("--expr", "--lower", "--upper", "--tol-x", "--tol-f")
+# each option: its default, how its value is read (see parse_argv) and its help
+_COMMON = {
+    "--expr": (REQUIRED, str, "integrand f(x), e.g. '2*x^2+3*x+1'"),
+    "--lower": (REQUIRED, _real, "lower limit a (where the root lies)"),
+    "--upper": (REQUIRED, _real, "upper limit b (the Newton start point)"),
+    "--tol-x": (1e-6, _real, "stop when |x_next - a| <= tol-x"),
+    "--tol-f": (None, _real, "stop when |f(x_next)| <= tol-f (default: scale-aware)"),
+    "--max-iter": (100, _count, "iteration budget"),
+    "--closing-triangle": (False, None, "cover the [a, x_last] sliver with a triangle"),
+    "--no-validate": (False, None, "skip the precondition checks"),
+    "--format": ("table", ("table", "csv", "json"), "report format"),
+}
+_COMMANDS = {
+    "integrate": ("run the Newton-partition rule", _COMMON),
+    "compare": (
+        "compare methods against a reference integral",
+        {
+            **_COMMON,
+            "--panels": (3, _count, "subinterval count for the baseline rules"),
+            "--methods": (METHODS, list(METHODS), "methods to run, in order"),
+        },
+    ),
+    "trace": ("emit the Newton iterate / panel records", _COMMON),
+}
 
 
 def _fmt_value(value: float) -> str:
@@ -266,42 +266,44 @@ def _trace_doc(expr_text: str, interval: Interval, result: QuadResult) -> dict[s
 
 
 def main(argv: list[str] | None = None) -> int:
-    items = []
-    for item in sys.argv[1:] if argv is None else argv:
-        # argparse takes -1e-3 or -1+x for an option, but --lower=-1e-3 or --low=-1e-3 for a value
-        if items and item[:1] == "-" and item[1:2] not in ("-", "h") and sum(name.startswith(items[-1]) for name in _VALUED) == 1:
-            item = items.pop() + "=" + item
-        items.append(item)
     try:
-        args = _PARSER.parse_args(items)
-    except _ArgumentError as exc:
+        args = parse_argv(
+            sys.argv[1:] if argv is None else argv, "Trapezoid quadrature on Newton-Raphson partitions.", _COMMANDS
+        )
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if "usage" in args:  # -h
+        return _write(args["usage"])
 
+    command, expr = args["command"], args["expr"]
     try:
-        f = parse(args.expr)
-        interval = Interval(args.lower, args.upper)
-        settings = NrQuadSettings(args.tol_x, args.tol_f, args.max_iter, args.closing_triangle, not args.no_validate)
+        f = parse(expr)
+        interval = Interval(args["lower"], args["upper"])
+        settings = NrQuadSettings(args["tol_x"], args["tol_f"], args["max_iter"], args["closing_triangle"], not args["no_validate"])
     except ValueError as exc:  # includes ParseError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
     try:
-        if args.command == "compare":
+        if command == "compare":
             from .baselines import DepthLimitError  # only compare loads baselines
-            doc = _compare_doc(f, args.expr, interval, settings, args.panels, args.methods)
+            doc = _compare_doc(f, expr, interval, settings, args["panels"], args["methods"])
         else:
             DepthLimitError = NewtonError
             result = nr_integrate(f, interval, settings)
-            doc = (_integrate_doc if args.command == "integrate" else _trace_doc)(args.expr, interval, result)
+            doc = (_integrate_doc if command == "integrate" else _trace_doc)(expr, interval, result)
     except ValidationError as exc:
         print(f"error: validation failed: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except (NewtonError, DepthLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ITERATION
+    return _write(render(command, doc, args["format"]))
 
-    text = render(args.command, doc, args.format)
+
+def _write(text: str) -> int:
+    """Print ``text`` to stdout: ``EXIT_OK``, or the status of a failed write."""
     try:
         print(text)
         sys.stdout.flush()

@@ -310,7 +310,7 @@ def nr_integrate(
     areas: list[float] = []
     value = 0.0  # added one at a time, not by sum(), whose float algorithm changed in Python 3.12
     for step, f_next in zip(trace.steps, [step.f_k for step in trace.steps[1:]] + [f_final]):
-        area = panel_area(step.f_k, step.df_k, f_next)
+        area = 0.5 * step.step * (step.f_k + f_next)  # panel_area's bits: step.step is f_k / df_k
         areas.append(area)
         value += area
 

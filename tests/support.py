@@ -10,6 +10,8 @@ derivative's oracle in the same way: the textbook rules, unsimplified.
 sample, where the package evaluates the samples as one batch.
 ``descent_parse`` is the parser's: a token list, a recursive-descent class
 and a separate walk for the depth, where ``parse`` does all three in one pass.
+``argparse_parse`` is the command line's: argparse with the parser
+``nrquad.cli`` built before it read argv from its own option table.
 
 The counting hooks wrap what the package compiles each integrand into:
 every scalar evaluator (what ``_compile_scalar`` returns, one closure per
@@ -20,6 +22,7 @@ replaces the name in every ``nrquad`` module that binds it.
 
 from __future__ import annotations
 
+import argparse
 import math
 import random
 import re
@@ -31,6 +34,7 @@ from itertools import combinations, pairwise, repeat
 import nrquad.expressions
 from nrquad._enclosure import _proves_increasing
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
+from nrquad.cli import MAX_COUNT, METHODS
 from nrquad._syntax import _MAX_NESTING, _TOO_DEEP, VARIABLE_NAME
 from nrquad.expressions import (
     _FUNCTIONS,
@@ -624,3 +628,68 @@ def record_batches(monkeypatch, before_batch=None) -> list[int]:
 
     patch_compiler(monkeypatch, "_compile_batch", recording)
     return sizes
+
+
+# --- the command line's oracle: argparse, as nrquad.cli parsed argv before it had its own parser ---
+
+
+class ArgparseError(Exception):
+    pass
+
+
+class _ArgparseParser(argparse.ArgumentParser):
+    # usage problems must exit 1, not argparse's default 2
+    def error(self, message: str) -> None:  # type: ignore[override]
+        raise ArgparseError(message)
+
+
+def _argparse_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_COUNT}, got {value}")
+    return value
+
+
+def _build_parser() -> _ArgparseParser:
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--expr", required=True, help="integrand f(x), e.g. '2*x^2+3*x+1'")
+    common.add_argument("--lower", type=float, required=True, help="lower limit a (where the root lies)")
+    common.add_argument("--upper", type=float, required=True, help="upper limit b (the Newton start point)")
+    common.add_argument("--tol-x", type=float, default=1e-6, help="stop when |x_next - a| <= tol-x")
+    common.add_argument("--tol-f", type=float, help="stop when |f(x_next)| <= tol-f (default: scale-aware)")
+    common.add_argument("--max-iter", type=_argparse_count, default=100, help="iteration budget")
+    common.add_argument("--closing-triangle", action="store_true", help="cover the [a, x_last] sliver with a triangle")
+    common.add_argument("--no-validate", action="store_true", help="skip the precondition checks")
+    common.add_argument("--format", choices=("table", "csv", "json"), default="table")
+
+    parser = _ArgparseParser(prog="nrquad", description="Trapezoid quadrature on Newton-Raphson partitions.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("integrate", parents=[common], help="run the Newton-partition rule")
+    compare = sub.add_parser("compare", parents=[common], help="compare methods against a reference integral")
+    compare.add_argument("--panels", type=_argparse_count, default=3, help="subinterval count for the baseline rules")
+    compare.add_argument("--methods", nargs="+", choices=METHODS, default=METHODS, help="methods to run, in order")
+    sub.add_parser("trace", parents=[common], help="emit the Newton iterate / panel records")
+    return parser
+
+
+ARGPARSE_PARSER = _build_parser()
+_VALUED = ("--expr", "--lower", "--upper", "--tol-x", "--tol-f")
+
+
+def argparse_parse(argv: list[str], join: bool = True) -> argparse.Namespace:
+    """The fields argparse reads from ``argv``, with the value of a valued option joined to it, as ``main`` did.
+
+    Raises :class:`ArgparseError` with the usage message, or ``SystemExit(0)``
+    after printing the help.  With ``join`` false, argparse reads ``argv``
+    as it is.
+    """
+    items = []
+    for item in argv:
+        # argparse takes -1e-3 or -1+x for an option, but --lower=-1e-3 or --low=-1e-3 for a value
+        if join and items and item[:1] == "-" and item[1:2] not in ("-", "h") and sum(name.startswith(items[-1]) for name in _VALUED) == 1:
+            item = items.pop() + "=" + item
+        items.append(item)
+    return ARGPARSE_PARSER.parse_args(items)

@@ -470,9 +470,10 @@ class TestReferenceMatchesScalarOracle:
             )
 
     def test_random_trees(self, monkeypatch):
-        # Neither version has an evaluation budget, and on a few trees the
-        # oracle takes far more points than the others (sin(tan(0.616-x)) on
-        # [-1, 1] does not finish), so trees past 3,000 points are left out.
+        # The oracle has no evaluation budget (reference_integral stops at
+        # 2^20 points), and on a few trees it takes far more points than the
+        # others (sin(tan(0.616-x)) on [-1, 1] does not finish), so trees past
+        # 3,000 points are left out.
         class OverBudget(Exception):
             pass
 

@@ -1,10 +1,12 @@
 """CLI contract tests: exit statuses, formats, round trips, golden output."""
 
+import contextlib
 import errno
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -19,7 +21,7 @@ from nrquad.baselines import error_stats, left_riemann, midpoint, reference_inte
 from nrquad.cli import MAX_COUNT, main, render
 from nrquad.expressions import parse
 from nrquad.quadrature import Interval, NrQuadSettings, nr_integrate
-from support import patch_compiler
+from support import ARGPARSE_PARSER, ArgparseError, argparse_parse, patch_compiler
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "compare_worked_example.txt"
@@ -27,6 +29,11 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 
 EXAMPLE = ["--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1"]
 NONFINITE_NODE = ["--expr", "sin(x)/x", "--lower", "-1", "--upper", "2", "--panels", "3", "--no-validate"]
+SHORT = ["--expr", "x", "--lower", "0", "--upper", "1"]
+INVALID_COMMAND = "argument command: invalid choice: {} (choose from 'integrate', 'compare', 'trace')"
+INVALID_METHOD = "'nr', 'midpoint', 'trapezoid', 'left-riemann', 'right-riemann', 'simpson'"
+# argparse and the modules it loads on first use; the CLI reads argv without them
+UNLOADED = ("argparse", "gettext", "locale")
 
 # golden stdout, one file per case and format: tests/golden/<case>.<extension>
 GOLDEN_CASES = {
@@ -113,13 +120,13 @@ class TestExitStatuses:
             (["--expr", "x+0.001", "--lower", "-1e-3", "--upper", "1"], ["--expr", "x+0.001", "--lower=-1e-3", "--upper", "1"]),
             (["--expr", "-1+x", "--lower", "1", "--upper", "2"], ["--expr=-1+x", "--lower", "1", "--upper", "2"]),
             (["--expr", "x+1e-2", "--lower", "-1e-2", "--upper", "-1e-3"], ["--expr", "x+1e-2", "--lower=-1e-2", "--upper=-1e-3"]),
-            # an abbreviation that starts exactly one option name, as argparse resolves it
+            # an abbreviation that starts exactly one option name
             (["--expr", "x+0.001", "--low", "-1e-3", "--upper", "1"], ["--expr", "x+0.001", "--low=-1e-3", "--upper", "1"]),
             (["--e", "-1+x", "--l", "1", "--u", "2"], ["--e=-1+x", "--l", "1", "--u", "2"]),
         ],
     )
     def test_a_value_that_starts_with_a_minus_may_follow_its_option(self, argv, joined, capsys):
-        # argparse alone reads -1e-3 or -1+x as an option, not as the value of the one before it
+        # -1e-3 or -1+x is the value of the option before it, not an unknown option
         for format in GOLDEN_EXTENSIONS:
             code, out, err = run(["integrate", *argv, "--format", format], capsys)
             assert (code, err) == (0, "")
@@ -148,6 +155,38 @@ class TestExitStatuses:
         code, out, err = run(["integrate", *argv], capsys)
         assert (code, out) == (1, "")
         assert err.startswith("error: argument --") and err.endswith(": expected one argument\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ([], "the following arguments are required: command"),
+            (["bogus"], INVALID_COMMAND.format("'bogus'")),
+            (["--expr", "x", "integrate"], INVALID_COMMAND.format("'x'")),
+            (["integrate"], "the following arguments are required: --expr, --lower, --upper"),
+            (["integrate", "--expr", "x"], "the following arguments are required: --lower, --upper"),
+            # a missing option is reported before an unknown one
+            (["integrate", "--expr", "x", "--bogus"], "the following arguments are required: --lower, --upper"),
+            (["integrate", *SHORT, "--bogus"], "unrecognized arguments: --bogus"),
+            (["integrate", *SHORT, "extra"], "unrecognized arguments: extra"),
+            (["integrate", *SHORT, "-x"], "unrecognized arguments: -x"),
+            (["integrate", *SHORT, "--", "a", "b"], "unrecognized arguments: -- a b"),
+            (["integrate", "--expr", "x", "--lower", "abc", "--upper", "1"], "argument --lower: invalid float value: 'abc'"),
+            (["integrate", *SHORT, "--format", "xml"], "argument --format: invalid choice: 'xml' (choose from 'table', 'csv', 'json')"),
+            (["integrate", *SHORT, "--format"], "argument --format: expected one argument"),
+            (["integrate", *SHORT, "--max-iter", "x"], "argument --max-iter: invalid int value: 'x'"),
+            (["integrate", *SHORT, "--max-iter", "2000000"], "argument --max-iter: must be at most 1000000, got 2000000"),
+            (["compare", *SHORT, "--methods"], "argument --methods: expected at least one argument"),
+            (["compare", *SHORT, "--methods", "foo"], f"argument --methods: invalid choice: 'foo' (choose from {INVALID_METHOD})"),
+            (["integrate", *SHORT, "--panels", "5"], "unrecognized arguments: --panels 5"),
+            (["compare", *SHORT, "--m", "nr"], "ambiguous option: --m could match --max-iter, --methods"),
+            (["integrate", *SHORT, "--tol", "1"], "ambiguous option: --tol could match --tol-x, --tol-f"),
+            (["integrate", *SHORT, "--tol=1"], "ambiguous option: --tol=1 could match --tol-x, --tol-f"),
+            (["integrate", "--expr", "--lower", "0"], "argument --expr: expected one argument"),
+            (["integrate", *SHORT, "--no-validate=1"], "argument --no-validate: ignored explicit argument '1'"),
+        ],
+    )
+    def test_a_malformed_command_line_prints_its_usage_message(self, argv, message, capsys):
+        assert run(argv, capsys) == (1, "", f"error: {message}\n")
 
     def test_unknown_flag_exits_1(self, capsys):
         code, _, err = run(["integrate", *EXAMPLE, "--bogus"], capsys)
@@ -430,6 +469,166 @@ class TestContractProperty:
         check()
 
 
+def argparse_outcome(argv, join=True):
+    """What the argparse oracle makes of ``argv``: its fields, its message, or the command whose help it printed."""
+    printed = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(printed):
+            fields = vars(argparse_parse(argv, join))
+    except ArgparseError as exc:
+        return "error", str(exc)
+    except SystemExit:
+        return "help", usage_command(printed.getvalue())
+    return "fields", {name: repr(value) for name, value in fields.items()}
+
+
+def parser_outcome(argv):
+    """What ``nrquad._argv.parse_argv`` makes of ``argv``, in the terms of :func:`argparse_outcome`."""
+    try:
+        fields = nrquad.cli.parse_argv(argv, "", nrquad.cli._COMMANDS)
+    except nrquad.cli.UsageError as exc:
+        return "error", str(exc)
+    if "usage" in fields:
+        return "help", usage_command(fields["usage"])
+    return "fields", {name: repr(value) for name, value in fields.items()}
+
+
+def usage_command(text):
+    word = text.split()[2]  # usage: nrquad <command> ..., or the command choices or argparse's [-h]
+    return word if word in nrquad.cli._COMMANDS else None
+
+
+def joined_after_the_command(argv):
+    """``argv`` with each value that starts with ``-`` joined to its option as ``main`` did, but only after the command and before ``--``.
+
+    Before the command and after ``--`` no option reads a value, so the parser
+    reads ``--e -1`` there as two items, as argparse does, where the join made
+    one item of them.
+    """
+    start = 1 + next(
+        (i for i, item in enumerate(argv) if (i + 1 < len(argv) if item == "--" else ARGPARSE_PARSER._parse_optional(item) is None)),
+        len(argv),
+    )
+    end = argv.index("--", start) if "--" in argv[start:] else len(argv)
+    items = argv[:start]
+    for item in argv[start:end]:
+        if len(items) > start and item[:1] == "-" and item[1:2] not in ("-", "h") and sum(
+            name.startswith(items[-1]) for name in ("--expr", "--lower", "--upper", "--tol-x", "--tol-f")
+        ) == 1:
+            item = items.pop() + "=" + item
+        items.append(item)
+    return items + argv[end:]
+
+
+def assert_reads_as_argparse(argv):
+    new = parser_outcome(argv)
+    outcome = argparse_outcome(argv)
+    if new != outcome:
+        outcome = argparse_outcome(joined_after_the_command(argv), join=False)
+    assert new == outcome or reads_a_dash_value(outcome, new, argv), (argv, new, outcome)
+
+
+NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$")
+
+
+def reads_a_dash_value(outcome, new, argv):
+    """Whether ``new`` differs from the argparse ``outcome`` as the parser is allowed to.
+
+    ``--format``, ``--max-iter`` or ``--panels`` reads an item that starts
+    with ``-`` but is not a negative number, where argparse expected one
+    argument; the parser reports that the value is bad.
+    """
+    for name in ("--format", "--max-iter", "--panels"):
+        if outcome == ("error", f"argument {name}: expected one argument") and new[0] == "error" and new[1].startswith(f"argument {name}: "):
+            return any(
+                len(option) > 2 and name.startswith(option) and value[:1] == "-" and value[1:2] not in ("-", "h") and not NEGATIVE_NUMBER.match(value)
+                for option, value in zip(argv, argv[1:])
+            )
+    return False
+
+
+class TestParserMatchesArgparse:
+    """Any argv: the parser gives argparse's fields, its usage message, or help, as argparse read argv before."""
+
+    COMMANDS = ["integrate", "compare", "trace"]
+    JUNK = ["bogus", "x", "-x", "--bogus", "-", "-1", "--", "Integrate"]
+    # full names, prefixes that start one name, prefixes that start several, and unknown options
+    VALUED = ["--expr", "--lower", "--upper", "--tol-x", "--tol-f", "--max-iter", "--format", "--panels"]
+    VALUED += ["--e", "--low", "--u", "--tol-f", "--max", "--f", "--pan", "--tol", "--t", "--m", "--x", "-x", "--lowest"]
+    FLAGS = ["--closing-triangle", "--no-validate", "--clos", "--no", "--c", "--help", "--he", "-h"]
+    VALUES = ["-1e-3", "-1+x", "-", "--x", "-h", "inf", "abc", "x", "0", "1", "-1", "-0.5", "7", "json", "csv", "nr", ""]
+    VALUES += ["-x y", "--x y", "-hx", "-.5"]
+    METHODS = [*nrquad.cli.METHODS, "foo", "-", "-1", "-x"]
+    # options with values they accept, so that most command lines parse
+    GOOD = [("--expr", "-1+x"), ("--e", "x^2"), ("--lower", "-1e-3"), ("--low", "-1"), ("--upper", "2"), ("--u", "inf")]
+    GOOD += [("--tol-x", "1e-3"), ("--tol-f", "-1e-3"), ("--max-iter", "7"), ("--max", "-5"), ("--format", "csv")]
+    GOOD += [("--f", "json"), ("--panels", "-1"), ("--pan", "5")]
+    REQUIRED = ["--expr", "x^2+1", "--lower", "0", "--upper", "1"]
+
+    def test_the_parser_reads_any_argv_as_argparse_did(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = hypothesis.strategies
+
+        def forms(name, value):
+            return st.sampled_from([[name, value], [f"{name}={value}"]])
+
+        valued = st.tuples(st.sampled_from(self.VALUED), st.sampled_from(self.VALUES)).flatmap(
+            lambda pair: st.one_of(forms(*pair), st.just([pair[0]]))
+        )
+        good = st.one_of(
+            st.sampled_from(self.GOOD).flatmap(lambda pair: forms(*pair)),
+            st.sampled_from(self.FLAGS[:4]).map(lambda name: [name]),
+            st.lists(st.sampled_from(nrquad.cli.METHODS), min_size=1, max_size=3).map(lambda names: ["--methods", *names]),
+        )
+        flag = st.sampled_from(self.FLAGS).flatmap(lambda name: st.sampled_from([[name], [f"{name}=1"]]))
+        piece = st.one_of(
+            valued,
+            flag,
+            st.lists(st.sampled_from(self.METHODS), max_size=3).map(lambda names: ["--methods", *names]),
+            st.sampled_from(self.VALUES).map(lambda value: [value]),  # an extra positional
+            st.just(["--"]),
+        )
+
+        @st.composite
+        def argvs(draw):
+            head = draw(st.sampled_from(["command", "command", "junk", "option"]))
+            argv = draw(st.one_of(valued, flag)) if head == "option" else []
+            if head == "junk":
+                argv.append(draw(st.sampled_from(self.JUNK)))
+            if head != "junk" or draw(st.booleans()):
+                argv.append(draw(st.sampled_from(self.COMMANDS)))
+            pieces = draw(st.lists(good, max_size=4)) + draw(st.lists(piece, max_size=2))
+            if draw(st.sampled_from([True, True, True, False])):
+                pieces.append(self.REQUIRED)
+            for items in draw(st.permutations(pieces)):
+                argv += items
+            return argv
+
+        # the allowed difference, a join outside the command, an ambiguous prefix after a bad value, and help after one
+        @hypothesis.example(["compare", *self.REQUIRED, "--panels", "-x"])
+        @hypothesis.example(["--lower", "-1e-3", "integrate", *self.REQUIRED])
+        @hypothesis.example(["integrate", *self.REQUIRED, "--", "--e", "-1"])
+        @hypothesis.example(["integrate", "--lower", "abc", "--t", "1"])
+        @hypothesis.example(["compare", "--methods", "nr", "-1", "--he"])
+        @hypothesis.settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+        @hypothesis.given(argvs())
+        def check(argv):
+            assert_reads_as_argparse(argv)
+
+        check()
+
+    def test_each_option_reads_each_value_as_argparse_did(self):
+        for command in self.COMMANDS:
+            for name in [*self.VALUED, *self.FLAGS, "--methods", "--meth"]:
+                for value in self.VALUES:
+                    for items in ([name, value], [f"{name}={value}"]):
+                        for argv in ([command, *items, *self.REQUIRED], [command, *self.REQUIRED, *items], [*items, command]):
+                            assert_reads_as_argparse(argv)
+        for junk in self.JUNK:
+            for argv in ([junk], [junk, "integrate", *self.REQUIRED], ["-x", junk], ["-x", junk, "trace"]):
+                assert_reads_as_argparse(argv)
+
+
 class TestIntegrateFormats:
     def test_csv_round_trips_bit_exactly(self, capsys):
         code, out, _ = run(["integrate", *EXAMPLE, "--tol-x", "0.01", "--format", "csv"], capsys)
@@ -693,7 +892,7 @@ class TestEntryPoints:
     def test_import_loads_neither_dataclasses_nor_json(self):
         # -S: a bare interpreter, so nothing but nrquad.cli can load them
         src = str(Path(nrquad.__file__).resolve().parent.parent)
-        code = "import sys, nrquad.cli; print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+        code = f"import sys, nrquad.cli; print(sorted({{'dataclasses', 'json', *{UNLOADED!r}}} & set(sys.modules)))"
         proc = subprocess.run(
             [sys.executable, "-S", "-c", code],
             capture_output=True,
@@ -711,25 +910,36 @@ class TestEntryPoints:
         assert proc.returncode == 0
         assert " nrquad.quadrature\n" in proc.stderr
         assert (" nrquad.baselines\n" in proc.stderr) == (command == "compare")
+        assert [name for name in UNLOADED if f" {name}\n" in proc.stderr] == []
 
-    def test_repeated_calls_share_one_parser_and_match_a_fresh_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv", [["--help"], ["-h", "compare"], ["compare", "-h"], ["trace", "--he", "--bogus"]])
+    def test_help_prints_the_usage_and_exits_0(self, argv, capsys):
+        code, out, err = run(argv, capsys)
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: nrquad ")
+        names = ["--expr", "--lower", "--upper", "--tol-x", "--tol-f", "--max-iter", "--closing-triangle", "--no-validate"]
+        if argv[0] == "compare":
+            assert [name for name in [*names, "--format", "--panels", "--methods"] if f"\n  {name}" not in out] == []
+        elif argv[0] == "trace":
+            assert "--format" in out and "--panels" not in out and "--methods" not in out
+        else:
+            assert "integrate" in out and "--expr" not in out
+
+    def test_repeated_calls_give_the_same_results_in_either_order(self, capsys):
         sequence = [
             ["compare", *EXAMPLE, "--methods", "nr", "simpson"],
             ["compare", *EXAMPLE, "--panels", "many"],
             ["compare", *EXAMPLE],
             ["integrate", *EXAMPLE, "--format", "csv"],
         ]
-        shared = [run(argv, capsys) for argv in sequence]
-        fresh = []
-        for argv in sequence:
-            monkeypatch.setattr(nrquad.cli, "_PARSER", nrquad.cli._build_parser())
-            fresh.append(run(argv, capsys))
-        assert shared == fresh
-        assert [code for code, _, _ in shared] == [0, 1, 0, 0]
-        _, out, err = shared[1]
+        forward = [run(argv, capsys) for argv in sequence]
+        backward = [run(argv, capsys) for argv in reversed(sequence)]
+        assert forward == backward[::-1]
+        assert [code for code, _, _ in forward] == [0, 1, 0, 0]
+        _, out, err = forward[1]
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
-        assert shared[2][1].encode() == GOLDEN.read_bytes()
-        assert nrquad.cli._PARSER.parse_args(["compare", *EXAMPLE]).methods is nrquad.cli.METHODS
+        assert forward[2][1].encode() == GOLDEN.read_bytes()
+        assert nrquad.cli.parse_argv(["compare", *EXAMPLE], "", nrquad.cli._COMMANDS)["methods"] is nrquad.cli.METHODS
 
     @pytest.mark.parametrize(
         "launcher",
