@@ -103,7 +103,6 @@ def _parse_command(
     # every item is read as an option or a value before any is taken, so an ambiguous prefix fails first
     options = [_option(item, [*_HELP, *table]) for item in items[:end]]
     fields = {"command": command, **{_dest(name): default for name, (default, _, _) in table.items()}}
-    given = set()
     i = 0
     while i < end:
         option = options[i]
@@ -133,8 +132,7 @@ def _parse_command(
                 values = items[taken:i]
             value = _value(name, read, values)
         fields[_dest(name)] = value
-        given.add(name)
-    missing = [name for name, (default, _, _) in table.items() if default is REQUIRED and name not in given]
+    missing = [name for name in table if fields[_dest(name)] is REQUIRED]
     if missing:
         raise UsageError(f"the following arguments are required: {', '.join(missing)}")
     extras += items[end:]

@@ -679,17 +679,21 @@ ARGPARSE_PARSER = _build_parser()
 _VALUED = ("--expr", "--lower", "--upper", "--tol-x", "--tol-f")
 
 
-def argparse_parse(argv: list[str], join: bool = True) -> argparse.Namespace:
-    """The fields argparse reads from ``argv``, with the value of a valued option joined to it, as ``main`` did.
-
-    Raises :class:`ArgparseError` with the usage message, or ``SystemExit(0)``
-    after printing the help.  With ``join`` false, argparse reads ``argv``
-    as it is.
-    """
+def joined(argv: list[str]) -> list[str]:
+    """``argv`` with each value that starts with ``-`` joined to its option, as ``main`` did before argparse read it."""
     items = []
     for item in argv:
         # argparse takes -1e-3 or -1+x for an option, but --lower=-1e-3 or --low=-1e-3 for a value
-        if join and items and item[:1] == "-" and item[1:2] not in ("-", "h") and sum(name.startswith(items[-1]) for name in _VALUED) == 1:
+        if items and item[:1] == "-" and item[1:2] not in ("-", "h") and sum(name.startswith(items[-1]) for name in _VALUED) == 1:
             item = items.pop() + "=" + item
         items.append(item)
-    return ARGPARSE_PARSER.parse_args(items)
+    return items
+
+
+def argparse_parse(argv: list[str], join: bool = True) -> argparse.Namespace:
+    """The fields argparse reads from ``argv``, :func:`joined` first unless ``join`` is false.
+
+    Raises :class:`ArgparseError` with the usage message, or ``SystemExit(0)``
+    after printing the help.
+    """
+    return ARGPARSE_PARSER.parse_args(joined(argv) if join else argv)

@@ -21,7 +21,7 @@ from nrquad.baselines import error_stats, left_riemann, midpoint, reference_inte
 from nrquad.cli import MAX_COUNT, main, render
 from nrquad.expressions import parse
 from nrquad.quadrature import Interval, NrQuadSettings, nr_integrate
-from support import ARGPARSE_PARSER, ArgparseError, argparse_parse, patch_compiler
+from support import ARGPARSE_PARSER, ArgparseError, argparse_parse, joined, patch_compiler
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = GOLDEN_DIR / "compare_worked_example.txt"
@@ -186,6 +186,23 @@ class TestExitStatuses:
         ],
     )
     def test_a_malformed_command_line_prints_its_usage_message(self, argv, message, capsys):
+        assert run(argv, capsys) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            # argparse said "expected one argument": it took these items for options
+            (["compare", *SHORT, "--panels", "-x"], "argument --panels: invalid int value: '-x'"),
+            (["integrate", *SHORT, "--max-iter", "-1e-3"], "argument --max-iter: invalid int value: '-1e-3'"),
+            (["trace", *SHORT, "--format", "-x"], "argument --format: invalid choice: '-x' (choose from 'table', 'csv', 'json')"),
+            # no option reads a value before the command; main's join made one item of these two
+            (["--lower", "-1e-3", "integrate", *SHORT], "unrecognized arguments: --lower -1e-3"),
+            # argparse dropped a "--" value, and ran no method or read the bound as []
+            (["compare", *SHORT, "--methods=--"], f"argument --methods: invalid choice: '--' (choose from {INVALID_METHOD})"),
+            (["integrate", "--expr", "x", "--lower=--", "--upper", "1"], "argument --lower: invalid float value: '--'"),
+        ],
+    )
+    def test_where_the_parser_departs_from_argparse(self, argv, message, capsys):
         assert run(argv, capsys) == (1, "", f"error: {message}\n")
 
     def test_unknown_flag_exits_1(self, capsys):
@@ -470,7 +487,7 @@ class TestContractProperty:
 
 
 def argparse_outcome(argv, join=True):
-    """What the argparse oracle makes of ``argv``: its fields, its message, or the command whose help it printed."""
+    """What the argparse oracle makes of ``argv``: its fields, its message, or the command it printed help for."""
     printed = io.StringIO()
     try:
         with contextlib.redirect_stdout(printed):
@@ -499,7 +516,7 @@ def usage_command(text):
 
 
 def joined_after_the_command(argv):
-    """``argv`` with each value that starts with ``-`` joined to its option as ``main`` did, but only after the command and before ``--``.
+    """``argv`` :func:`~support.joined` only after the command and before ``--``.
 
     Before the command and after ``--`` no option reads a value, so the parser
     reads ``--e -1`` there as two items, as argparse does, where the join made
@@ -510,14 +527,7 @@ def joined_after_the_command(argv):
         len(argv),
     )
     end = argv.index("--", start) if "--" in argv[start:] else len(argv)
-    items = argv[:start]
-    for item in argv[start:end]:
-        if len(items) > start and item[:1] == "-" and item[1:2] not in ("-", "h") and sum(
-            name.startswith(items[-1]) for name in ("--expr", "--lower", "--upper", "--tol-x", "--tol-f")
-        ) == 1:
-            item = items.pop() + "=" + item
-        items.append(item)
-    return items + argv[end:]
+    return argv[:start] + joined(argv[start:end]) + argv[end:]
 
 
 def assert_reads_as_argparse(argv):
@@ -541,7 +551,8 @@ def reads_a_dash_value(outcome, new, argv):
     for name in ("--format", "--max-iter", "--panels"):
         if outcome == ("error", f"argument {name}: expected one argument") and new[0] == "error" and new[1].startswith(f"argument {name}: "):
             return any(
-                len(option) > 2 and name.startswith(option) and value[:1] == "-" and value[1:2] not in ("-", "h") and not NEGATIVE_NUMBER.match(value)
+                len(option) > 2 and name.startswith(option) and value[:1] == "-" and value[1:2] not in ("-", "h")
+                and not NEGATIVE_NUMBER.match(value)
                 for option, value in zip(argv, argv[1:])
             )
     return False
