@@ -16,8 +16,10 @@ Exit status contract:
 The command line is read from one option table, ``_COMMANDS``, by
 :func:`nrquad._argv.parse_argv`, which gives argparse's usage messages
 without importing argparse; ``-h`` prints help built from the same table
-and exits 0.  Reports go to stdout; every error path prints one
-diagnostic line to stderr, and a closed stdout prints nothing.  Table output prints values
+and exits 0.
+
+Reports go to stdout; every error path prints one diagnostic line to
+stderr, and a closed stdout prints nothing.  Table output prints values
 with 6 decimals and truncates percentages to 4, each in ``repr`` form
 from 1e16 up; CSV and JSON carry full shortest round-trip precision.
 JSON is strict (RFC 8259): a NaN or infinite value is written as
