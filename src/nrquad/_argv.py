@@ -2,9 +2,10 @@
 
 ``nrquad.cli`` gives the table: each command's help and options, and for
 each option its default, how its value is read, and its help.  The
-parser reads argv as argparse read it, with argparse's messages, and it
-builds the ``-h`` text from the same table.  It imports neither argparse
-nor the ``gettext`` and ``locale`` modules that argparse loads.
+parser reads argv as argparse read it, with argparse's messages, and
+imports neither argparse nor the ``gettext`` and ``locale`` modules that
+argparse loads.  ``nrquad._usage`` builds the ``-h`` text from the same
+table; only ``-h`` imports it.
 
 An item is an option if it names one by its full name or by a prefix
 that starts no other option's name, each with an optional ``=value``.
@@ -92,7 +93,9 @@ def parse_argv(argv: Sequence[str], about: str, commands: dict[str, tuple[str, d
 def _help(value: str | None, about: str, commands: dict[str, tuple[str, dict]], command: str | None = None) -> dict[str, object]:
     if value is not None:
         raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
-    return {"usage": _usage(about, commands, command)}
+    from ._usage import usage  # only -h reads it, so no other launch compiles it
+
+    return {"usage": usage(about, commands, command)}
 
 
 def _parse_command(
@@ -161,28 +164,3 @@ def _choose(name: str, value: str, choices: Sequence[str]) -> str:
     if value not in choices:
         raise UsageError(f"argument {name}: invalid choice: {value!r} (choose from {', '.join(map(repr, choices))})")
     return value
-
-
-def _metavar(name: str, read: object) -> str:
-    if read is None:
-        return name
-    if isinstance(read, (tuple, list)):
-        return f"{name} {{{','.join(read)}}}" + (" ..." if isinstance(read, list) else "")
-    return f"{name} {_dest(name).upper()}"
-
-
-def _usage(about: str, commands: dict[str, tuple[str, dict]], command: str | None) -> str:
-    """The ``-h`` text: the commands and their help, or one command's options and their help."""
-    if command is None:
-        lines = [f"usage: nrquad {{{','.join(commands)}}} [options]", "", about, "", "commands:"]
-        rows = [(name, text) for name, (text, _) in commands.items()]
-    else:
-        text, table = commands[command]
-        required = [_metavar(name, read) for name, (default, read, _) in table.items() if default is REQUIRED]
-        lines = [f"usage: nrquad {command} {' '.join(required)} [options]", "", text, "", "options:"]
-        rows = [("-h, --help", "print this help and exit")]
-        rows += [(_metavar(name, read), text) for name, (_, read, text) in table.items()]
-    width = max(len(left) for left, _ in rows if len(left) <= 24)
-    for left, text in rows:
-        lines += [f"  {left:<{width}}  {text}"] if len(left) <= width else [f"  {left}", f"  {'':<{width}}  {text}"]
-    return "\n".join(lines)

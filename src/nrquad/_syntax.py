@@ -185,7 +185,7 @@ def parse(source: str) -> Expression:
         while (op := tokens[at]) == "+" or op == "-":
             at += 1
             right, right_depth = term()
-            left, depth = BinOp(op, left, right), (depth if depth > right_depth else right_depth) + 1
+            left, depth = _binop(op, left, right), (depth if depth > right_depth else right_depth) + 1
         return left, depth
 
     def term() -> tuple[Expression, int]:
@@ -194,7 +194,7 @@ def parse(source: str) -> Expression:
         while (op := tokens[at]) == "*" or op == "/":
             at += 1
             right, right_depth = unary()
-            left, depth = BinOp(op, left, right), (depth if depth > right_depth else right_depth) + 1
+            left, depth = _binop(op, left, right), (depth if depth > right_depth else right_depth) + 1
         return left, depth
 
     def unary() -> tuple[Expression, int]:
@@ -209,14 +209,14 @@ def parse(source: str) -> Expression:
             child, depth = unary()
             nesting -= 1
             # to_text prints Const(-c) as (-c): count the one level it was printed from
-            return Neg(child), 1 if type(child) is Const else depth + 1
+            return _neg(child), 1 if type(child) is Const else depth + 1
         if text == VARIABLE_NAME:
             base, depth = _X, 1
         elif (first := text[0]).isdecimal() or first == "." and text != ".":
             value = float(text)
             if not math.isfinite(value):
                 raise _TokenError(f"number {text!r} is too large for a float", at - 1)
-            base, depth = Const(value), 1
+            base, depth = _const(value), 1
         elif text in FUNCTION_NAMES:
             if (found := tokens[at]) != "(":
                 raise _TokenError(f"expected '(' after function name {text!r}, found {found!r}", at)
@@ -227,7 +227,7 @@ def parse(source: str) -> Expression:
                     raise _TokenError(f"function {text!r} takes exactly one argument", at)
                 raise _TokenError(f"expected ')' to close the argument of {text!r}, found {found!r}", at)
             at += 1
-            base, depth = Call(text, arg), depth + 1
+            base, depth = _call(text, arg), depth + 1
         elif text == "(":
             base, depth = expr()
             if (found := tokens[at]) != ")":
@@ -240,7 +240,7 @@ def parse(source: str) -> Expression:
         if tokens[at] == "^":
             at += 1
             exponent, exponent_depth = unary()
-            base, depth = BinOp("^", base, exponent), (depth if depth > exponent_depth else exponent_depth) + 1
+            base, depth = _binop("^", base, exponent), (depth if depth > exponent_depth else exponent_depth) + 1
         nesting -= 1
         return base, depth
 
@@ -295,3 +295,35 @@ def to_text(e: Expression) -> str:
         case Call(name, arg):
             return f"{name}({to_text(arg)})"
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# Builders for callers that have checked the fields: an operator or function name that the grammar or an
+# existing node gives, and a finite float value.  Each skips the checks of its class's constructor
+_new = object.__new__
+
+
+def _const(value: float) -> Const:
+    node = _new(Const)
+    _set_value(node, value)
+    return node
+
+
+def _neg(child: Expression) -> Neg:
+    node = _new(Neg)
+    _set_child(node, child)
+    return node
+
+
+def _binop(op: str, left: Expression, right: Expression) -> BinOp:
+    node = _new(BinOp)
+    _set_op(node, op)
+    _set_left(node, left)
+    _set_right(node, right)
+    return node
+
+
+def _call(name: str, arg: Expression) -> Call:
+    node = _new(Call)
+    _set_name(node, name)
+    _set_arg(node, arg)
+    return node

@@ -14,7 +14,9 @@ rules share one batch evaluator, and its reference runs on the scalar
 closures of f, one point at a time.  ``_compile_scalar``
 gives one function per node for single points, reading constant and
 ``x`` operands in place, and one for a whole ``fn(x op c)`` such as
-``ln(x+1)``; ``evaluate`` builds one and calls it once.
+``ln(x+1)`` or a whole constant-scaled ``c op (x op d)``, ``c op fn(x op
+d)`` or ``c op (fn(x) op d)`` such as ``1.3*ln(x+1)`` or
+``2.5*(exp(x)-1)``; ``evaluate`` builds one and calls it once.
 ``_compile_batch`` gives a chain of lazy ``map`` iterators, one per
 node, for batches, with the same bits.  Both bind each node's operation
 and operands as default arguments, not as free variables, so compiling
@@ -36,6 +38,10 @@ from itertools import repeat
 from ._syntax import (  # noqa: F401 - re-exported
     _FUNCTIONS,
     _OPERATORS,
+    _binop,
+    _call,
+    _const,
+    _neg,
     FUNCTION_NAMES,
     MAX_DEPTH,
     BinOp,
@@ -101,9 +107,20 @@ def _closure(e: Expression) -> Callable[[float], float]:
         fn = _OPERATORS[e.op]
         left, right = e.left, e.right
         if type(left) is Const:
-            if type(right) is Var:
-                return lambda x, fn=fn, c=left.value: fn(c, x)
-            return lambda x, fn=fn, c=left.value, r=_closure(right): fn(c, r(x))
+            c, kind = left.value, type(right)
+            if kind is Var:
+                return lambda x, fn=fn, c=c: fn(c, x)
+            # one function for a whole c op (x op d), c op h(x op d) or c op (h(x) op d), as for h(x op d) below
+            if kind is BinOp and type(right.right) is Const:
+                op, d, inner = _OPERATORS[right.op], right.right.value, right.left
+                if type(inner) is Var:
+                    return lambda x, fn=fn, c=c, op=op, d=d: fn(c, op(x, d))
+                if type(inner) is Call and type(inner.arg) is Var:
+                    return lambda x, fn=fn, c=c, op=op, h=_FUNCTIONS[inner.name], d=d: fn(c, op(h(x), d))
+            elif kind is Call and type(arg := right.arg) is BinOp and type(arg.left) is Var and type(arg.right) is Const:
+                h, op, d = _FUNCTIONS[right.name], _OPERATORS[arg.op], arg.right.value
+                return lambda x, fn=fn, c=c, h=h, op=op, d=d: fn(c, h(op(x, d)))
+            return lambda x, fn=fn, c=c, r=_closure(right): fn(c, r(x))
         if type(right) is Const:
             if type(left) is Var:
                 return lambda x, fn=fn, c=right.value: fn(x, c)
@@ -188,7 +205,7 @@ def differentiate(e: Expression) -> Expression:
             return _simplify_binop("/", numerator, _simplify_binop("^", v, _TWO))
         if op == "^" and type(right) is Const:
             c = right.value
-            scaled = _simplify_binop("*", right, _simplify_binop("^", simplify(left), Const(c - 1.0)))
+            scaled = _simplify_binop("*", right, _simplify_binop("^", simplify(left), _const(c - 1.0)))
             return _simplify_binop("*", scaled, differentiate(left))
         # "^" (BinOp allows no other operator), u^v = exp(v*ln(u)):  (u^v)' = u^v * (v'*ln(u) + v*u'/u)
         u, v = simplify(left), simplify(right)
@@ -252,10 +269,10 @@ def simplify(e: Expression) -> Expression:
 def _simplify_neg(child: Expression, node: Neg | None = None) -> Expression:
     kind = type(child)
     if kind is Const:
-        return Const(-child.value)
+        return _const(-child.value)
     if kind is Neg:
         return child.child
-    return node if node is not None and node.child is child else Neg(child)
+    return node if node is not None and node.child is child else _neg(child)
 
 
 def _simplify_call(name: str, arg: Expression, node: Call | None = None) -> Expression:
@@ -263,7 +280,7 @@ def _simplify_call(name: str, arg: Expression, node: Call | None = None) -> Expr
         folded = _fold(_FUNCTIONS[name], arg.value)
         if folded is not None:
             return folded
-    return node if node is not None and node.arg is arg else Call(name, arg)
+    return node if node is not None and node.arg is arg else _call(name, arg)
 
 
 def _fold(fn: Callable[..., float], *values: float) -> Const | None:
@@ -272,7 +289,7 @@ def _fold(fn: Callable[..., float], *values: float) -> Const | None:
         value = fn(*values)
     except (ArithmeticError, ValueError):
         return None
-    return Const(value) if math.isfinite(value) else None
+    return _const(value) if math.isfinite(value) else None
 
 
 def _simplify_binop(op: str, left: Expression, right: Expression, node: BinOp | None = None) -> Expression:
@@ -310,5 +327,5 @@ def _simplify_binop(op: str, left: Expression, right: Expression, node: BinOp | 
         if r == 0.0 or l == 1.0:
             # pow(x, 0) == 1 and pow(1, y) == 1 for every float y, NaN included
             return _ONE
-    return node if node is not None and node.left is left and node.right is right else BinOp(op, left, right)
+    return node if node is not None and node.left is left and node.right is right else _binop(op, left, right)
 

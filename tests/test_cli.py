@@ -922,6 +922,7 @@ class TestEntryPoints:
         assert " nrquad.quadrature\n" in proc.stderr
         assert (" nrquad.baselines\n" in proc.stderr) == (command == "compare")
         assert [name for name in UNLOADED if f" {name}\n" in proc.stderr] == []
+        assert " nrquad._usage\n" not in proc.stderr  # only -h imports the help text's module
 
     @pytest.mark.parametrize("argv", [["--help"], ["-h", "compare"], ["compare", "-h"], ["trace", "--he", "--bogus"]])
     def test_help_prints_the_usage_and_exits_0(self, argv, capsys):

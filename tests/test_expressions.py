@@ -6,9 +6,11 @@ import random
 import struct
 import types
 from collections import Counter
+from itertools import islice
 
 import pytest
 
+from nrquad import _syntax, expressions
 from nrquad.baselines import CHUNK
 from nrquad.expressions import (
     FUNCTION_NAMES,
@@ -16,6 +18,7 @@ from nrquad.expressions import (
     BinOp,
     Call,
     Const,
+    Expression,
     Neg,
     ParseError,
     Var,
@@ -388,6 +391,25 @@ class TestCompiledKernel:
             tree = Call(name, BinOp(op, Var(), Const(c)))
             assert not any(isinstance(held, types.FunctionType) for held in _closure(tree).__defaults__)
             self.assert_matches_tree_value(tree, points)
+
+    @pytest.mark.parametrize("name", sorted(FUNCTION_NAMES))
+    @pytest.mark.parametrize("op", "+-*/^")
+    def test_a_constant_and_a_function_of_x_and_a_constant_where_any_raises(self, op, name):
+        # c outer (x op d), c outer name(x op d) and c outer (name(x) op d) compile to one function each, which
+        # calls no compiled operand; a point where outer, op or name raises is NaN, as in the tree walk
+        points = [1.0, -1.0, 0.0, -0.0, 5.0, 1e300, *self.POINTS]
+        constants = (0.0, 5.0, 1e3, 0.5, -1.0)
+        for outer in "+-*/^":
+            for c in constants:
+                for d in constants:
+                    for operand in (
+                        BinOp(op, Var(), Const(d)),
+                        Call(name, BinOp(op, Var(), Const(d))),
+                        BinOp(op, Call(name, Var()), Const(d)),
+                    ):
+                        tree = BinOp(outer, Const(c), operand)
+                        assert not any(isinstance(held, types.FunctionType) for held in _closure(tree).__defaults__)
+                        self.assert_matches_tree_value(tree, points)
 
     @pytest.mark.parametrize("source, x", [("sqrt(x/0)", 1.0), ("ln(x-5)", 1.0), ("exp(x*1e3)", 1.0), ("sqrt(x^0.5)", -1.0)])
     def test_a_function_of_x_and_a_constant_is_nan_where_it_raises(self, source, x):
@@ -830,14 +852,21 @@ class TestDerivativeNodeCount:
 
     @pytest.fixture
     def built(self, monkeypatch):
+        # a node is built through its constructor or, from fields already checked, through its private builder
         counts = Counter()
-        for cls in (BinOp, Const, Call, Neg):
+        for cls, builder in ((BinOp, "_binop"), (Const, "_const"), (Call, "_call"), (Neg, "_neg")):
 
             def counting(node, *fields, init=cls.__init__, name=cls.__name__):
                 counts[name] += 1
                 init(node, *fields)
 
+            def building(*fields, build=getattr(_syntax, builder), name=cls.__name__):
+                counts[name] += 1
+                return build(*fields)
+
             monkeypatch.setattr(cls, "__init__", counting)
+            for module in (_syntax, expressions):
+                monkeypatch.setattr(module, builder, building)
         return counts
 
     def test_on_the_corpus_terms_and_their_pairwise_sums(self, built):
@@ -875,6 +904,42 @@ class TestDerivativeNodeCount:
         built.clear()
         assert to_text(differentiate(e)) == derivative
         assert built == nodes
+
+
+class TestBuiltNodes:
+    """``parse``, ``differentiate`` and ``simplify`` build nodes through private builders that skip the
+    constructors' checks, so every node they give must pass those checks when built again."""
+
+    @staticmethod
+    def assert_rebuilds(tree):
+        pending, seen = [tree], set()
+        while pending:
+            node = pending.pop()
+            if id(node) in seen:
+                continue
+            seen.add(id(node))
+            fields = node._fields()
+            rebuilt = type(node)(*fields)
+            assert rebuilt == node and list(map(type, rebuilt._fields())) == list(map(type, fields)), repr(node)
+            pending += [field for field in fields if isinstance(field, Expression)]
+
+    def test_every_node_rebuilds_through_its_public_constructor(self):
+        rng = random.Random(3030)
+        sources = CORPUS_TERMS + [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS]
+        sources += islice(edited_sources(random.Random(0), None), 3_000)  # as tests/sweep_parse.py draws them
+        # constant subtrees that fold to no finite value, so simplify must keep them as they are
+        sources += ["x+1e308*10", "x*(1e308+1e308)^2", "x/0", "sqrt(-1)+x", "ln(0)*x", "exp(1e3)-x", "-(1e308*10)*x"]
+        trees = [random_tree(rng, rng.randint(1, 6)) for _ in range(500)]
+        sources += [to_text(tree) for tree in trees]
+        for source in sources:
+            try:
+                trees.append(parse(source))
+            except ParseError:
+                continue
+        for tree in trees:
+            for result in (tree, differentiate(tree), simplify(tree)):
+                self.assert_rebuilds(result)
+        assert len(trees) > 1_500  # the 500 random trees and the sources that parse
 
 
 class TestToText:

@@ -7,8 +7,10 @@ scalar calls and the scalar evaluators built (``count_scalar_calls``), the
 batches that validation samples and their points (``record_batches``),
 and the Newton steps with each termination.  Over ``compare_corpus(0)`` it
 counts the reference's points, as scalar calls, and its batches, of which
-it runs none.  A change that moves a total
-updates it here visibly, with old -> new in CHANGES.md.
+it runs none; a full ``compare --format json`` pass over it counts the
+scalar calls, the evaluators and the batches of every phase.  A change
+that moves a total updates it here visibly, with old -> new in
+CHANGES.md.
 """
 
 import sys
@@ -18,6 +20,7 @@ from pathlib import Path
 from support import count_scalar_calls, record_batches
 
 from nrquad.baselines import reference_integral
+from nrquad.cli import main
 from nrquad.expressions import parse
 from nrquad.quadrature import Interval, nr_integrate
 
@@ -47,3 +50,16 @@ def test_compare_corpus_reference_points(monkeypatch):
     # halving the tolerance of each half panel matters: keeping it whole takes 23,736 points
     assert calls == [59_096, 160]
     assert batches == []
+
+
+def test_compare_corpus_full_pass(monkeypatch):
+    argvs = [
+        ["compare", "--expr", p.text, "--lower", repr(p.a), "--upper", repr(p.b), "--panels", str(p.panels), "--format", "json"]
+        for p in compare_corpus(0)
+    ]
+    calls, batches = count_scalar_calls(monkeypatch), record_batches(monkeypatch)
+    assert [main(argv) for argv in argvs] == [0] * len(argvs)
+    # three scalar evaluators per problem: f and f' for nr and f for the reference; the five rules
+    # evaluate their grids a CHUNK of points per batch, and validation's samples are batches too
+    assert calls == [60_830, 480]
+    assert (len(batches), sum(batches)) == (1_188, 231_778)
