@@ -93,9 +93,9 @@ def parse_argv(argv: Sequence[str], about: str, commands: dict[str, tuple[str, d
 def _help(value: str | None, about: str, commands: dict[str, tuple[str, dict]], command: str | None = None) -> dict[str, object]:
     if value is not None:
         raise UsageError(f"argument -h/--help: ignored explicit argument {value!r}")
-    from ._usage import usage  # only -h reads it, so no other launch compiles it
+    from ._usage import _usage  # only -h reads it, so no other launch compiles it
 
-    return {"usage": usage(about, commands, command)}
+    return {"usage": _usage(about, commands, command)}
 
 
 def _parse_command(

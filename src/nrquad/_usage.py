@@ -16,7 +16,7 @@ def _metavar(name: str, read: object) -> str:
     return f"{name} {_dest(name).upper()}"
 
 
-def usage(about: str, commands: dict[str, tuple[str, dict]], command: str | None) -> str:
+def _usage(about: str, commands: dict[str, tuple[str, dict]], command: str | None) -> str:
     """The ``-h`` text: the commands and their help, or one command's options and their help."""
     if command is None:
         lines = [f"usage: nrquad {{{','.join(commands)}}} [options]", "", about, "", "commands:"]

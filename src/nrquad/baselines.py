@@ -4,6 +4,10 @@ left_riemann / right_riemann / midpoint / trapezoid / simpson are the
 textbook composite rules.  They share one pass over the uniform grid, which
 evaluates its nodes a CHUNK at a time and each distinct node once: all five
 rules on n subintervals take 2n + 3 points together, 5n + 2 one at a time.
+The pass compiles f once into a batch evaluator, a chain of lazy ``map``
+iterators with one per node (``_compile_batch``), which gives the bits of
+the scalar closures of ``nrquad.expressions``; no other module evaluates
+batches.
 reference_integral is an adaptive Simpson integrator accurate far beyond
 the rules it referees, a depth-first recursion that evaluates one point at
 a time.  error_stats packages absolute and relative error against such a
@@ -14,15 +18,13 @@ from __future__ import annotations
 
 import math
 import operator
-from collections.abc import Callable, Iterable, Sequence
-from itertools import cycle
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from itertools import cycle, repeat
 
 from ._frozen import Frozen, slot_setters
-from .expressions import Expression, _compile_batch, _compile_scalar
+from .expressions import _FUNCTIONS, _OPERATORS, BinOp, Call, Const, Expression, Neg, Var, _compile_scalar
 from .newton import _positive
 from .quadrature import Interval
-
-_Batch = Callable[[Sequence[float]], list[float]]  # a batch evaluator, as _compile_batch builds
 
 
 class NonfiniteSampleError(ValueError):
@@ -53,6 +55,46 @@ class ErrorStats(Frozen):
 _set_approx, _set_reference, _set_abs_error, _set_rel_error_pct = slot_setters(ErrorStats)
 
 
+def _compile_batch(e: Expression) -> Callable[[Sequence[float]], list[float]]:
+    """``[evaluate(e, x) for x in xs]`` as a function of ``xs``, through a chain of ``map`` iterators.
+
+    A batch in which some point raises is evaluated again one point at a
+    time through ``_compile_scalar(e)``, built on the first such batch, so
+    that point is NaN, as with ``evaluate`` (also where NaN would not
+    reach the root: ``pow(nan, 0) == 1``).
+    """
+    chain = _chain(e)
+    at = None
+
+    def many(xs: Sequence[float]) -> list[float]:
+        nonlocal at
+        try:
+            return list(chain(xs))
+        except (ArithmeticError, ValueError):
+            if at is None:
+                at = _compile_scalar(e)
+            return [at(x) for x in xs]
+
+    return many
+
+
+def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
+    # the scalar closure's operations in its order, one point at a time as list() pulls it through the maps;
+    # a constant repeats len(xs) times, since an endless repeat under a constant subtree never stops
+    kind = type(e)
+    if kind is BinOp:
+        return lambda xs, fn=_OPERATORS[e.op], l=_chain(e.left), r=_chain(e.right): map(fn, l(xs), r(xs))
+    if kind is Const:
+        return lambda xs, value=e.value: repeat(value, len(xs))
+    if kind is Var:
+        return lambda xs: xs
+    if kind is Call:
+        return lambda xs, fn=_FUNCTIONS[e.name], inner=_chain(e.arg): map(fn, inner(xs))
+    if kind is Neg:
+        return lambda xs, inner=_chain(e.child): map(operator.neg, inner(xs))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 CHUNK = 256
 """Points per call of the batch evaluator that ``_compile_batch`` builds: the
 uniform rules' interior nodes or midpoints (``CHUNK // 2`` of each when both
@@ -61,13 +103,14 @@ are needed).
 No list a rule builds is longer, so its memory is bounded for any ``n``."""
 
 
-def _grid_rules(f: _Batch, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
+def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
     """The named uniform rules on ``n`` subintervals, from one pass over the grid.
 
     Maps each name in ``rules`` (``left_riemann``, ``right_riemann``,
     ``midpoint``, ``trapezoid``, ``simpson``) to the rule's value, or to the
-    ``ValueError`` that the rule of that name raises.  f is evaluated once at
-    each node that a named rule needs: the end nodes first, then the interior
+    ``ValueError`` that the rule of that name raises.  f is compiled into one
+    batch evaluator where ``n`` is valid, and evaluated once at each node
+    that a named rule needs: the end nodes first, then the interior
     nodes ``a + i*h`` and the midpoints, a chunk at a time.  The end nodes are
     left's ``a + 0*h``, right's ``a + n*h`` and trapezoid's and Simpson's
     ``a`` and ``b``; they are not merged, because ``a + 0*h`` is not ``a``
@@ -84,6 +127,7 @@ def _grid_rules(f: _Batch, interval: Interval, n: int, rules: Iterable[str]) -> 
     outcomes: dict[str, float | ValueError] = {}
     if "simpson" in rules and n % 2 != 0:
         outcomes["simpson"] = ValueError(f"simpson needs an even subinterval count (got {n!r})")
+    many = _compile_batch(f)
     a, b = interval.a, interval.b
     h = (b - a) / n
     totals = {rule: 0.0 for rule in rules - outcomes.keys()}  # running sums of the rules not failed yet
@@ -105,7 +149,7 @@ def _grid_rules(f: _Batch, interval: Interval, n: int, rules: Iterable[str]) -> 
         ends["last"] = a + n * h
     if totals.keys() & {"trapezoid", "simpson"}:
         ends["a"], ends["b"] = a, b
-    f_end = dict(zip(ends, f(list(ends.values())))) if ends else {}
+    f_end = dict(zip(ends, many(list(ends.values())))) if ends else {}
     if "left_riemann" in totals and not failed(["left_riemann"], [ends["first"]], [f_end["first"]]):
         totals["left_riemann"] += f_end["first"]
     for rule in totals.keys() & {"trapezoid", "simpson"}:
@@ -124,7 +168,7 @@ def _grid_rules(f: _Batch, interval: Interval, n: int, rules: Iterable[str]) -> 
         hi = min(lo + step, n)
         interior = [a + i * h for i in range(max(lo, 1), hi)] if interior_rules else []
         mids = [a + (i + 0.5) * h for i in range(lo, hi)] if mid_rules else []
-        values = f(interior + mids)
+        values = many(interior + mids)
         streams = (interior_rules, interior, values[: len(interior)]), (mid_rules, mids, values[len(interior) :])
         for names, xs, samples in streams:
             if xs and failed(names, xs, samples):
@@ -147,7 +191,7 @@ def _grid_rules(f: _Batch, interval: Interval, n: int, rules: Iterable[str]) -> 
 
 
 def _rule(name: str, f: Expression, interval: Interval, n: int) -> float:
-    outcome = _grid_rules(_compile_batch(f), interval, n, [name])[name]
+    outcome = _grid_rules(f, interval, n, [name])[name]
     if isinstance(outcome, ValueError):
         raise outcome
     return outcome

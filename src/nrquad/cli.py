@@ -34,7 +34,7 @@ import sys
 from collections.abc import Sequence
 
 from ._argv import REQUIRED, UsageError, parse_argv
-from .expressions import Expression, _compile_batch, parse
+from .expressions import Expression, parse
 from .newton import NewtonError
 from .quadrature import Interval, NrQuadSettings, QuadResult, ValidationError, nr_integrate
 
@@ -201,7 +201,7 @@ def _compare_doc(
     reference = reference_integral(f, interval)
     # the baseline methods, by the name of their rule, run in one pass over the grid
     rules = [method.replace("-", "_") for method in methods if method != "nr"]
-    outcomes = _grid_rules(_compile_batch(f), interval, panels, rules)  # a value, or the error the rule raised
+    outcomes = _grid_rules(f, interval, panels, rules)  # a value, or the error the rule raised
     nr_details = None
     if "nr" in methods:
         try:

@@ -6,23 +6,19 @@ types, the source syntax, :func:`parse` and :func:`to_text` live in
 
 Evaluation is total: domain violations (``ln`` of a negative, division
 by zero, ...) yield NaN instead of raising, and callers are expected to
-check finiteness.  Every evaluation runs through one of two compilers.
-``nr_integrate`` compiles f and f' once each for the Newton steps, which
-need single points, and, where validation finds no proof that f' > 0, f
-once more for its samples, which go as one batch; a comparison's uniform
-rules share one batch evaluator, and its reference runs on the scalar
-closures of f, one point at a time.  ``_compile_scalar``
-gives one function per node for single points, reading constant and
-``x`` operands in place, and one for a whole ``fn(x op c)`` such as
-``ln(x+1)`` or a whole constant-scaled ``c op (x op d)``, ``c op fn(x op
-d)`` or ``c op (fn(x) op d)`` such as ``1.3*ln(x+1)`` or
-``2.5*(exp(x)-1)``; ``evaluate`` builds one and calls it once.
-``_compile_batch`` gives a chain of lazy ``map`` iterators, one per
-node, for batches, with the same bits.  Both bind each node's operation
-and operands as default arguments, not as free variables, so compiling
-creates no cells and an evaluation reads its operands as locals.
+check finiteness.  ``_compile_scalar`` compiles an expression for single
+points: one function per node, reading constant and ``x`` operands in
+place, and one for a whole ``fn(x op c)`` such as ``ln(x+1)`` or a whole
+constant-scaled ``c op (x op d)``, ``c op fn(x op d)`` or ``c op (fn(x) op
+d)`` such as ``1.3*ln(x+1)`` or ``2.5*(exp(x)-1)``.  Each function binds
+its node's operation and operands as default arguments, not as free
+variables, so compiling creates no cells and an evaluation reads its
+operands as locals.  ``evaluate`` builds one and calls it once;
+``nr_integrate`` builds one for f and one for f', and validation samples
+f through f's.  Only the uniform rules of ``nrquad.baselines`` evaluate f
+on a grid, and they compile their own batches.
 
-The walks ``differentiate``, ``simplify``, ``_closure`` and ``_chain`` dispatch
+The walks ``differentiate``, ``simplify`` and ``_closure`` dispatch
 on ``type(e) is ...`` tests with the most frequent node type first, not on
 class patterns, which each cost an ``isinstance`` check and field reads per
 case tried.
@@ -31,9 +27,7 @@ case tried.
 from __future__ import annotations
 
 import math
-import operator
-from collections.abc import Callable, Iterator, Sequence
-from itertools import repeat
+from collections.abc import Callable
 
 from ._syntax import (  # noqa: F401 - re-exported
     _FUNCTIONS,
@@ -76,29 +70,6 @@ def _compile_scalar(e: Expression) -> Callable[[float], float]:
     return at
 
 
-def _compile_batch(e: Expression) -> Callable[[Sequence[float]], list[float]]:
-    """``[evaluate(e, x) for x in xs]`` as a function of ``xs``, through a chain of ``map`` iterators.
-
-    A batch in which some point raises is evaluated again one point at a
-    time through ``_compile_scalar(e)``, built on the first such batch, so
-    that point is NaN, as with :func:`evaluate` (also where NaN would not
-    reach the root: ``pow(nan, 0) == 1``).
-    """
-    chain = _chain(e)
-    at = None
-
-    def many(xs: Sequence[float]) -> list[float]:
-        nonlocal at
-        try:
-            return list(chain(xs))
-        except (ArithmeticError, ValueError):
-            if at is None:
-                at = _compile_scalar(e)
-            return [at(x) for x in xs]
-
-    return many
-
-
 def _closure(e: Expression) -> Callable[[float], float]:
     # each node's operation, left operand before right; a constant or x operand is read in place, not called.
     # Operands are defaults, not free variables, which would make every call create a cell for each of them
@@ -139,23 +110,6 @@ def _closure(e: Expression) -> Callable[[float], float]:
         return lambda x, fn=fn, inner=_closure(arg): fn(inner(x))
     if kind is Neg:
         return lambda x, inner=_closure(e.child): -inner(x)
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
-    # _closure's operations in its order, one point at a time as list() pulls it through the maps;
-    # a constant repeats len(xs) times, since an endless repeat under a constant subtree never stops
-    kind = type(e)
-    if kind is BinOp:
-        return lambda xs, fn=_OPERATORS[e.op], l=_chain(e.left), r=_chain(e.right): map(fn, l(xs), r(xs))
-    if kind is Const:
-        return lambda xs, value=e.value: repeat(value, len(xs))
-    if kind is Var:
-        return lambda xs: xs
-    if kind is Call:
-        return lambda xs, fn=_FUNCTIONS[e.name], inner=_chain(e.arg): map(fn, inner(xs))
-    if kind is Neg:
-        return lambda xs, inner=_chain(e.child): map(operator.neg, inner(xs))
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -27,7 +27,7 @@ from enum import Enum
 
 from ._enclosure import _proves_increasing
 from ._frozen import Frozen, slot_setters
-from .expressions import Expression, _compile_batch, _compile_scalar, differentiate, evaluate
+from .expressions import Expression, _compile_scalar, differentiate, evaluate
 from .newton import (
     NewtonTrace,
     NonfiniteValueError,
@@ -175,14 +175,6 @@ class ValidationError(Exception):
         self.report = report
 
 
-def panel_area(f_k: float, df_k: float, f_next: float) -> float:
-    """Area of one trapezoid panel: ``1/2 * (f_k/df_k) * (f_k + f_next)``.
-
-    The caller guarantees ``df_k != 0``.
-    """
-    return 0.5 * (f_k / df_k) * (f_k + f_next)
-
-
 def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     """Check that the problem fits the rule's hypotheses, by a proof where one is found, else by sampling.
 
@@ -195,11 +187,11 @@ def validate_problem(f: Expression, interval: Interval) -> ValidationReport:
     sample point only.  Otherwise f is sampled at ``VALIDATION_SAMPLES``
     (64) equally spaced points, which must be finite and nondecreasing.
     The 63 points before b are ``a + i*h`` with ``h = (b - a)/63``, or
-    ``a*(1 - i/63) + b*(i/63)`` where ``b - a`` overflows, and are
-    evaluated as one batch.  The proof is about f's real values: where f'
-    is tiny, rounding alone can make f's float samples fall, and a proof
-    still reports f as nondecreasing.  Findings are returned, never
-    raised.
+    ``a*(1 - i/63) + b*(i/63)`` where ``b - a`` overflows.  Every value of
+    f comes from one scalar closure, a point at a time; no batch evaluator
+    is built.  The proof is about f's real values: where f' is tiny,
+    rounding alone can make f's float samples fall, and a proof still
+    reports f as nondecreasing.  Findings are returned, never raised.
     """
     f_at, df, b = _compile_scalar(f), differentiate(f), interval.b
     return _validate(f, df, f_at, interval, f_at(b), evaluate(df, b))[0]
@@ -212,8 +204,8 @@ def _validate(
 
     The proof path calls ``f_at`` once, at ``a + 0.0``, the first sample
     point of the sampled path (``a + 0*h``, or ``a*1.0 + b*0.0``), which is
-    0.0 where a is -0.0; the sampled path evaluates its 63 other samples
-    through one batch evaluator of f.
+    0.0 where a is -0.0; the sampled path calls it at its 63 samples before
+    b.  It builds no evaluator of its own.
     """
     a, b = interval.a, interval.b
     messages: list[str] = []
@@ -227,7 +219,7 @@ def _validate(
             xs = [a + i * h for i in range(n)]
         else:  # b - a overflows, so a < 0 < b, and the two products have opposite signs and sum inside [a, b]
             xs = [a * (1.0 - i / n) + b * (i / n) for i in range(n)]
-        values = _compile_batch(f)(xs)
+        values = [f_at(x) for x in xs]
         xs.append(b)
         values.append(f_b)
         monotone, f_a = True, values[0]
@@ -278,7 +270,9 @@ def nr_integrate(
             over a validation failure when both apply.  Validation reuses
             the first step's f(b) and f'(b), f' itself and f's scalar
             evaluator, so where it proves f' > 0 it evaluates f once more,
-            at a, and a clamped last panel reuses that f(a) unless a is -0.0.
+            at a, and a clamped last panel reuses that f(a) unless a is -0.0;
+            where it samples, it calls that evaluator 63 times.  No batch
+            evaluator is built.
 
     Running out of iterations is not an error: the result then carries
     status ``budget-exhausted``.
@@ -310,7 +304,7 @@ def nr_integrate(
     areas: list[float] = []
     value = 0.0  # added one at a time, not by sum(), whose float algorithm changed in Python 3.12
     for step, f_next in zip(trace.steps, [step.f_k for step in trace.steps[1:]] + [f_final]):
-        area = 0.5 * step.step * (step.f_k + f_next)  # panel_area's bits: step.step is f_k / df_k
+        area = 0.5 * step.step * (step.f_k + f_next)  # step.step is f_k / df_k
         areas.append(area)
         value += area
 

@@ -7,22 +7,24 @@ compiled evaluators must match bit for bit, so the tests compare two
 independent routes to the same numbers.  ``textbook_derivative`` is the
 derivative's oracle in the same way: the textbook rules, unsimplified.
 ``scalar_validate`` is the precondition check's: one ``tree_value`` per
-sample, where the package evaluates the samples as one batch.
+sample, where the package calls f's compiled scalar closure.
 ``descent_parse`` is the parser's: a token list, a recursive-descent class
 and a separate walk for the depth, where ``parse`` does all three in one pass.
 ``argparse_parse`` is the command line's: argparse with the parser
 ``nrquad.cli`` built before it read argv from its own option table.
 
 The counting hooks wrap what the package compiles each integrand into:
-every scalar evaluator (what ``_compile_scalar`` returns, one closure per
-node) and every batch evaluator (what ``_compile_batch`` returns, a chain of
-``map`` iterators).  The package imports both compilers by name, so a hook
-replaces the name in every ``nrquad`` module that binds it.
+every scalar evaluator (what ``nrquad.expressions._compile_scalar``
+returns, one closure per node) and every batch evaluator (what
+``nrquad.baselines._compile_batch`` returns, a chain of ``map``
+iterators).  The package imports a compiler by name, so a hook replaces
+the name in every ``nrquad`` module that binds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import random
 import re
@@ -31,7 +33,6 @@ import sys
 from collections.abc import Iterator
 from itertools import combinations, pairwise, repeat
 
-import nrquad.expressions
 from nrquad._enclosure import _proves_increasing
 from nrquad.baselines import DepthLimitError, NonfiniteSampleError
 from nrquad.cli import MAX_COUNT, METHODS
@@ -581,15 +582,21 @@ def _adaptive(
 def patch_compiler(monkeypatch, name: str, wrap) -> None:
     """Makes the compiler ``name`` return ``wrap(e, evaluator)`` for each evaluator it builds from ``e``.
 
-    The compiler is replaced in every ``nrquad`` module that binds it.
+    The compiler is taken from the ``nrquad`` module that defines it and
+    replaced in every ``nrquad`` module that binds it.  A name that no
+    loaded ``nrquad`` module defines fails, so a hook cannot count nothing.
     """
-    compiler = getattr(nrquad.expressions, name)
+    modules = [(module_name, module) for module_name, module in sys.modules.items() if module_name.partition(".")[0] == "nrquad"]
+    owners = [module for module_name, module in modules if getattr(getattr(module, name, None), "__module__", None) == module_name]
+    assert len(owners) == 1, f"{len(owners)} loaded nrquad modules define {name}"
+    compiler = getattr(owners[0], name)
 
+    @functools.wraps(compiler)  # keeps __module__, so a second hook finds the compiler's module too
     def patched(e: Expression):
         return wrap(e, compiler(e))
 
-    for module_name, module in list(sys.modules.items()):
-        if module_name.partition(".")[0] == "nrquad" and getattr(module, name, None) is compiler:
+    for _, module in modules:
+        if getattr(module, name, None) is compiler:
             monkeypatch.setattr(module, name, patched)
 
 

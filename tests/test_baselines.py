@@ -13,7 +13,6 @@ import pytest
 
 import nrquad.baselines
 import nrquad.cli
-import nrquad.expressions
 import support
 from nrquad.baselines import (
     CHUNK,
@@ -29,7 +28,7 @@ from nrquad.baselines import (
     trapezoid,
 )
 from nrquad.cli import main
-from nrquad.expressions import MAX_DEPTH, _compile_batch, parse, to_text
+from nrquad.expressions import MAX_DEPTH, parse, to_text
 from nrquad.quadrature import Interval
 from support import (
     SCALAR_RULES,
@@ -107,7 +106,7 @@ class TestFixedRules:
 
     def test_a_count_that_is_not_an_integer_fails_each_rule_of_one_pass(self):
         names = ["left_riemann", "right_riemann", "midpoint", "trapezoid", "simpson"]
-        outcomes = nrquad.baselines._grid_rules(_compile_batch(QUAD), QUAD_INTERVAL, 2.5, names)
+        outcomes = nrquad.baselines._grid_rules(QUAD, QUAD_INTERVAL, 2.5, names)
         assert sorted(outcomes) == sorted(names)
         assert {type(error) for error in outcomes.values()} == {ValueError}
         assert {str(error) for error in outcomes.values()} == {"subinterval count must be an integer, got 2.5"}
@@ -315,9 +314,8 @@ class TestGridRulesMatchScalarOracle:
     def check(self, f, interval, n):
         """Compares every subset; returns the oracle's outcomes."""
         expected = {name: outcome(oracle, f, interval, n) for name, oracle in SCALAR_RULES.items()}
-        many = _compile_batch(f)
         for names in self.SUBSETS:
-            results = _grid_rules(many, interval, n, names)
+            results = _grid_rules(f, interval, n, names)
             assert {name: as_outcome(result) for name, result in results.items()} == {
                 name: expected[name] for name in names
             }, (names, n)
@@ -382,7 +380,7 @@ class TestChunking:
         # n - 1 interior nodes, n midpoints, a + 0*h, a + n*h, a and b; the
         # rules one at a time take 5n + 2 between them
         n = 3 * CHUNK + 2
-        _grid_rules(nrquad.expressions._compile_batch(QUAD), QUAD_INTERVAL, n, list(SCALAR_RULES))  # the hooked compiler
+        _grid_rules(QUAD, QUAD_INTERVAL, n, list(SCALAR_RULES))
         assert max(batches) <= CHUNK
         assert sum(batches) == 2 * n + 3
 

@@ -1002,8 +1002,7 @@ class TestEntryPoints:
         assert err == f"error: cannot write the report: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
 
     def test_compare_compiles_one_batch_evaluator(self, capsys, monkeypatch):
-        # one chain for the five rules; the reference evaluates through scalar closures,
-        # and validation proves f' > 0 and builds none
+        # one chain for the five rules; the reference and validation evaluate through scalar closures
         compiled = []
 
         def counting(e, many):

@@ -11,7 +11,7 @@ from itertools import islice
 import pytest
 
 from nrquad import _syntax, expressions
-from nrquad.baselines import CHUNK
+from nrquad.baselines import CHUNK, _chain, _compile_batch
 from nrquad.expressions import (
     FUNCTION_NAMES,
     MAX_DEPTH,
@@ -27,9 +27,7 @@ from nrquad.expressions import (
     parse,
     simplify,
     to_text,
-    _chain,
     _closure,
-    _compile_batch,
     _compile_scalar,
 )
 from support import (
@@ -216,7 +214,7 @@ def bits(values):
 
 
 class TestEvaluateMany:
-    """The batch evaluator, ``_compile_batch(e)``, against the tree walk ``tree_value``."""
+    """The uniform rules' batch evaluator, ``nrquad.baselines._compile_batch(e)``, against the tree walk ``tree_value``."""
 
     # domain edges, signed zeros, overflow and nonfinite input among ordinary points
     POINTS = [-3.0, -1.0, -1e-300, -0.0, 0.0, 1e-8, 0.5, 1.0, 2.5, 1e308, math.inf, math.nan]

@@ -94,16 +94,18 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
 
     ``sources`` maps each module's name to its text.  A read inside the
     definition itself, such as a recursive call, does not count; a read in
-    another module counts through its ``from .module import name``.
+    another module counts through its ``from .module import name``, at
+    module level or inside a function.
     """
     trees = {module: ast.parse(source) for module, source in sources.items()}
     imported = {}  # (module, local name) -> (module, name) it was imported from
     defined = {}  # (module, name) -> the lines of its definition
     for module, tree in trees.items():
-        for node in tree.body:
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
                 for alias in node.names:
                     imported[module, alias.asname or alias.name] = (node.module, alias.name)
+        for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -134,6 +136,11 @@ def test_the_check_finds_an_unread_private_name():
         "c": "from .b import use\n\nuse()\n",
     }
     assert unread_private_names(sources) == ["a._IMPORTED", "a._SELF", "a._recursive", "b._used"]
+
+
+def test_the_check_follows_an_import_inside_a_function():
+    sources = {"a": "def _f():\n    return 1\n", "b": "def g():\n    from .a import _f\n    return _f()\n"}
+    assert unread_private_names(sources) == []
 
 
 def test_the_package_reads_every_private_module_level_name():

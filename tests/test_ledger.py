@@ -4,8 +4,8 @@ How many times nrquad evaluates an integrand, and how many Newton steps
 it takes, does not depend on the machine, so each total is pinned here.
 Over ``integrate_corpus(0)`` with default settings the ledger counts the
 scalar calls and the scalar evaluators built (``count_scalar_calls``), the
-batches that validation samples and their points (``record_batches``),
-and the Newton steps with each termination.  Over ``compare_corpus(0)`` it
+batches and their points (``record_batches``), of which it runs none, and
+the Newton steps with each termination.  Over ``compare_corpus(0)`` it
 counts the reference's points, as scalar calls, and its batches, of which
 it runs none; a full ``compare --format json`` pass over it counts the
 scalar calls, the evaluators and the batches of every phase.  A change
@@ -33,10 +33,10 @@ def test_integrate_corpus_totals(monkeypatch):
     problems = [(parse(p.text), Interval(p.a, p.b)) for p in integrate_corpus(0)]
     calls, batches = count_scalar_calls(monkeypatch), record_batches(monkeypatch)
     results = [nr_integrate(f, interval) for f, interval in problems]
-    # two evaluators per problem, f and f'; a clamped last panel reuses the f(a) that validation found
-    assert calls == [3_792, 800]
-    # the 12 problems with no proof that f' > 0 sample 63 points each
-    assert (len(batches), sum(batches)) == (12, 756)
+    # two evaluators per problem, f and f'; a clamped last panel reuses the f(a) that validation found,
+    # and the 12 problems with no proof that f' > 0 sample 63 points each through f's
+    assert calls == [4_548, 800]
+    assert batches == []
     assert sum(len(result.trace.steps) for result in results) == 1_502
     terminations = Counter(result.trace.termination.value for result in results)
     assert terminations == {"reached-target": 197, "overshoot-clamped": 191, "residual-small": 12}
@@ -60,6 +60,6 @@ def test_compare_corpus_full_pass(monkeypatch):
     calls, batches = count_scalar_calls(monkeypatch), record_batches(monkeypatch)
     assert [main(argv) for argv in argvs] == [0] * len(argvs)
     # three scalar evaluators per problem: f and f' for nr and f for the reference; the five rules
-    # evaluate their grids a CHUNK of points per batch, and validation's samples are batches too
-    assert calls == [60_830, 480]
-    assert (len(batches), sum(batches)) == (1_188, 231_778)
+    # evaluate their grids a CHUNK of points per batch, and validation samples through nr's f
+    assert calls == [64_736, 480]
+    assert (len(batches), sum(batches)) == (1_126, 227_872)

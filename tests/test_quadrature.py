@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from nrquad.baselines import reference_integral
+from nrquad.baselines import _compile_batch, reference_integral
 from nrquad.cli import main
 from nrquad.expressions import _compile_scalar, differentiate, evaluate, parse, to_text
 from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, StoppingCriteria, Termination, newton_step
@@ -17,7 +17,6 @@ from nrquad.quadrature import (
     ValidationError,
     _validate,
     nr_integrate,
-    panel_area,
     validate_problem,
 )
 from support import (
@@ -26,9 +25,9 @@ from support import (
     count_scalar_calls,
     patch_compiler,
     random_tree,
-    record_batches,
     scalar_validate,
     takes_proof_path,
+    tree_value,
 )
 from sweep_validation import sweep
 
@@ -46,19 +45,25 @@ BOOKKEEPING_IDS = ["worked-example", "clamped", "budget-exhausted", "closing-tri
 
 
 class TestPanelArea:
+    """Each panel is ``1/2 * (f_k/f'(x_k)) * (f_k + f_next)``, read from ``nr_integrate``'s areas."""
+
     def test_first_panel_of_worked_example(self):
-        f_k, df_k, f_next = 6.0, 7.0, 1.469388
-        expected = 0.5 * (6.0 / 7.0) * (6.0 + 1.469388)
-        assert panel_area(f_k, df_k, f_next) == expected
-        assert abs(panel_area(f_k, df_k, f_next) - 3.201166) < 1e-5
+        result = nr_integrate(parse(QUAD), QUAD_INTERVAL)
+        f_next = result.trace.steps[1].f_k
+        assert abs(f_next - 1.469388) < 1e-6
+        assert result.areas[0] == 0.5 * (6.0 / 7.0) * (6.0 + f_next)
+        assert abs(result.areas[0] - 3.201166) < 1e-5
 
     def test_zero_heights_give_zero_area(self):
-        assert panel_area(0.0, 5.0, 0.0) == 0.0
+        # f(b) = 0: one step of width 0 between two zero sides
+        result = nr_integrate(parse("x-1"), Interval(0.0, 1.0), NrQuadSettings(validate=False))
+        assert result.areas == (0.0,)
 
     def test_terminal_triangle_under_a_line(self):
-        # f = m*x with f(b) = c: triangle of base c/m, height c
+        # f = m*x with f(b) = c: one step lands on a, a triangle of base c/m and height c
         for m, c in ((2.0, 3.0), (0.5, 1.25)):
-            assert panel_area(c, m, 0.0) == pytest.approx(c * c / (2.0 * m), rel=1e-15)
+            result = nr_integrate(parse(f"{m!r}*x"), Interval(0.0, c / m))
+            assert result.areas == pytest.approx((c * c / (2.0 * m),), rel=1e-15)
 
 
 class TestValidateProblem:
@@ -104,7 +109,7 @@ class TestValidateProblem:
 
 
 class TestValidationMatchesScalarOracle:
-    """validate_problem, which batches its samples, against one tree_value per sample."""
+    """validate_problem, which calls f's scalar closure at each sample, against one tree_value per sample."""
 
     INTERVALS = [Interval(-1.0, 1.0), Interval(-0.0, 2.0), Interval(0.5, 3.0), Interval(-3.0, 1e-3)]
 
@@ -117,7 +122,7 @@ class TestValidationMatchesScalarOracle:
                 report = validate_problem(f, interval)
                 assert report == scalar_validate(f, interval), (to_text(f), interval)
                 failed += not report.monotone_increasing
-        assert failed >= 2_000, failed  # 2,370 of 6,000 reports; 661 of the batches raise and fall back
+        assert failed >= 2_000, failed  # 2,370 of 6,000 reports
 
     def test_corpus_terms_and_their_sums(self):
         sums = [f"{a}+{b}" for a in CORPUS_TERMS for b in CORPUS_TERMS] + ["+".join(CORPUS_TERMS)]
@@ -135,10 +140,15 @@ class TestValidationMatchesScalarOracle:
         f, interval = parse(source), Interval(-1.0, 1.0)
         calls = count_scalar_calls(monkeypatch)
         report = validate_problem(f, interval)
-        # f(b) and f'(b), then the fallback's points, or f(a) alone where f' > 0 is proved ("x": 2 when it sampled)
-        proved = source == "x"
-        assert calls[0] == 2 + raised + proved
+        # f(b) and f'(b), then the 63 samples before b, or f(a) alone where f' > 0 is proved
+        assert calls[0] == 2 + (1 if source == "x" else 63)
         assert report == scalar_validate(f, interval)
+        # the uniform rules' batch evaluator on the same samples: a batch in which a point raises is
+        # evaluated again through a scalar closure, a call per point
+        xs = [-1.0 + i * (2.0 / 63) for i in range(63)]
+        calls[0] = 0
+        assert list(map(repr, _compile_batch(f)(xs))) == [repr(tree_value(f, x)) for x in xs]
+        assert calls[0] == raised
 
     @pytest.mark.parametrize("source", ["x", "1/x", "x/abs(x)", "x^3-x", "ln(x)", "0-x"])
     def test_a_negative_zero_lower_bound(self, source):
@@ -171,21 +181,25 @@ class TestProofPath:
     """Validation proves f' > 0 with one interval enclosure where it can, and gives the samples' report."""
 
     def path(self, monkeypatch, source, interval):
-        """The report, and the batches validation ran: [] on the proof path, [63] on the sampled one."""
-        batches = record_batches(monkeypatch)
+        """The report, and the scalar calls of validation besides f(b) and f'(b).
+
+        They are 1 on the proof path, f(a), and 63 on the sampled one, the
+        samples before b; 64 where a proof held but f(a) is not finite.
+        """
+        calls = count_scalar_calls(monkeypatch)
         report = validate_problem(parse(source), interval)
-        return report, batches
+        return report, calls[0] - 2
 
     def test_a_root_at_a_equal_to_its_bound_holds_on_the_proof_path(self, monkeypatch):
         # |f(a)| = 1e-6 = 1e-6 * max(1, |f(b)|): the tie of root_at_a's <=
-        report, batches = self.path(monkeypatch, "0.5*x+1e-6", Interval(0.0, 1.0))
-        assert batches == []
+        report, calls = self.path(monkeypatch, "0.5*x+1e-6", Interval(0.0, 1.0))
+        assert calls == 1
         assert report.root_at_a and report.passed
 
     def test_a_root_at_a_equal_to_its_bound_holds_on_the_sampled_path(self, monkeypatch):
         # the same tie where f' = 0.75*sqrt(x) divides by sqrt(x) and has no enclosure on [0, 1]
-        report, batches = self.path(monkeypatch, "0.5*x*sqrt(x)+1e-6", Interval(0.0, 1.0))
-        assert batches == [63]
+        report, calls = self.path(monkeypatch, "0.5*x*sqrt(x)+1e-6", Interval(0.0, 1.0))
+        assert calls == 63
         assert report.root_at_a and report.passed
 
     # f' = 1 in the first and third, and 1 + 0 in the fourth: simplify dropped the
@@ -201,8 +215,8 @@ class TestProofPath:
     )
     def test_a_term_whose_domain_simplify_dropped_is_sampled_and_fails(self, monkeypatch, capsys, source):
         interval = Interval(0.0, 1.0)
-        report, batches = self.path(monkeypatch, source, interval)
-        assert batches == [63]
+        report, calls = self.path(monkeypatch, source, interval)
+        assert calls == 63
         assert report == scalar_validate(parse(source), interval)
         assert not report.monotone_increasing
         assert main(["integrate", "--expr", source, "--lower", "0", "--upper", "1"]) == 2
@@ -219,8 +233,8 @@ class TestProofPath:
     )
     def test_no_proof_without_finite_ends_and_a_positive_enclosure(self, monkeypatch, source, a, b):
         interval = Interval(a, b)
-        report, batches = self.path(monkeypatch, source, interval)
-        assert batches == [63]
+        report, calls = self.path(monkeypatch, source, interval)
+        assert calls == (64 if a == -1e308 else 63)  # f(a) overflows only after the proof held
         assert report == scalar_validate(parse(source), interval)
 
     def test_a_float_fall_by_rounding_alone_does_not_undo_a_proof(self, monkeypatch):
@@ -228,8 +242,8 @@ class TestProofPath:
         # samples fall; the proof reports f as increasing where the samples reported the fall
         # (nr_integrate stops first, on |f'(b)| <= 1e-12)
         source, interval = "1e-14*x+((x-1.781)-x)+1.781", Interval(0.0, 1.0)
-        report, batches = self.path(monkeypatch, source, interval)
-        assert batches == [] and report.passed
+        report, calls = self.path(monkeypatch, source, interval)
+        assert calls == 1 and report.passed
         assert "f is not nondecreasing" in scalar_validate(parse(source), interval).messages[0]
 
     def test_random_trees_on_extreme_bounds(self):
@@ -474,43 +488,40 @@ class TestEvaluationCounts:
 
     # f and f' once at each of the 6 iterates and f at the last one; with
     # validation, f(b) and f'(b) come from the first step, f' = 4x+3 is
-    # proved positive on [a, b], and f(a) is one more call: 13 calls and a
-    # 63-point batch when validation sampled, 76 calls before that
+    # proved positive on [a, b], and f(a) is one more call, where sampling
+    # took 63 more
     @pytest.mark.parametrize(
         "validate, expected_calls", [(True, 14), (False, 13)], ids=["validated", "unvalidated"]
     )
-    def test_worked_example(self, calls, monkeypatch, validate, expected_calls):
-        batches = record_batches(monkeypatch)
+    def test_worked_example(self, calls, validate, expected_calls):
         result = nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(validate=validate))
         assert len(result.areas) == 6
         assert result.trace.termination is Termination.REACHED_TARGET
         assert calls[0] == expected_calls
-        assert batches == []
 
     # f' = 1.5*sqrt(x) has no enclosure on [0, 1], since its simplified form
     # divides by sqrt(x), so validation samples: f(b) and f'(b) from the first
-    # step, the other 63 samples as one batch, and f and f' at 12 iterates
-    def test_a_problem_without_a_proof_keeps_its_63_point_batch(self, calls, monkeypatch):
-        batches = record_batches(monkeypatch)
+    # step, f at the other 63 samples, and f and f' at 12 iterates
+    def test_a_problem_without_a_proof_samples_63_points(self, calls):
         result = nr_integrate(parse("x*sqrt(x)"), Interval(0.0, 1.0))
         assert len(result.areas) == 13
-        assert calls[0] == 27
-        assert batches == [63]
+        assert calls[0] == 27 + 63
 
     # a clamp closes the last panel with the f(a + 0.0) that validation found, unless a is -0.0: there f is
     # evaluated at a itself, and sqrt(-0.0) = -0.0 makes the closing triangle 0.5*0.0*(-0.0) = -0.0
     @pytest.mark.parametrize(
-        "a, expected_calls, closing_sign", [(0.0, 3, 1.0), (-0.0, 4, -1.0)], ids=["zero", "negative-zero"]
+        "a, expected_calls, closing_sign", [(0.0, 3 + 63, 1.0), (-0.0, 4 + 63, -1.0)], ids=["zero", "negative-zero"]
     )
-    def test_a_clamp_reuses_the_f_a_of_validation(self, calls, monkeypatch, a, expected_calls, closing_sign):
-        batches = record_batches(monkeypatch)
+    def test_a_clamp_reuses_the_f_a_of_validation(self, calls, a, expected_calls, closing_sign):
+        # validation samples: 63 of the calls
         result = nr_integrate(parse("sqrt(x)"), Interval(a, 1.0), NrQuadSettings(closing_triangle=True))
         assert result.trace.termination is Termination.OVERSHOOT_CLAMPED and len(result.areas) == 1
-        assert (calls[0], batches) == (expected_calls, [63])
+        assert calls[0] == expected_calls
         assert math.copysign(1.0, result.closing_area) == closing_sign
 
-    # the scalar closures of f and f'; validation reuses f's, and builds no
-    # chain of f where it proves f' > 0
+    # the scalar closures of f and f'; validation reuses f's where it proves f' > 0 and where it
+    # samples (x*sqrt(x) on [0, 1], as TestProofPath pins), and validate_problem builds its own
+    # two: no batch evaluator on either path
     @pytest.mark.parametrize("validate", [True, False])
     def test_builds_two_scalar_evaluators_and_no_batch_evaluator(self, calls, monkeypatch, validate):
         compiled = []
@@ -520,9 +531,12 @@ class TestEvaluationCounts:
             return many
 
         patch_compiler(monkeypatch, "_compile_batch", counting)
-        f = parse(QUAD)
-        nr_integrate(f, QUAD_INTERVAL, NrQuadSettings(validate=validate))
-        assert calls[1] == 2
+        for source, interval in ((QUAD, QUAD_INTERVAL), ("x*sqrt(x)", Interval(0.0, 1.0))):
+            f, built = parse(source), calls[1]
+            nr_integrate(f, interval, NrQuadSettings(validate=validate))
+            assert calls[1] - built == 2
+            validate_problem(f, interval)
+            assert calls[1] - built == 4
         assert compiled == []
 
     # f and f' at each iterate and f once at the last one, where the residual
