@@ -1,9 +1,11 @@
 """Classical quadrature rules on uniform partitions, plus a reference oracle.
 
 left_riemann / right_riemann / midpoint / trapezoid / simpson are the
-textbook composite rules.  They share one pass over the uniform grid, which
-evaluates its nodes a CHUNK at a time and each distinct node once: all five
-rules on n subintervals take 2n + 3 points together, 5n + 2 one at a time.
+textbook composite rules.  They share one pass over the uniform grid that
+evaluates each distinct node once, interior nodes and midpoints as two
+streams in batches of up to CHUNK points, and searches a batch for a
+nonfinite sample only where a rule's running total is not finite after it:
+all five rules on n subintervals take 2n + 3 points, 5n + 2 one at a time.
 The pass compiles f once into a batch evaluator, a chain of lazy ``map``
 iterators with one per node (``_compile_batch``), which gives the bits of
 the scalar closures of ``nrquad.expressions``; no other module evaluates
@@ -95,12 +97,10 @@ def _chain(e: Expression) -> Callable[[Sequence[float]], Iterator[float]]:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-CHUNK = 256
-"""Points per call of the batch evaluator that ``_compile_batch`` builds: the
-uniform rules' interior nodes or midpoints (``CHUNK // 2`` of each when both
-are needed).
-
-No list a rule builds is longer, so its memory is bounded for any ``n``."""
+CHUNK = 4096
+"""Most points per call of the batch evaluator that ``_compile_batch`` builds: the uniform rules
+take their interior nodes and their midpoints as two streams, each in batches of up to ``CHUNK``
+points.  No list they build is longer, so their memory is bounded for any ``n``."""
 
 
 def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str]) -> dict[str, float | ValueError]:
@@ -110,12 +110,15 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
     ``midpoint``, ``trapezoid``, ``simpson``) to the rule's value, or to the
     ``ValueError`` that the rule of that name raises.  f is compiled into one
     batch evaluator where ``n`` is valid, and evaluated once at each node
-    that a named rule needs: the end nodes first, then the interior
-    nodes ``a + i*h`` and the midpoints, a chunk at a time.  The end nodes are
-    left's ``a + 0*h``, right's ``a + n*h`` and trapezoid's and Simpson's
-    ``a`` and ``b``; they are not merged, because ``a + 0*h`` is not ``a``
-    when ``a`` is -0.0 or ``h`` is infinite.  Each rule adds up its samples in
-    its own node order and fails at the first one that is not finite.
+    that a named rule needs: the end nodes first, then the interior nodes
+    ``a + i*h`` and then the midpoints, each in batches of up to ``CHUNK``.
+    The end nodes are left's ``a + 0*h``, right's ``a + n*h`` and
+    trapezoid's and Simpson's ``a`` and ``b``; they are not merged, because
+    ``a + 0*h`` is not ``a`` when ``a`` is -0.0 or ``h`` is infinite.  Each
+    rule adds up its samples in its own node order and fails at the first
+    one that is not finite.  Such a sample leaves the rule's running total
+    nonfinite, so only a batch after which a total is not finite, as after
+    finite samples overflow it, is searched for one.
     """
     rules = set(rules)
     try:
@@ -133,10 +136,12 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
     totals = {rule: 0.0 for rule in rules - outcomes.keys()}  # running sums of the rules not failed yet
 
     def failed(names: list[str], xs: list[float], values: list[float]) -> bool:
-        """Whether a value is not finite; if so, ``names`` fail at the first such point of ``xs``."""
-        if all(map(math.isfinite, values)):
+        """Whether a value is not finite; if so, ``names``, which just added ``values`` up, fail at its point of ``xs``."""
+        if all(map(math.isfinite, map(totals.get, names))):
             return False
-        sample = next((x, value) for x, value in zip(xs, values) if not math.isfinite(value))
+        sample = next(((x, value) for x, value in zip(xs, values) if not math.isfinite(value)), None)
+        if sample is None:  # finite samples overflowed a total
+            return False
         for rule in names:
             outcomes[rule] = NonfiniteSampleError(*sample)
             del totals[rule]
@@ -150,41 +155,36 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
     if totals.keys() & {"trapezoid", "simpson"}:
         ends["a"], ends["b"] = a, b
     f_end = dict(zip(ends, many(list(ends.values())))) if ends else {}
-    if "left_riemann" in totals and not failed(["left_riemann"], [ends["first"]], [f_end["first"]]):
+    if "left_riemann" in totals:
         totals["left_riemann"] += f_end["first"]
-    for rule in totals.keys() & {"trapezoid", "simpson"}:
-        if not failed([rule], [a, b], [f_end["a"], f_end["b"]]):
-            fa, fb = f_end["a"], f_end["b"]
-            totals[rule] = 0.5 * (fa + fb) if rule == "trapezoid" else fa + fb
-
-    # every rule but midpoint samples the interior nodes, in the same order
-    interior_rules = [rule for rule in totals if rule != "midpoint"]
+        failed(["left_riemann"], [ends["first"]], [f_end["first"]])
+    if pair := [rule for rule in totals if rule in ("trapezoid", "simpson")]:
+        fa, fb = f_end["a"], f_end["b"]
+        totals.update((rule, 0.5 * (fa + fb) if rule == "trapezoid" else fa + fb) for rule in pair)
+        failed(pair, [a, b], [fa, fb])
+    interior_rules = [rule for rule in totals if rule != "midpoint"]  # in one node order
     mid_rules = [rule for rule in totals if rule == "midpoint"]
     weights = cycle((4.0, 2.0))  # simpson's, from i = 1
-    step = CHUNK // 2 if interior_rules and mid_rules else CHUNK
-    for lo in range(0, n, step):
-        if not interior_rules and not mid_rules:
-            break
-        hi = min(lo + step, n)
-        interior = [a + i * h for i in range(max(lo, 1), hi)] if interior_rules else []
-        mids = [a + (i + 0.5) * h for i in range(lo, hi)] if mid_rules else []
-        values = many(interior + mids)
-        streams = (interior_rules, interior, values[: len(interior)]), (mid_rules, mids, values[len(interior) :])
-        for names, xs, samples in streams:
-            if xs and failed(names, xs, samples):
-                names.clear()
+    for names, mid in (interior_rules, False), (mid_rules, True):
+        for lo in range(0 if mid else 1, n if names else 0, CHUNK):
+            hi = min(lo + CHUNK, n)
+            xs = [a + (i + 0.5) * h for i in range(lo, hi)] if mid else [a + i * h for i in range(lo, hi)]
+            values = many(xs)
             for rule in names:
                 total = totals[rule]
                 if rule == "simpson":
-                    # values first: zip stops at the chunk's end without drawing a weight too many
-                    for value, weight in zip(samples, weights):
+                    # values first: zip stops at the batch's end without drawing a weight too many
+                    for value, weight in zip(values, weights):
                         total += weight * value
                 else:
-                    for value in samples:
+                    for value in values:
                         total += value
                 totals[rule] = total
-    if "right_riemann" in totals and not failed(["right_riemann"], [ends["last"]], [f_end["last"]]):
+            if failed(names, xs, values):
+                break
+    if "right_riemann" in totals:
         totals["right_riemann"] += f_end["last"]
+        failed(["right_riemann"], [ends["last"]], [f_end["last"]])
     for rule, total in totals.items():
         outcomes[rule] = h * total / 3.0 if rule == "simpson" else h * total
     return outcomes

@@ -267,25 +267,38 @@ def as_outcome(result):
     return struct.pack("<d", result)
 
 
+# the batch size of the tests below that cross batches: nrquad.baselines.CHUNK, patched down to this, so
+# that a few dozen nodes take several batches per stream
+SMALL_CHUNK = 16
+
+
+@pytest.fixture
+def small_chunk(monkeypatch):
+    monkeypatch.setattr(nrquad.baselines, "CHUNK", SMALL_CHUNK)
+
+
 NONFINITE_CASES = [
     ("sin(x)/x", -1.0, 2.0, 3),  # a node lands on 0
     ("sin(x)/x", -1.0, 1.0, 4),
     ("ln(x)", -1.0, 1.0, 2),
     ("1/((x+1)*(x-1))", -1.0, 1.0, 4),  # both ends; a is sampled first
-    # nodes are the integers; the pole at 300 is in the second chunk
-    ("1/(x-300)", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
-    ("1/((x-300)*(x-700))", 0.0, 3.0 * CHUNK + 2, 3 * CHUNK + 2),
+    # nodes are the integers; the pole at 20 is in the second batch of interior nodes, 40 in the third
+    ("1/(x-20)", 0.0, 3.0 * SMALL_CHUNK + 2, 3 * SMALL_CHUNK + 2),
+    ("1/((x-20)*(x-40))", 0.0, 3.0 * SMALL_CHUNK + 2, 3 * SMALL_CHUNK + 2),
     ("x*x*x", 0.0, 1e103, 4),  # an infinite sample, not a NaN
-    ("x*x", 0.0, 1.3e154, 2 * CHUNK),  # finite samples whose sum overflows
+    ("x*x", 0.0, 1.3e154, 2 * SMALL_CHUNK),  # finite samples whose sum overflows
+    # finite samples overflow every total in the first batch, and NaN begins in the second
+    ("1e308*sqrt((x-1)^2-0.01)", 0.0, 2.0, 50),
 ]
 
 
+@pytest.mark.usefixtures("small_chunk")
 class TestBatchedRulesMatchScalarOracle:
     """Each rule against the scalar loop it replaced, one tree_value per node."""
 
-    # node counts of a chunk minus one, a chunk and a chunk plus one, for
+    # node counts of a batch minus one, a batch and a batch plus one, for
     # rules with n nodes and for those with n - 1 interior nodes
-    SIZES = [1, 2, 3, 4, 5, 8, 17, CHUNK - 1, CHUNK, CHUNK + 1, CHUNK + 2, 3 * CHUNK + 1, 3 * CHUNK + 2]
+    SIZES = [1, 2, 3, 4, 5, 8, *(SMALL_CHUNK + k for k in (-1, 0, 1, 2)), 3 * SMALL_CHUNK + 1, 3 * SMALL_CHUNK + 2]
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
     @pytest.mark.parametrize("f, interval", [(QUAD, QUAD_INTERVAL), (EXP, UNIT)], ids=["quad", "exp"])
@@ -306,6 +319,7 @@ class TestBatchedRulesMatchScalarOracle:
         assert err.value.x == 0.0 and math.isnan(err.value.value)
 
 
+@pytest.mark.usefixtures("small_chunk")
 class TestGridRulesMatchScalarOracle:
     """The one-pass helper, for every non-empty set of rules, against each rule's scalar loop."""
 
@@ -333,6 +347,19 @@ class TestGridRulesMatchScalarOracle:
     def test_nonfinite_samples(self, source, a, b, n):
         self.check(parse(source), Interval(a, b), n)
 
+    def test_a_nan_after_an_overflow_is_found(self):
+        # the last case of NONFINITE_CASES: h = 0.04, the first batch of interior nodes is i = 1..16 and of
+        # midpoints i = 0..15, and f is NaN on about (0.9, 1.1)
+        f, h = parse("1e308*sqrt((x-1)^2-0.01)"), 0.04
+        first = [tree_value(f, i * h) for i in range(1, SMALL_CHUNK + 1)]
+        assert all(map(math.isfinite, first)) and sum(first) == math.inf
+        outcomes = _grid_rules(f, Interval(0.0, 2.0), 50, list(SCALAR_RULES))
+        # each rule fails in the second batch of its stream: interior i = 23, midpoint i = 22
+        assert {name: error.x for name, error in outcomes.items()} == {
+            **dict.fromkeys(["left_riemann", "right_riemann", "trapezoid", "simpson"], 23 * h),
+            "midpoint": (22 + 0.5) * h,
+        }
+
     @pytest.mark.parametrize(
         "source, a, b",
         [
@@ -358,7 +385,7 @@ class TestGridRulesMatchScalarOracle:
         for _ in range(40):
             f = random_tree(rng, 3)
             for interval in intervals:
-                for n in (1, 2, 3, 8, CHUNK + 2):
+                for n in (1, 2, 3, 8, SMALL_CHUNK + 2):
                     expected = self.check(f, interval, n)
                     nonfinite += sum(result[0] == "nonfinite" for result in expected.values())
         assert nonfinite >= 300, nonfinite  # 422 of 3,000 outcomes
@@ -370,19 +397,29 @@ class TestChunking:
         return record_batches(monkeypatch)
 
     @pytest.mark.parametrize("rule", RULES, ids=lambda rule: rule.__name__)
-    def test_no_batch_is_longer_than_a_chunk(self, rule, batches):
-        n = 3 * CHUNK + 2  # even, for simpson; more than three chunks of nodes
+    def test_no_batch_is_longer_than_a_chunk(self, rule, batches, small_chunk):
+        n = 3 * SMALL_CHUNK + 2  # even, for simpson; more than three batches of nodes
         assert rule(QUAD, QUAD_INTERVAL, n) == SCALAR_RULES[rule.__name__](QUAD, QUAD_INTERVAL, n)
-        assert max(batches) <= CHUNK
+        assert max(batches) <= SMALL_CHUNK
         assert sum(batches) == (n + 1 if rule in (trapezoid, simpson) else n)
 
-    def test_all_rules_evaluate_each_distinct_node_once(self, batches):
+    def test_all_rules_evaluate_each_distinct_node_once(self, batches, small_chunk):
         # n - 1 interior nodes, n midpoints, a + 0*h, a + n*h, a and b; the
         # rules one at a time take 5n + 2 between them
-        n = 3 * CHUNK + 2
+        n = 3 * SMALL_CHUNK + 2
         _grid_rules(QUAD, QUAD_INTERVAL, n, list(SCALAR_RULES))
-        assert max(batches) <= CHUNK
+        assert max(batches) <= SMALL_CHUNK
         assert sum(batches) == 2 * n + 3
+
+    def test_each_stream_takes_its_nodes_a_chunk_at_a_time(self, batches):
+        # the end nodes, then the interior nodes and then the midpoints, at the real CHUNK
+        for n, expected in [(2, [4, 1, 2]), (CHUNK, [4, CHUNK - 1, CHUNK]), (CHUNK + 2, [4, CHUNK, 1, CHUNK, 2])]:
+            batches.clear()
+            _grid_rules(QUAD, QUAD_INTERVAL, n, list(SCALAR_RULES))
+            assert batches == expected, n
+        batches.clear()
+        midpoint(QUAD, QUAD_INTERVAL, CHUNK)
+        assert batches == [CHUNK]
 
     def test_compare_evaluates_each_grid_node_once(self, batches, monkeypatch, capsys):
         rule_batches = []
@@ -400,8 +437,8 @@ class TestChunking:
         argv = ["compare", "--expr", "2*x^2+3*x+1", "--lower", "-0.5", "--upper", "1", "--panels", "64"]
         assert main(argv) == 0
         assert "error" not in capsys.readouterr().out
-        assert sum(rule_batches) == 2 * 64 + 3 == 131  # 5 * 64 + 2 = 322 one rule at a time
-        assert max(batches) <= CHUNK
+        # one batch per stream; 5 * 64 + 2 = 322 points one rule at a time
+        assert rule_batches == [4, 63, 64] and sum(rule_batches) == 2 * 64 + 3
 
 
 class TestScalarEvaluationCounts:

@@ -59,7 +59,7 @@ def test_compare_corpus_full_pass(monkeypatch):
     ]
     calls, batches = count_scalar_calls(monkeypatch), record_batches(monkeypatch)
     assert [main(argv) for argv in argvs] == [0] * len(argvs)
-    # three scalar evaluators per problem: f and f' for nr and f for the reference; the five rules
-    # evaluate their grids a CHUNK of points per batch, and validation samples through nr's f
+    # three scalar evaluators per problem: f and f' for nr and f for the reference, and validation
+    # samples through nr's f; the five rules take three batches each, as no grid is over a CHUNK
     assert calls == [64_736, 480]
-    assert (len(batches), sum(batches)) == (1_126, 227_872)
+    assert (len(batches), sum(batches)) == (480, 227_872)
