@@ -60,6 +60,7 @@ def test_compare_corpus_full_pass(monkeypatch):
     calls, batches = count_scalar_calls(monkeypatch), record_batches(monkeypatch)
     assert [main(argv) for argv in argvs] == [0] * len(argvs)
     # three scalar evaluators per problem: f and f' for nr and f for the reference, and validation
-    # samples through nr's f; the five rules take three batches each, as no grid is over a CHUNK
+    # samples through nr's f; the five rules' shared pass takes three batches per problem (the end nodes,
+    # the interior nodes, the midpoints), as no grid is over a CHUNK
     assert calls == [64_736, 480]
     assert (len(batches), sum(batches)) == (480, 227_872)
