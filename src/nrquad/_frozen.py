@@ -1,4 +1,4 @@
-"""A base for immutable value types, with no code generated at import.
+"""A base for immutable value types that, unlike dataclasses, generates no code at import.
 
 A subclass names its fields in ``__slots__`` and sets them in its own
 ``__init__`` through the setters that :func:`slot_setters` binds once,

@@ -16,9 +16,9 @@ decimal literals with optional fraction and exponent (``2``, ``0.5``,
 The recognised functions are sin, cos, tan, exp, ln, sqrt and abs, each
 taking exactly one argument; any other identifier is a parse error.
 
-:mod:`nrquad.expressions` re-exports every public name here but
-``VARIABLE_NAME``, which only the parser and printer read, and is where
-callers import them from.
+:mod:`nrquad.expressions`, where callers import them from, re-exports
+every public name here but ``VARIABLE_NAME``; the two are apart because
+compiling from source keeps memory in proportion to the largest module.
 """
 
 from __future__ import annotations

@@ -11,9 +11,8 @@ iterators with one per node (``_compile_batch``), which gives the bits of
 the scalar closures of ``nrquad.expressions``; no other module evaluates
 batches.
 reference_integral is an adaptive Simpson integrator accurate far beyond
-the rules it referees, a depth-first recursion that evaluates one point at
-a time.  error_stats packages absolute and relative error against such a
-reference.
+the rules it referees; error_stats packages absolute and relative error
+against such a reference.
 """
 
 from __future__ import annotations
@@ -232,8 +231,9 @@ def reference_integral(f: Expression, interval: Interval, tol: float = 1e-10) ->
     A panel is accepted when |S_whole - S_left - S_right| <= 15*tol (with
     the usual S/15 correction added); otherwise it splits, halving the
     tolerance, down to a depth cap of 50.  The recursion is depth-first,
-    left half before right, one scalar evaluation per point, and it
-    evaluates at most 2**20 points.
+    left half before right, so it holds one panel per level and a failing
+    input spends nothing right of the panel that fails; it evaluates one
+    point at a time, at most 2**20 points.
 
     Raises:
         DepthLimitError: if the cap is hit, which is what NaN regions or

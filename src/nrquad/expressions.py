@@ -6,17 +6,17 @@ types, the source syntax, :func:`parse` and :func:`to_text` live in
 
 Evaluation is total: domain violations (``ln`` of a negative, division
 by zero, ...) yield NaN instead of raising, and callers are expected to
-check finiteness.  ``_compile_scalar`` compiles an expression for single
-points: one function per node, reading constant and ``x`` operands in
-place, and one for a whole ``fn(x op c)`` such as ``ln(x+1)`` or a whole
-constant-scaled ``c op (x op d)``, ``c op fn(x op d)`` or ``c op (fn(x) op
-d)`` such as ``1.3*ln(x+1)`` or ``2.5*(exp(x)-1)``.  Each function binds
-its node's operation and operands as default arguments, not as free
-variables, so compiling creates no cells and an evaluation reads its
-operands as locals.  ``evaluate`` builds one and calls it once;
-``nr_integrate`` builds one for f and one for f', and validation samples
-f through f's.  Only the uniform rules of ``nrquad.baselines`` evaluate f
-on a grid, and they compile their own batches.
+check finiteness.  The Newton steps take one point at a time, each from
+the step before, and a tree walk costs many times a call per point, so
+``_compile_scalar`` compiles an expression for single points: one
+function per node, reading constant and ``x`` operands in place, and one
+for a whole ``fn(x op c)`` such as ``ln(x+1)`` or a whole constant-scaled
+``c op (x op d)``, ``c op fn(x op d)`` or ``c op (fn(x) op d)`` such as
+``1.3*ln(x+1)`` or ``2.5*(exp(x)-1)``.  Each function binds its node's
+operation and operands as default arguments, not as free variables, so
+compiling creates no cells and an evaluation reads its operands as
+locals.  ``evaluate`` builds one and calls it once; ``nr_integrate``
+builds one for f and one for f', and validation samples f through f's.
 
 The walks ``differentiate``, ``simplify`` and ``_closure`` dispatch
 on ``type(e) is ...`` tests with the most frequent node type first, not on

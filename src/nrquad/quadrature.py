@@ -69,7 +69,7 @@ _set_a, _set_b = slot_setters(Interval)
 
 
 class _Criteria(Frozen):
-    # the StoppingCriteria that NrQuadSettings validates its fields with, in a slot that is not one of them
+    # the StoppingCriteria NrQuadSettings checks its fields with, kept so nr_integrate builds none per call
     __slots__ = ("_stop",)
 
 

@@ -57,8 +57,8 @@ def test_every_module_level_import_is_used(path):
 
 
 # A process that compiles nrquad from source (no .pyc written) keeps memory in
-# proportion to its largest module (README, "Cost of integrate"), so the bound
-# is absolute: the size of cli.py, the largest module when it was set.
+# proportion to its largest module, so the bound is absolute: the size of
+# cli.py, the largest module when it was set.
 MAX_MODULE_BYTES = 14_417
 
 
@@ -148,13 +148,10 @@ def test_the_package_reads_every_private_module_level_name():
     assert unread_private_names(sources) == []
 
 
-# The walks of expressions.py run on every integrand and dispatch on ``type(e) is
-# ...`` chains: a class pattern costs an isinstance test and attribute reads per
-# case tried, and the chains took the benchmark's integrate workload from about
-# 6.2x to 5.1x plain Python (README, "Cost of integrate"). Bringing ``match``
-# back gives that up.  ``parse`` in _syntax.py runs on every integrand too and
-# counts the depth as it builds the tree, with no walk after it; only the
-# printer ``to_text``, which no operation of the package calls, keeps ``match``.
+# The tree walks run on every integrand, and a class pattern costs an isinstance
+# test and field reads for each case tried where a ``type(e) is ...`` test is
+# one comparison, so only the printer ``to_text``, which no operation of the
+# package calls, keeps ``match``.
 
 
 def functions_with_match(source: str) -> list[str]:

@@ -28,6 +28,30 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 from corpus import compare_corpus, integrate_corpus  # noqa: E402 - found through the path above
 
+# each pass's totals, as the README's cost section quotes them
+LEDGER = {
+    # nr_integrate over integrate_corpus(0), with default settings
+    "integrate": {"scalar evaluations": 4_548, "scalar evaluators built": 800, "batches": 0, "points in batches": 0},
+    # reference_integral over compare_corpus(0)
+    "reference": {"scalar evaluations": 59_096, "scalar evaluators built": 160, "batches": 0, "points in batches": 0},
+    # the full compare --format json pass over compare_corpus(0)
+    "compare": {
+        "scalar evaluations": 64_736,
+        "scalar evaluators built": 480,
+        "batches": 480,
+        "points in batches": 227_872,
+    },
+}
+
+
+def totals(calls, batches):
+    return {
+        "scalar evaluations": calls[0],
+        "scalar evaluators built": calls[1],
+        "batches": len(batches),
+        "points in batches": sum(batches),
+    }
+
 
 def test_integrate_corpus_totals(monkeypatch):
     problems = [(parse(p.text), Interval(p.a, p.b)) for p in integrate_corpus(0)]
@@ -35,8 +59,7 @@ def test_integrate_corpus_totals(monkeypatch):
     results = [nr_integrate(f, interval) for f, interval in problems]
     # two evaluators per problem, f and f'; a clamped last panel reuses the f(a) that validation found,
     # and the 12 problems with no proof that f' > 0 sample 63 points each through f's
-    assert calls == [4_548, 800]
-    assert batches == []
+    assert totals(calls, batches) == LEDGER["integrate"]
     assert sum(len(result.trace.steps) for result in results) == 1_502
     terminations = Counter(result.trace.termination.value for result in results)
     assert terminations == {"reached-target": 197, "overshoot-clamped": 191, "residual-small": 12}
@@ -48,8 +71,7 @@ def test_compare_corpus_reference_points(monkeypatch):
     for f, interval in problems:
         reference_integral(f, interval)
     # halving the tolerance of each half panel matters: keeping it whole takes 23,736 points
-    assert calls == [59_096, 160]
-    assert batches == []
+    assert totals(calls, batches) == LEDGER["reference"]
 
 
 def test_compare_corpus_full_pass(monkeypatch):
@@ -62,5 +84,4 @@ def test_compare_corpus_full_pass(monkeypatch):
     # three scalar evaluators per problem: f and f' for nr and f for the reference, and validation
     # samples through nr's f; the five rules' shared pass takes three batches per problem (the end nodes,
     # the interior nodes, the midpoints), as no grid is over a CHUNK
-    assert calls == [64_736, 480]
-    assert (len(batches), sum(batches)) == (480, 227_872)
+    assert totals(calls, batches) == LEDGER["compare"]
