@@ -60,21 +60,17 @@ def _compile_batch(e: Expression) -> Callable[[Sequence[float]], list[float]]:
     """``[evaluate(e, x) for x in xs]`` as a function of ``xs``, through a chain of ``map`` iterators.
 
     A batch in which some point raises is evaluated again one point at a
-    time through ``_compile_scalar(e)``, built on the first such batch, so
-    that point is NaN, as with ``evaluate`` (also where NaN would not
-    reach the root: ``pow(nan, 0) == 1``).
+    time through a ``_compile_scalar(e)`` built for it, so that point is NaN,
+    as with ``evaluate`` (also where NaN would not reach the root:
+    ``pow(nan, 0) == 1``).  Nothing is kept between calls.
     """
     chain = _chain(e)
-    at = None
 
     def many(xs: Sequence[float]) -> list[float]:
-        nonlocal at
         try:
             return list(chain(xs))
         except (ArithmeticError, ValueError):
-            if at is None:
-                at = _compile_scalar(e)
-            return [at(x) for x in xs]
+            return list(map(_compile_scalar(e), xs))
 
     return many
 
@@ -108,16 +104,18 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
     Maps each name in ``rules`` (``left_riemann``, ``right_riemann``,
     ``midpoint``, ``trapezoid``, ``simpson``) to the rule's value, or to the
     ``ValueError`` that the rule of that name raises.  f is compiled into one
-    batch evaluator where ``n`` is valid, and evaluated once at each node
-    that a named rule needs: the end nodes first, then the interior nodes
-    ``a + i*h`` and then the midpoints, each in batches of up to ``CHUNK``.
-    The end nodes are left's ``a + 0*h``, right's ``a + n*h`` and
-    trapezoid's and Simpson's ``a`` and ``b``; they are not merged, because
-    ``a + 0*h`` is not ``a`` when ``a`` is -0.0 or ``h`` is infinite.  Each
-    rule adds up its samples in its own node order and fails at the first
-    one that is not finite.  Such a sample leaves the rule's running total
-    nonfinite, so only a batch after which a total is not finite, as after
-    finite samples overflow it, is searched for one.
+    batch evaluator where ``n`` is valid and a rule runs, and evaluated once
+    at each node that a named rule needs: the end nodes first, then the
+    interior nodes ``a + i*h`` and then the midpoints, each in batches of up
+    to ``CHUNK``.  The end nodes are left's ``a + 0*h``, right's ``a + n*h``
+    and trapezoid's and Simpson's ``a`` and ``b``; they are not merged,
+    because ``a + 0*h`` is not ``a`` when ``a`` is -0.0 or ``h`` is infinite.
+    Each rule adds up its samples in its own node order and fails at the
+    first one that is not finite.  Such a sample leaves the rule's running
+    total nonfinite, so only a batch after which a total is not finite, as
+    after finite samples overflow it, is searched for one.  A batch that
+    raises gives a NaN sample to every rule of its stream, so a pass builds
+    at most three scalar fallbacks: one for the end nodes and one per stream.
     """
     rules = set(rules)
     try:
@@ -129,10 +127,12 @@ def _grid_rules(f: Expression, interval: Interval, n: int, rules: Iterable[str])
     outcomes: dict[str, float | ValueError] = {}
     if "simpson" in rules and n % 2 != 0:
         outcomes["simpson"] = ValueError(f"simpson needs an even subinterval count (got {n!r})")
+    totals = {rule: 0.0 for rule in rules - outcomes.keys()}  # running sums of the rules not failed yet
+    if not totals:  # no rule runs, so no evaluator is built
+        return outcomes
     many = _compile_batch(f)
     a, b = interval.a, interval.b
     h = (b - a) / n
-    totals = {rule: 0.0 for rule in rules - outcomes.keys()}  # running sums of the rules not failed yet
 
     def failed(names: list[str], xs: list[float], values: list[float]) -> bool:
         """Whether a value is not finite; if so, ``names``, which just added ``values`` up, fail at its point of ``xs``."""

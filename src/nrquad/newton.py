@@ -20,6 +20,7 @@ from ._frozen import Frozen, slot_setters
 from .expressions import Expression, _compile_scalar
 
 DERIVATIVE_EPSILON = 1e-12
+_TOL_STEP = 1e-12  # StoppingCriteria's default tol_step, and the one nr_integrate iterates under
 
 _Scalar = Callable[[float], float]  # a scalar evaluator, as _compile_scalar builds
 
@@ -137,7 +138,7 @@ class StoppingCriteria(Frozen):
         target: float | None = None,
         tol_x: float = 1e-6,
         tol_f: float | None = None,
-        tol_step: float = 1e-12,
+        tol_step: float = _TOL_STEP,
         max_iter: int = 100,
     ) -> None:
         if target is not None and not _finite(target):
@@ -207,13 +208,15 @@ def newton_iterate(f: Expression, df: Expression, x0: float, stop: StoppingCrite
     this function does not raise.
     """
     stop = stop if stop is not None else StoppingCriteria()
-    return _iterate(_compile_scalar(f), _compile_scalar(df), x0, stop, None, stop.target)[0]
+    f_at, df_at = _compile_scalar(f), _compile_scalar(df)
+    return _iterate(f_at, df_at, x0, stop.target, stop.tol_x, stop.tol_f, stop.tol_step, stop.max_iter)[0]
 
 
 def _iterate(
-    f: _Scalar, df: _Scalar, x0: float, stop: StoppingCriteria, first: NewtonStep | None, target: float | None
+    f: _Scalar, df: _Scalar, x0: float, target: float | None, tol_x: float, tol_f: float | None, tol_step: float,
+    max_iter: int, first: NewtonStep | None = None,
 ) -> tuple[NewtonTrace, float | None, NewtonError | None]:
-    """:func:`newton_iterate` on scalar evaluators; also f(final_x) and the error that ended the iteration.
+    """:func:`newton_iterate` on scalar evaluators and checked criteria; also f(final_x) and the error that ended it.
 
     f(final_x) is None where the iteration did not evaluate it.  The error is
     the one a nonfinite-value or derivative-vanished termination caught, or an
@@ -221,21 +224,18 @@ def _iterate(
     for every other termination it is None.
 
     A caller that has already taken the step from ``x0`` passes it as ``first``, and it is used as is.
-    ``target`` stands for ``stop.target``, which is not read, so criteria validated once serve every target.
     """
     step = first
     f_x = None if first is None else first.f_k
-    tol_f = stop.tol_f
     if tol_f is None:
         if f_x is None:
             f_x = f(x0)
         tol_f = 1e-9 * max(1.0, abs(f_x))
     descending = target is not None and x0 > target
-    tol_x, tol_step = stop.tol_x, stop.tol_step
 
     steps: list[NewtonStep] = []
     x = x0
-    for _ in range(stop.max_iter):
+    for _ in range(max_iter):
         if step is None:
             try:
                 step = _step(f, df, x, f_x)

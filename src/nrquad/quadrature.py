@@ -29,6 +29,7 @@ from ._enclosure import _proves_increasing
 from ._frozen import Frozen, slot_setters
 from .expressions import Expression, _compile_scalar, differentiate, evaluate
 from .newton import (
+    _TOL_STEP,
     NewtonTrace,
     NonfiniteValueError,
     StoppingCriteria,
@@ -68,15 +69,7 @@ class Interval(Frozen):
 _set_a, _set_b = slot_setters(Interval)
 
 
-class _Criteria(Frozen):
-    # the StoppingCriteria NrQuadSettings checks its fields with, kept so nr_integrate builds none per call
-    __slots__ = ("_stop",)
-
-
-(_set_stop,) = slot_setters(_Criteria)
-
-
-class NrQuadSettings(_Criteria):
+class NrQuadSettings(Frozen):
     """Knobs for :func:`nr_integrate`.
 
     Stopping follows proximity to ``a`` (``tol_x``) or a small residual
@@ -95,8 +88,7 @@ class NrQuadSettings(_Criteria):
         closing_triangle: bool = False,
         validate: bool = True,
     ) -> None:
-        # raises on a bad tolerance or budget; nr_integrate iterates under it, with its own target
-        _set_stop(self, StoppingCriteria(tol_x=tol_x, tol_f=tol_f, max_iter=max_iter))
+        StoppingCriteria(tol_x=tol_x, tol_f=tol_f, max_iter=max_iter)  # raises on a bad tolerance or budget
         _set_tol_x(self, tol_x)
         _set_tol_f(self, tol_f)
         _set_max_iter(self, max_iter)
@@ -290,7 +282,7 @@ def nr_integrate(
         if not report.passed:
             raise ValidationError(report)
 
-    trace, f_final, error = _iterate(f_at, df_at, b, settings._stop, first, a)
+    trace, f_final, error = _iterate(f_at, df_at, b, a, settings.tol_x, settings.tol_f, _TOL_STEP, settings.max_iter, first)
     if error is not None:
         raise error
 

@@ -1014,6 +1014,24 @@ class TestEntryPoints:
         assert code == 0 and "simpson" in out
         assert len(compiled) == 1
 
+    # no rule runs: nr alone, or simpson alone on an odd panel count, which it refuses before any node
+    @pytest.mark.parametrize(
+        "extra, built",
+        [([], 1), (["--methods", "nr"], 0), (["--methods", "simpson", "--panels", "5"], 0)],
+        ids=["default", "nr", "simpson-odd"],
+    )
+    def test_compare_compiles_a_batch_evaluator_only_for_a_rule_that_runs(self, capsys, monkeypatch, extra, built):
+        compiled = []
+
+        def counting(e, many):
+            compiled.append(e)
+            return many
+
+        patch_compiler(monkeypatch, "_compile_batch", counting)
+        code, _, _ = run(["compare", *EXAMPLE, *extra], capsys)
+        assert code == 0
+        assert len(compiled) == built
+
     def test_each_compare_compiles_one_batch_evaluator_in_threads(self, monkeypatch):
         # nothing is kept between calls, so threads that alternate expressions
         # share no batch evaluator, and each comparison compiles its own

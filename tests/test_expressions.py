@@ -42,6 +42,7 @@ from support import (
     textbook_derivative,
     tree_value,
 )
+from sweep_parse import sweep as parse_sweep
 
 QUAD = "2*x^2+3*x+1"
 QUINTIC = "5*x^5+4*x^4-3*x^3+2*x^2+4*x+1"
@@ -687,6 +688,10 @@ class TestDescentOracle:
         assert len(sources) > 8_000
         for source in sources:
             assert parse_outcome(parse, source) == parse_outcome(descent_parse, source), source
+
+    def test_a_slice_of_the_parse_sweep(self):
+        # a Tier-1 slice of tests/sweep_parse.py, which prints each disagreement
+        assert parse_sweep(2_000, 0) == (2_000, 1_402, 0)
 
     # parse finds a token's kind from its text and its offset only on failure: the sources where
     # that could go wrong, from how the scan splits numbers to a stray character after a deep prefix

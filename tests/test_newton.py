@@ -19,7 +19,7 @@ from nrquad.newton import (
     newton_iterate,
     newton_step,
 )
-from support import count_scalar_calls, poly_derivative, poly_value, random_polynomial
+from support import poly_derivative, poly_value, random_polynomial
 
 QUAD = "2*x^2+3*x+1"
 
@@ -209,10 +209,6 @@ class TestNewtonIterate:
 class TestCarriedValues:
     """The values that nr_integrate carries between steps, through the private scalar functions."""
 
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        return count_scalar_calls(monkeypatch)
-
     def test_step_uses_a_given_f_value(self, calls):
         f, df = map(nrquad.expressions._compile_scalar, _fdf(QUAD))  # the hooked compiler
         assert _step(f, df, 1.0, f_x=6.0) == _step(f, df, 1.0)
@@ -234,18 +230,10 @@ class TestCarriedValues:
         stop = StoppingCriteria(target=-0.5, tol_x=0.01)
         first = _step(f, df, 1.0)
         calls[0] = 0
-        trace, _, _ = _iterate(f, df, 1.0, stop, first, stop.target)
+        trace, _, _ = _iterate(f, df, 1.0, stop.target, stop.tol_x, stop.tol_f, stop.tol_step, stop.max_iter, first)
         assert calls[0] == 2 * (len(trace.steps) - 1)
         assert trace.steps[0] is first
         assert trace == newton_iterate(f_expr, df_expr, 1.0, stop)
-
-    def test_the_target_beside_the_criteria_is_the_one_used(self):
-        # nr_integrate iterates under its settings' criteria, whose target is None, towards a
-        f, df = map(nrquad.expressions._compile_scalar, _fdf(QUAD))
-        want = newton_iterate(*_fdf(QUAD), 1.0, StoppingCriteria(target=-0.5, tol_x=0.01))
-        assert want.termination is Termination.REACHED_TARGET
-        for target in (None, 0.9):
-            assert _iterate(f, df, 1.0, StoppingCriteria(target=target, tol_x=0.01), None, -0.5)[0] == want
 
 
 class TestStoppingCriteria:

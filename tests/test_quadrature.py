@@ -3,13 +3,22 @@
 import math
 import random
 import re
+import sys
+from pathlib import Path
 
 import pytest
 
 from nrquad.baselines import _compile_batch, reference_integral
 from nrquad.cli import main
 from nrquad.expressions import _compile_scalar, differentiate, evaluate, parse, to_text
-from nrquad.newton import DerivativeVanishedError, NonfiniteValueError, StoppingCriteria, Termination, newton_step
+from nrquad.newton import (
+    DerivativeVanishedError,
+    NonfiniteValueError,
+    StoppingCriteria,
+    Termination,
+    newton_iterate,
+    newton_step,
+)
 from nrquad.quadrature import (
     Interval,
     NrQuadSettings,
@@ -30,6 +39,10 @@ from support import (
     tree_value,
 )
 from sweep_validation import sweep
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
+
+from corpus import compare_corpus, integrate_corpus  # noqa: E402 - found through the path above
 
 QUAD = "2*x^2+3*x+1"
 QUAD_INTERVAL = Interval(-0.5, 1.0)
@@ -413,6 +426,19 @@ class TestNrIntegrate:
         assert short == nr_integrate(parse(QUAD), QUAD_INTERVAL, NrQuadSettings(max_iter=2))
         assert (short.status, len(short.areas)) == (QuadStatus.BUDGET_EXHAUSTED, 2)
 
+    @pytest.mark.parametrize(
+        "settings",
+        [NrQuadSettings(), NrQuadSettings(tol_x=1e-3, tol_f=1e-4, max_iter=3), NrQuadSettings(tol_x=1e-9, validate=False)],
+        ids=["default", "coarse", "fine-unvalidated"],
+    )
+    def test_the_trace_is_newton_iterate_from_b_towards_a(self, settings):
+        # the settings' tolerances and budget, with a as the target and newton_iterate's default tol_step
+        for p in integrate_corpus(0) + compare_corpus(0):
+            f = parse(p.text)
+            stop = StoppingCriteria(target=p.a, tol_x=settings.tol_x, tol_f=settings.tol_f, max_iter=settings.max_iter)
+            trace = nr_integrate(f, Interval(p.a, p.b), settings).trace
+            assert trace == newton_iterate(f, differentiate(f), p.b, stop), p.text
+
     def test_vanished_derivative_wins_over_validation(self):
         # constant integrand: both the derivative guard and validation
         # would fail; the derivative guard is checked first
@@ -481,10 +507,6 @@ class TestPowerClosedForm:
 
 class TestEvaluationCounts:
     """Integrand evaluations on the worked example, pinned; a change may lower them."""
-
-    @pytest.fixture
-    def calls(self, monkeypatch):
-        return count_scalar_calls(monkeypatch)
 
     # f and f' once at each of the 6 iterates and f at the last one; with
     # validation, f(b) and f'(b) come from the first step, f' = 4x+3 is
